@@ -38,6 +38,7 @@ use hpcarbon_grid::trace::IntensityTrace;
 use hpcarbon_sched::Job;
 use hpcarbon_sim::par::{par_map_workers, worker_count};
 use hpcarbon_sim::rng::SimRng;
+use hpcarbon_timeseries::stats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -50,7 +51,7 @@ pub type TraceKey = (OperatorId, TraceSource, i32, u64);
 pub type JobKey = (usize, u64);
 
 /// Distribution stats of one trace, precomputed so the per-request path
-/// skips the percentile sort over 8760 hourly values.
+/// skips the median selection over 8760 hourly values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Fig. 6(a) boxplot median (gCO₂/kWh).
@@ -61,10 +62,13 @@ pub struct TraceStats {
 
 impl TraceStats {
     /// Computes the stats of `trace` — the exact expressions the
-    /// estimator evaluates on a context miss.
+    /// estimator evaluates on a context miss. The median is selected, not
+    /// sorted for. It equals the boxplot median bit for bit because
+    /// intensities are finite and at least zero; only a zero median could
+    /// differ, in its sign, on a trace that holds both `-0` and `0`.
     pub fn of(trace: &IntensityTrace) -> TraceStats {
         TraceStats {
-            median_g_per_kwh: trace.boxplot().median,
+            median_g_per_kwh: stats::median(trace.series().values()),
             cov_pct: trace.cov_percent(),
         }
     }
@@ -299,6 +303,17 @@ mod tests {
         let mut off = multi.clone();
         off.partner = Some(false);
         assert_eq!(RequestKeys::of(&off).partner_trace, None);
+    }
+
+    #[test]
+    fn trace_stats_median_is_the_boxplot_median() {
+        for year in [2021, 2024] {
+            let trace = hpcarbon_grid::synth::synthesize_year(OperatorId::Ciso, year, 11);
+            assert_eq!(
+                TraceStats::of(&trace).median_g_per_kwh.to_bits(),
+                trace.boxplot().median.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -6,14 +6,18 @@
 //! through a pre-built `SweepContext` must beat the uncontexted
 //! `run_scenario` path by ≥ `BENCH_GATE_MIN_SWEEP_SPEEDUP` (default 2×),
 //! because the context hoists trace simulation, job-trace generation,
-//! and catalog assembly out of the per-row loop. On a multi-core host
+//! and catalog assembly out of the per-row loop.
+//! `scenario_contexted_seasonal` is the same row under seasonal PUE, the
+//! paper grid's other PUE model, whose hourly accounting the
+//! constant-PUE rows never reach. On a multi-core host
 //! `streaming/parallel` additionally beats `streaming/serial_1_thread`
 //! roughly by the core count; on a single core the two collapse to the
 //! same time, never worse.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_sweep::{
-    run_scenario, CsvSink, JsonSink, ScenarioGrid, Sweep, SweepConfig, SweepContext,
+    run_scenario, CsvSink, JsonSink, PueSpec, Scenario, ScenarioGrid, Sweep, SweepConfig,
+    SweepContext,
 };
 use std::hint::black_box;
 
@@ -54,6 +58,19 @@ fn context(c: &mut Criterion) {
     });
     g.bench_function("scenario_contexted", |b| {
         b.iter(|| black_box(ctx.run(&sc).unwrap()))
+    });
+    // The same row under the paper grid's seasonal PUE, which prices the
+    // node's year hour by hour (`account_with_seasonal_pue`). The
+    // context holds the same trace: PUE is not part of any key.
+    let seasonal = Scenario {
+        pue: PueSpec::Seasonal {
+            mean: 1.2,
+            amplitude: 0.1,
+        },
+        ..sc
+    };
+    g.bench_function("scenario_contexted_seasonal", |b| {
+        b.iter(|| black_box(ctx.run(&seasonal).unwrap()))
     });
     g.finish();
 }

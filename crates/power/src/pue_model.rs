@@ -62,6 +62,22 @@ impl SeasonalPue {
 
 /// Accounts a run's carbon against an hourly intensity trace *and* an
 /// hourly (seasonal) PUE — the fully time-resolved Eq. 6.
+///
+/// The run starts at hour-of-year `start_hour`, taken modulo the trace
+/// length, and wraps from the trace's last hour to its first. Each hour
+/// is charged `rate × dt × PUE × intensity`, where `dt` is 1 for every
+/// hour but a fractional last one.
+///
+/// PUE only changes once a day, so it is evaluated once per day of the
+/// trace's year and the hourly loop is plain arithmetic. Hour-of-year
+/// `i` lies on day `i / 24 + 1`, the day [`SeasonalPue::at`] reads off
+/// the hour's civil date, and the hours are summed in order, so the
+/// result is bit-identical to pricing each hour through
+/// [`SeasonalPue::at`].
+///
+/// # Panics
+/// - If `duration` is zero, negative or NaN: there is no run to account.
+/// - If `duration` is infinite: the hourly walk would never end.
 pub fn account_with_seasonal_pue(
     trace: &IntensityTrace,
     pue: &SeasonalPue,
@@ -69,20 +85,32 @@ pub fn account_with_seasonal_pue(
     it_energy: Energy,
     duration: TimeSpan,
 ) -> CarbonMass {
-    assert!(duration.as_hours() > 0.0, "duration must be positive");
-    let rate_kwh_per_h = it_energy.as_kwh() / duration.as_hours();
-    let len = trace.series().len() as u32;
-    let year = trace.series().year();
     let hours = duration.as_hours();
+    assert!(
+        hours > 0.0 && hours.is_finite(),
+        "duration must be finite and positive, got {hours} h"
+    );
+    let rate_kwh_per_h = it_energy.as_kwh() / hours;
+    let values = trace.series().values();
+    let days = days_in_year(trace.series().year());
+    let day_pue: Vec<f64> = (1..=days).map(|d| pue.at_day(d, days).value()).collect();
+    let mut idx = start_hour as usize % values.len();
     let mut grams = 0.0;
-    let mut t = 0.0;
-    while t < hours {
-        let dt = (t.floor() + 1.0).min(hours) - t;
-        let idx = (start_hour + t.floor() as u32) % len;
-        let stamp = HourStamp::from_hour_of_year(year, idx);
-        let pue_now = pue.at(stamp).value();
-        grams += rate_kwh_per_h * dt * pue_now * trace.at_index(idx).as_g_per_kwh();
-        t += dt;
+    let mut charge = |dt: f64| {
+        grams += rate_kwh_per_h * dt * day_pue[idx / 24] * values[idx];
+        idx += 1;
+        if idx == values.len() {
+            idx = 0;
+        }
+    };
+    // Hours start at offsets 0, 1, 2, … from the run start, so each one
+    // lasts exactly 1 h except a fractional last hour of `hours - whole`.
+    let whole = hours.floor();
+    for _ in 0..whole as u64 {
+        charge(1.0);
+    }
+    if hours > whole {
+        charge(hours - whole);
     }
     CarbonMass::from_g(grams)
 }
@@ -91,7 +119,121 @@ pub fn account_with_seasonal_pue(
 mod tests {
     use super::*;
     use hpcarbon_grid::regions::OperatorId;
+    use hpcarbon_timeseries::datetime::hours_in_year;
     use hpcarbon_timeseries::series::HourlySeries;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The per-hour loop [`account_with_seasonal_pue`] replaced: a civil
+    /// date, a day-of-year and a cosine for every hour. Kept as the
+    /// reference its results must equal bit for bit.
+    fn account_per_hour(
+        trace: &IntensityTrace,
+        pue: &SeasonalPue,
+        start_hour: u32,
+        it_energy: Energy,
+        duration: TimeSpan,
+    ) -> CarbonMass {
+        assert!(duration.as_hours() > 0.0, "duration must be positive");
+        let rate_kwh_per_h = it_energy.as_kwh() / duration.as_hours();
+        let len = trace.series().len() as u32;
+        let year = trace.series().year();
+        let hours = duration.as_hours();
+        let mut grams = 0.0;
+        let mut t = 0.0;
+        while t < hours {
+            let dt = (t.floor() + 1.0).min(hours) - t;
+            let idx = (start_hour + t.floor() as u32) % len;
+            let stamp = HourStamp::from_hour_of_year(year, idx);
+            let pue_now = pue.at(stamp).value();
+            grams += rate_kwh_per_h * dt * pue_now * trace.at_index(idx).as_g_per_kwh();
+            t += dt;
+        }
+        CarbonMass::from_g(grams)
+    }
+
+    /// A trace of `year` whose hours all differ, so reading a wrong hour
+    /// changes the sum.
+    fn varied_trace(year: i32, seed: u64) -> IntensityTrace {
+        let mut rng = TestRng::from_seed(seed);
+        let values = (0..hours_in_year(year))
+            .map(|_| 20.0 + 800.0 * rng.unit_f64())
+            .collect();
+        IntensityTrace::new(OperatorId::Eso, HourlySeries::new(year, values))
+    }
+
+    proptest! {
+        #[test]
+        fn per_day_pricing_is_bit_identical_to_the_per_hour_loop(
+            year in prop_oneof![Just(2021), Just(2020)],
+            seed in 0u64..u64::MAX,
+            start_hour in 0u32..3 * 8784,
+            hours in prop_oneof![
+                0.01..1.0f64,
+                1.0..100.0f64,
+                (1u32..72).prop_map(f64::from),
+                Just(8760.0),
+                8761.0..30_000.0f64,
+            ],
+            amplitude in prop_oneof![Just(0.0), 0.001..0.3f64],
+            mean_above_floor in 0.0..0.5f64,
+            kwh in 0.001..1e6f64,
+        ) {
+            let trace = varied_trace(year, seed);
+            let pue = SeasonalPue::new(1.0 + amplitude + mean_above_floor, amplitude);
+            let (energy, duration) = (Energy::from_kwh(kwh), TimeSpan::from_hours(hours));
+            let fast = account_with_seasonal_pue(&trace, &pue, start_hour, energy, duration);
+            let reference = account_per_hour(&trace, &pue, start_hour, energy, duration);
+            prop_assert_eq!(fast.as_g().to_bits(), reference.as_g().to_bits());
+        }
+    }
+
+    #[test]
+    fn start_hours_near_u32_max_wrap_on_the_trace() {
+        // u32::MAX = 490_293 × 8760 + 615, so a 2 h run reads hours 615
+        // and 616 — not hour 0, where `u32::MAX + 1` would wrap to.
+        let trace = varied_trace(2021, 7);
+        let p = SeasonalPue::typical();
+        let two_hours = |start| {
+            account_with_seasonal_pue(
+                &trace,
+                &p,
+                start,
+                Energy::from_kwh(2.0),
+                TimeSpan::from_hours(2.0),
+            )
+        };
+        assert_eq!(
+            two_hours(u32::MAX).as_g().to_bits(),
+            two_hours(615).as_g().to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn rejects_an_infinite_duration() {
+        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 250.0));
+        let _ = account_with_seasonal_pue(
+            &trace,
+            &SeasonalPue::typical(),
+            0,
+            Energy::from_kwh(1.0),
+            TimeSpan::from_hours(f64::INFINITY),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn rejects_a_zero_duration() {
+        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 250.0));
+        let _ = account_with_seasonal_pue(
+            &trace,
+            &SeasonalPue::typical(),
+            0,
+            Energy::from_kwh(1.0),
+            TimeSpan::from_hours(0.0),
+        );
+    }
 
     #[test]
     fn summer_exceeds_winter() {

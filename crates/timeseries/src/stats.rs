@@ -52,17 +52,31 @@ pub fn cov_percent(xs: &[f64]) -> f64 {
 /// Quantile `q` in [0, 1] with linear interpolation between order
 /// statistics (R type 7 / NumPy default). Returns NaN for empty input.
 ///
+/// Selects the one or two order statistics the quantile needs instead of
+/// sorting: O(n) rather than O(n log n), with the same result as
+/// [`quantile_sorted`] on a sorted copy. (The two can differ only in the
+/// sign of a zero, when `-0.0` and `0.0` both occur.)
+///
 /// # Panics
-/// If `q` is outside `[0, 1]` or NaN.
+/// If `q` is outside `[0, 1]` or NaN, or if `xs` holds a NaN and more
+/// than one element.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     if xs.is_empty() {
         return f64::NAN;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    // lint: allow(panic-in-library) -- deliberate panic-on-NaN contract: samples are finite by construction, and a total_cmp sort would silently place a stray NaN instead of flagging the upstream bug
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    quantile_sorted(&sorted, q)
+    let (lo, hi, frac) = type7_rank(xs.len(), q);
+    let mut work: Vec<f64> = xs.to_vec();
+    // lint: allow(panic-in-library) -- deliberate panic-on-NaN contract: samples are finite by construction, and a total_cmp order would silently place a stray NaN instead of flagging the upstream bug. Selection compares every element, so any NaN reaches this
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
+    let (_, lo_value, above) = work.select_nth_unstable_by(lo, by_value);
+    if lo == hi {
+        return *lo_value;
+    }
+    // Everything above position `lo` is ≥ its value, so the next order
+    // statistic is the least of those.
+    let (_, hi_value, _) = above.select_nth_unstable_by(0, by_value);
+    interpolate(*lo_value, *hi_value, frac)
 }
 
 /// Quantile on already-sorted data (ascending). See [`quantile`].
@@ -71,19 +85,26 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = type7_rank(sorted.len(), q);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        interpolate(sorted[lo], sorted[hi], frac)
     }
+}
+
+/// The type-7 position of quantile `q` among `n ≥ 1` order statistics:
+/// the 0-based ranks either side of it (equal when it falls on one) and
+/// the weight of the upper one.
+fn type7_rank(n: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// Linear interpolation `frac` of the way from `lo` to `hi`.
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo * (1.0 - frac) + hi * frac
 }
 
 /// Median (the 0.5 quantile).
@@ -259,6 +280,27 @@ mod tests {
     fn quantile_unsorted_input() {
         let xs = [9.0, 1.0, 5.0, 3.0, 7.0];
         assert_eq!(median(&xs), 5.0);
+    }
+
+    #[test]
+    fn quantile_interpolates_with_the_type7_expression() {
+        // Two samples put q = 0.3 at 30% of the way from 0.1 to 0.3. The
+        // other common form, `lo + (hi - lo) * frac`, gives 0.16 here.
+        let expected: f64 = 0.1 * (1.0 - 0.3) + 0.3 * 0.3;
+        assert_eq!(expected, 0.15999999999999998);
+        assert_eq!(quantile(&[0.3, 0.1], 0.3).to_bits(), expected.to_bits());
+        assert_eq!(
+            quantile_sorted(&[0.1, 0.3], 0.3).to_bits(),
+            expected.to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_rejects_nan_away_from_the_selected_ranks() {
+        let mut xs: Vec<f64> = (0..101).map(f64::from).collect();
+        xs[3] = f64::NAN;
+        let _ = quantile(&xs, 0.5);
     }
 
     #[test]

@@ -82,6 +82,24 @@ proptest! {
     }
 
     #[test]
+    fn selected_quantiles_equal_sorted_ones_bit_for_bit(
+        spread in proptest::collection::vec(0.0..1e4f64, 2..400),
+        ties in proptest::collection::vec((0u32..16).prop_map(f64::from), 2..60),
+        year_long in proptest::collection::vec(0.0..900.0f64, 8760..8785),
+        q in 0.0..=1.0f64,
+    ) {
+        // Non-negative finite samples of both parities, with and without
+        // repeated values, up to a year of hours.
+        for xs in [&spread[..], &spread[1..], &ties[..], &ties[1..], &year_long[..], &year_long[1..]] {
+            let boxplot = BoxplotStats::compute(xs).unwrap();
+            prop_assert_eq!(median(xs).to_bits(), boxplot.median.to_bits());
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            prop_assert_eq!(quantile(xs, q).to_bits(), quantile_sorted(&sorted, q).to_bits());
+        }
+    }
+
+    #[test]
     fn histogram_conserves_count(xs in proptest::collection::vec(-10.0..10.0f64, 0..200)) {
         let h = histogram(&xs, -5.0, 5.0, 7);
         prop_assert_eq!(h.iter().sum::<usize>(), xs.len());
