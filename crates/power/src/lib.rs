@@ -7,8 +7,8 @@
 //! - [`sensor`]: device power models and simulated NVML/RAPL-style sensors
 //!   whose utilization can be driven by a workload simulation;
 //! - [`energy`]: trapezoidal energy integration over sample streams;
-//! - [`sampler`]: a background sampling daemon (spawned thread,
-//!   `parking_lot` + acquire/release atomics) that polls sensors and
+//! - [`sampler`]: a background sampling daemon (spawned thread, a
+//!   `std` mutex + acquire/release atomics) that polls sensors and
 //!   accumulates per-device energy, mirroring how carbontracker samples
 //!   NVML at a fixed cadence;
 //! - [`tracker`]: the carbontracker-equivalent: measure the first epochs of

@@ -3,15 +3,14 @@
 //! Mirrors carbontracker's measurement loop: a thread polls every sensor at
 //! a fixed cadence and accumulates per-device energy. Synchronization
 //! follows the Rust-Atomics-and-Locks idioms: a release/acquire stop flag,
-//! sample state behind a `parking_lot::Mutex`, and a joined worker thread
+//! sample state behind a `std::sync::Mutex`, and a joined worker thread
 //! so no samples are lost at shutdown.
 
 use crate::energy::EnergyIntegrator;
 use crate::sensor::PowerSensor;
 use hpcarbon_units::{Energy, Power, TimeSpan};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Accumulated state for one sensor.
@@ -29,6 +28,13 @@ pub struct SensorReport {
 
 struct SamplerState {
     integrators: Vec<EnergyIntegrator>,
+}
+
+/// Locks the sample state. A sensor read or a push that panics does so
+/// before it changes an integrator, so a poisoned lock still guards whole
+/// samples and is recovered.
+fn lock(state: &Mutex<SamplerState>) -> MutexGuard<'_, SamplerState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running sampling daemon. Dropping without [`PowerSampler::stop`]
@@ -62,7 +68,7 @@ impl PowerSampler {
             loop {
                 let now = TimeSpan::from_seconds(t0.elapsed().as_secs_f64());
                 {
-                    let mut st = worker_state.lock();
+                    let mut st = lock(&worker_state);
                     for (sensor, integ) in worker_sensors.iter().zip(&mut st.integrators) {
                         integ.push(now, sensor.read_power());
                     }
@@ -89,7 +95,7 @@ impl PowerSampler {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        let st = self.state.lock();
+        let st = lock(&self.state);
         self.sensors
             .iter()
             .zip(&st.integrators)
@@ -104,7 +110,7 @@ impl PowerSampler {
 
     /// Snapshot of total energy across all sensors without stopping.
     pub fn energy_so_far(&self) -> Energy {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.integrators.iter().map(|i| i.total()).sum()
     }
 }

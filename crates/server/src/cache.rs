@@ -18,6 +18,7 @@
 //! the caller works with them; the service stores `Arc`ed reports, making
 //! the clone a refcount bump.
 
+use hpcarbon_sim::rng::fnv1a64;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -25,18 +26,6 @@ use std::sync::Mutex;
 pub const SHARDS: usize = 8;
 
 const NIL: usize = usize::MAX;
-
-/// FNV-1a over the key bytes; stable across runs (no `RandomState`), so
-/// shard assignment — and therefore lock-contention behaviour — is
-/// reproducible.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Slot<V> {
     key: String,
@@ -151,8 +140,11 @@ impl<V: Clone> ShardedLru<V> {
         ShardedLru { shards, capacity }
     }
 
+    /// FNV-1a over the key bytes is stable across runs (no
+    /// `RandomState`), so shard assignment — and therefore
+    /// lock-contention behaviour — is reproducible.
     fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
-        &self.shards[(fnv1a(key) as usize) % SHARDS]
+        &self.shards[(fnv1a64(key.as_bytes()) as usize) % SHARDS]
     }
 
     /// Looks a key up, promoting it to most-recently-used on a hit.
@@ -275,7 +267,7 @@ mod tests {
         let mut hit_shards = std::collections::BTreeSet::new();
         for i in 0..64u32 {
             let key = format!("req-{i}");
-            hit_shards.insert((fnv1a(&key) as usize) % SHARDS);
+            hit_shards.insert((fnv1a64(key.as_bytes()) as usize) % SHARDS);
             cache.insert(key, i);
         }
         assert!(hit_shards.len() > 1, "all keys landed in one shard");
@@ -381,7 +373,7 @@ mod tests {
                     (0..SHARDS).map(|_| ModelLru::new(per)).collect();
                 for (kind, k, v) in ops {
                     let key = format!("k{k}");
-                    let model = &mut models[(fnv1a(&key) as usize) % SHARDS];
+                    let model = &mut models[(fnv1a64(key.as_bytes()) as usize) % SHARDS];
                     if kind == 0 {
                         prop_assert_eq!(real.get(&key), model.get(&key));
                     } else {

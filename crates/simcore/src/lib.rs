@@ -7,16 +7,15 @@
 //!   every experiment in the workspace is reproducible from a single seed,
 //!   and parallel runs produce bit-identical results to sequential ones.
 //! - [`dist`]: sampling distributions implemented from first principles on
-//!   top of `rand`'s uniform source (Box–Muller normal, lognormal,
-//!   exponential, Poisson, alias-method weighted discrete), since the
-//!   offline dependency set intentionally excludes `rand_distr`.
+//!   top of [`rng::SimRng`]'s uniform source (Box–Muller normal,
+//!   lognormal, exponential, Poisson, alias-method weighted discrete).
 //! - [`process`]: mean-reverting Ornstein–Uhlenbeck and AR(1) processes used
 //!   to synthesize wind/solar availability and demand noise in the grid
 //!   simulator.
 //! - [`des`]: a binary-heap discrete-event engine driving the carbon-aware
 //!   job scheduler simulation.
-//! - [`par`]: structured data-parallel helpers (`par_map`) over crossbeam
-//!   scoped threads, with deterministic chunk seeding.
+//! - [`par`]: structured data-parallel helpers (`par_map`) over
+//!   `std::thread::scope`, with results in input order.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Structured data-parallel helpers over crossbeam scoped threads.
+//! Structured data-parallel helpers over `std` scoped threads.
 //!
 //! The workspace's heavy computations (per-region year traces, per-policy
 //! scheduler sweeps, parameter grids) are embarrassingly parallel across
@@ -9,7 +9,8 @@
 //!    randomness must be derived per-item (see [`crate::rng::SimRng::fork`]),
 //!    so the outcome is independent of thread count and interleaving.
 //! 2. **Data-race freedom by construction** — work items are distributed by
-//!    an atomic cursor; each output slot is written by exactly one worker.
+//!    an atomic cursor; each worker returns the `(index, value)` pairs it
+//!    claimed, and the caller puts them back in input order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,7 +49,8 @@ where
 /// affects only wall-clock time, never outputs (results return in input
 /// order and randomness must be forked per item, not per thread). Sweep
 /// determinism tests exercise exactly this property; `workers` is clamped
-/// to `[1, items.len()]`.
+/// to `[1, items.len()]`. A worker panic re-raises on the caller once every
+/// worker has stopped.
 pub fn par_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -64,88 +66,31 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
     let cursor = AtomicUsize::new(0);
-    {
-        // Split the output buffer into one-slot mutable views that can be
-        // handed to workers without aliasing.
-        let slots: Vec<parking_lot_free::SlotWriter<'_, R>> =
-            parking_lot_free::split_slots(&mut results);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let f = &f;
-                let slots = &slots;
-                scope.spawn(move |_| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let mut claimed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(i, &items[i])));
                     }
-                    let value = f(i, &items[i]);
-                    slots[i].write(value);
-                });
-            }
-        })
-        // lint: allow(panic-in-library) -- re-raising a worker panic on the caller is the point: returning partial results would silently corrupt the sweep
-        .expect("parallel worker panicked");
-    }
-    results
-        .into_iter()
-        // lint: allow(panic-in-library) -- the cursor hands out each index exactly once and the scope join guarantees every worker finished, so every slot is Some
-        .map(|r| r.expect("every slot written exactly once"))
-        .collect()
-}
-
-/// Applies `f` to indices `0..n` in parallel and returns results in order.
-/// Convenience wrapper for index-driven workloads (e.g. one result per
-/// simulated day or per parameter-grid cell).
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let idx: Vec<usize> = (0..n).collect();
-    par_map(&idx, |_, &i| f(i))
-}
-
-/// Safe single-writer slot views over a `Vec<Option<R>>`.
-///
-/// Each slot is written by exactly one worker (the one that claimed its
-/// index from the atomic cursor), which we enforce dynamically with a
-/// per-slot atomic flag instead of `unsafe` pointer writes.
-mod parking_lot_free {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-
-    /// A write-once view of one output slot.
-    pub struct SlotWriter<'a, R> {
-        slot: Mutex<&'a mut Option<R>>,
-        written: AtomicBool,
-    }
-
-    impl<'a, R> SlotWriter<'a, R> {
-        /// Writes the value; panics if the slot was already written, which
-        /// would indicate a work-distribution bug.
-        pub fn write(&self, value: R) {
-            if self.written.swap(true, Ordering::AcqRel) {
-                // lint: allow(panic-in-library) -- documented panic on a work-distribution bug; overwriting a finished result would corrupt the sweep silently
-                panic!("output slot written twice");
-            }
-            // lint: allow(panic-in-library) -- the slot mutex is per-writer and uncontended (the swap above admits exactly one write), so poisoning is unreachable
-            **self.slot.lock().expect("slot lock poisoned") = Some(value);
-        }
-    }
-
-    /// Splits a mutable vector of options into independent slot writers.
-    pub fn split_slots<R>(out: &mut [Option<R>]) -> Vec<SlotWriter<'_, R>> {
-        out.iter_mut()
-            .map(|slot| SlotWriter {
-                slot: Mutex::new(slot),
-                written: AtomicBool::new(false),
+                })
             })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
-    }
+    });
+    // The cursor hands out each index exactly once, so sorting by index
+    // restores input order.
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -202,12 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_basic() {
-        let out = par_map_indexed(5, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16]);
-    }
-
-    #[test]
     fn worker_count_bounds() {
         assert_eq!(worker_count(0), 1);
         assert_eq!(worker_count(1), 1);
@@ -216,7 +155,6 @@ mod tests {
 
     #[test]
     fn forced_worker_counts_agree() {
-        use rand::RngCore;
         // The determinism guarantee the sweep engine is built on: the
         // result is a pure function of the input, not of the thread count.
         let items: Vec<u64> = (0..257).collect();

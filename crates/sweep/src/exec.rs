@@ -46,7 +46,7 @@
 use crate::context::SweepContext;
 use crate::grid::ScenarioGrid;
 use crate::shard::ShardSpec;
-use crate::sink::{CollectSink, RowSink, SinkDigest};
+use crate::sink::{RowSink, SinkDigest};
 use crate::summary::SummaryAccumulator;
 use crate::table::{summary_markdown, MetricSummary, SweepRow};
 use hpcarbon_api::providers::EmbodiedSource;
@@ -542,61 +542,10 @@ fn stream(
     })
 }
 
-/// The legacy batched executor.
-///
-/// Superseded by the streaming [`Sweep`] builder, which bounds memory,
-/// shards, and streams to sinks; this wrapper collects every row in
-/// memory like the original API did. Migrate:
-///
-/// ```text
-/// SweepExecutor::new(cfg).with_threads(n).run(&grid)
-///   ⇒ Sweep::over(&grid).config(cfg).threads(n).sink(&mut sink).run()
-/// ```
-#[deprecated(note = "use the streaming `Sweep` builder: \
-            `Sweep::over(&grid).config(cfg).threads(n).sink(&mut sink).run()`")]
-#[derive(Debug, Clone, Copy)]
-pub struct SweepExecutor {
-    /// Shared workload knobs.
-    pub config: SweepConfig,
-    /// Forced worker count; `None` uses the available parallelism.
-    pub threads: Option<usize>,
-}
-
-#[allow(deprecated)]
-impl SweepExecutor {
-    /// Creates an executor with automatic thread count.
-    pub fn new(config: SweepConfig) -> SweepExecutor {
-        SweepExecutor {
-            config,
-            threads: None,
-        }
-    }
-
-    /// Forces the worker count (1 = serial reference run).
-    pub fn with_threads(mut self, threads: usize) -> SweepExecutor {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Expands and evaluates the grid, one row per scenario, in grid
-    /// order. Infeasible scenarios become error rows; the batch always
-    /// completes.
-    pub fn run(&self, grid: &ScenarioGrid) -> crate::table::SweepResults {
-        let mut collect = CollectSink::new();
-        let mut sweep = Sweep::over(grid).config(self.config).sink(&mut collect);
-        if let Some(threads) = self.threads {
-            sweep = sweep.threads(threads);
-        }
-        // lint: allow(panic-in-library) -- CollectSink::deliver is infallible (it only pushes into a Vec), so the only Err source of run() cannot fire
-        sweep.run().expect("in-memory collection cannot fail");
-        collect.into_results()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CsvSink, JsonSink};
+    use crate::sink::{CollectSink, CsvSink, JsonSink};
 
     fn run_bytes(threads: usize, shard: Option<(usize, usize)>) -> (Vec<u8>, Vec<u8>, SweepReport) {
         let grid = ScenarioGrid::quick();
@@ -801,20 +750,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_executor_still_answers() {
-        let grid = ScenarioGrid::quick();
-        let results = SweepExecutor::new(SweepConfig::fast())
-            .with_threads(2)
-            .run(&grid);
-        assert_eq!(results.len(), grid.len());
-        assert_eq!(results.error_count(), 0);
-        let (csv, json, _) = run_bytes(2, None);
-        assert_eq!(results.to_csv().into_bytes(), csv);
-        assert_eq!(results.to_json().into_bytes(), json);
-    }
-
     mod reorder_props {
         use super::*;
         use proptest::prelude::*;
@@ -893,14 +828,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn infeasible_scenarios_do_not_abort_the_batch() {
         // Perlmutter has no HDD tier: its all-flash rows must fail soft.
         let grid = ScenarioGrid::quick().storage(crate::StorageVariant::ALL);
-        let results = SweepExecutor::new(SweepConfig::fast()).run(&grid);
-        assert_eq!(results.len(), grid.len());
-        assert!(results.error_count() > 0);
-        assert!(results.ok_count() > 0);
-        assert_eq!(results.ok_count() + results.error_count(), results.len());
+        let report = Sweep::over(&grid)
+            .config(SweepConfig::fast())
+            .run()
+            .unwrap();
+        assert_eq!(report.len(), grid.len());
+        assert!(report.errors > 0);
+        assert!(report.ok > 0);
+        assert_eq!(report.ok + report.errors, report.len());
     }
 }

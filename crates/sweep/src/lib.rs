@@ -57,9 +57,6 @@
 //! let bytes = csv.into_inner();
 //! assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), grid.len() + 1);
 //! ```
-//!
-//! The pre-streaming `SweepExecutor`/`SweepResults` API still works but
-//! is deprecated; it collects every row in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,10 +71,9 @@ pub mod summary;
 pub mod table;
 
 pub use context::SweepContext;
-#[allow(deprecated)]
-pub use exec::SweepExecutor;
 pub use exec::{Sweep, SweepConfig, SweepError, SweepReport};
 pub use grid::ScenarioGrid;
+pub use hpcarbon_sim::rng::fnv1a64;
 pub use scenario::{
     run_scenario, PueSpec, Scenario, ScenarioError, ScenarioOutcome, StorageVariant, SystemId,
     TraceSource, UpgradePath,
@@ -86,8 +82,6 @@ pub use shard::{
     grid_fingerprint, merge_sweep_outputs, validate_partition, OutputDigest, ShardManifest,
     ShardSpec, CSV_FILE, JSON_FILE, MANIFEST_FILE,
 };
-pub use sink::{fnv1a64, CollectSink, CsvSink, JsonSink, RowSink, SinkDigest};
+pub use sink::{CollectSink, CsvSink, JsonSink, RowSink, SinkDigest};
 pub use summary::SummaryAccumulator;
-#[allow(deprecated)]
-pub use table::SweepResults;
 pub use table::{MetricSummary, SweepRow};

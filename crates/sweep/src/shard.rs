@@ -24,8 +24,8 @@
 
 use crate::exec::SweepConfig;
 use crate::grid::ScenarioGrid;
-use crate::sink::fnv1a64;
 use hpcarbon_api::json::{self, Json};
+use hpcarbon_sim::rng::fnv1a64;
 use std::fmt;
 use std::fs;
 use std::io;

@@ -5,13 +5,12 @@
 //! sink sees three calls — [`RowSink::begin`] once, [`RowSink::row`]
 //! per row, [`RowSink::finish`] once — and must never buffer rows:
 //! bounded sweep memory at 10^6 scenarios depends on sinks being O(1)
-//! in row count ([`CollectSink`] is the deliberate exception, kept for
-//! the deprecated [`crate::SweepResults`] compatibility path).
+//! in row count ([`CollectSink`] is the deliberate exception, for small
+//! in-process analyses).
 //!
 //! ## The frozen byte contract
 //!
-//! [`CsvSink`] and [`JsonSink`] are THE sweep emitters: the historical
-//! `SweepResults::to_csv`/`to_json` now delegate to them, and golden
+//! [`CsvSink`] and [`JsonSink`] are THE sweep emitters, and golden
 //! tests pin their output to the pre-streaming bytes for the default,
 //! quick, and shifting grids. Anything here that changes a byte is a
 //! breaking change to downstream diff-based CI.
@@ -32,29 +31,8 @@
 
 use crate::scenario::Scenario;
 use crate::table::{SweepRow, COLUMNS, FORECAST_COLUMNS};
+use hpcarbon_sim::rng::{fnv1a64, fnv1a64_update};
 use std::io::{self, Write};
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `bytes` — the digest primitive shared by sinks, shard
-/// manifests, and grid fingerprints. Not cryptographic; it guards
-/// against truncation, corruption, and mixed-up shard files, not
-/// adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_update(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a 64 digest over more bytes.
-pub fn fnv1a64_update(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// What a byte-emitting sink wrote: length and FNV-1a 64 digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +90,7 @@ impl<W: Write> DigestWriter<W> {
         DigestWriter {
             inner,
             bytes: 0,
-            fnv: FNV_OFFSET,
+            fnv: fnv1a64(&[]),
         }
     }
 
@@ -527,8 +505,7 @@ impl<W: Write> RowSink for JsonSink<W> {
 }
 
 /// Collects rows into memory — O(rows), **not** for million-scenario
-/// sweeps. Exists to back the deprecated [`crate::SweepResults`]
-/// compatibility wrapper and small in-process analyses.
+/// sweeps. Exists for small in-process analyses.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     rows: Vec<SweepRow>,
@@ -543,12 +520,6 @@ impl CollectSink {
     /// The collected rows, grid order.
     pub fn rows(&self) -> &[SweepRow] {
         &self.rows
-    }
-
-    /// Consumes the collector into the legacy results table.
-    #[allow(deprecated)]
-    pub fn into_results(self) -> crate::table::SweepResults {
-        crate::table::SweepResults::new(self.rows)
     }
 }
 
@@ -596,14 +567,6 @@ mod tests {
             sink.row(r).unwrap();
         }
         sink.finish().unwrap();
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

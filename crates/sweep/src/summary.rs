@@ -5,9 +5,8 @@
 //! retaining rows**: per metric it keeps `(count, sum, min, max)`, and
 //! for the ranking a k-bounded heap of row clones. Because the executor
 //! delivers rows in grid order, the accumulator's left-to-right sum and
-//! min/max folds evaluate in exactly the order the retained-table
-//! `SweepResults::summary` used — the resulting floats are
-//! bit-identical, not merely close.
+//! min/max folds run in grid order at every thread count — the resulting
+//! floats are bit-identical across thread counts, not merely close.
 
 use crate::scenario::ScenarioOutcome;
 use crate::sink::RowSink;
@@ -134,8 +133,7 @@ impl SummaryAccumulator {
     }
 
     /// Min/mean/max summaries of the headline metrics over successful
-    /// rows, matching `SweepResults::summary` bit-for-bit. Empty when
-    /// no row succeeded.
+    /// rows. Empty when no row succeeded.
     pub fn summary(&self) -> Vec<MetricSummary> {
         METRICS
             .iter()

@@ -1,16 +1,14 @@
-//! The result table: per-scenario rows, summary statistics, rankings,
-//! and the legacy collected-results wrapper.
+//! The result table's shape: per-scenario rows, the column order, and
+//! summary statistics with their Markdown rendering.
 //!
-//! Emission lives in [`crate::sink`] — [`SweepResults::to_csv`] and
-//! [`SweepResults::to_json`] drive the same [`CsvSink`]/[`JsonSink`]
-//! the streaming executor uses, so there is exactly one byte contract.
+//! Emission lives in [`crate::sink`]: [`CsvSink`]/[`JsonSink`] are the
+//! one byte contract, and [`crate::SummaryAccumulator`] folds the
+//! summary and ranking as rows stream past.
 //!
 //! [`CsvSink`]: crate::sink::CsvSink
 //! [`JsonSink`]: crate::sink::JsonSink
 
 use crate::scenario::{Scenario, ScenarioError, ScenarioOutcome};
-use crate::sink::{CsvSink, JsonSink, RowSink};
-use crate::summary::SummaryAccumulator;
 use hpcarbon_report::emit::MarkdownTable;
 
 /// One evaluated grid point.
@@ -88,135 +86,55 @@ pub(crate) fn summary_markdown(summaries: &[MetricSummary]) -> String {
     t.finish()
 }
 
-/// The collected sweep result, rows in grid order.
-///
-/// Holds every row in memory — the pre-streaming API shape, kept as a
-/// compatibility wrapper over [`crate::CollectSink`]. New code should
-/// stream: attach sinks to [`crate::Sweep`] and read the
-/// [`crate::SweepReport`], which carries the same summary/ranking data
-/// without retaining rows.
-#[deprecated(
-    note = "collects every row in memory; stream through `Sweep::over(&grid)…sink(…)` \
-            and use the returned `SweepReport` (or `CollectSink` when rows are needed)"
-)]
-#[derive(Debug, Clone)]
-pub struct SweepResults {
-    rows: Vec<SweepRow>,
-}
-
-#[allow(deprecated)]
-impl SweepResults {
-    /// Wraps evaluated rows (grid order).
-    pub fn new(rows: Vec<SweepRow>) -> SweepResults {
-        SweepResults { rows }
-    }
-
-    /// All rows, grid order.
-    pub fn rows(&self) -> &[SweepRow] {
-        &self.rows
-    }
-
-    /// Total rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the sweep had zero scenarios.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Rows that evaluated successfully.
-    pub fn ok_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.outcome.is_ok()).count()
-    }
-
-    /// Rows that failed soft.
-    pub fn error_count(&self) -> usize {
-        self.rows.len() - self.ok_count()
-    }
-
-    /// The `k` successful rows with the lowest scheduled carbon,
-    /// ascending; ties break by grid order. Error rows are skipped
-    /// wherever they appear — an all-error sweep ranks to an empty
-    /// list.
-    pub fn rank_by_sched_carbon(&self, k: usize) -> Vec<&SweepRow> {
-        let mut ok: Vec<&SweepRow> = self.rows.iter().filter(|r| r.outcome.is_ok()).collect();
-        ok.sort_by(|a, b| {
-            // lint: allow(panic-in-library) -- `ok` holds only rows that passed the is_ok() filter two lines up
-            let ka = a.outcome.as_ref().expect("filtered ok").sched_carbon_kg;
-            // lint: allow(panic-in-library) -- same filter guarantee as the line above
-            let kb = b.outcome.as_ref().expect("filtered ok").sched_carbon_kg;
-            ka.total_cmp(&kb).then(a.scenario.id.cmp(&b.scenario.id))
-        });
-        ok.truncate(k);
-        ok
-    }
-
-    /// Feeds `self`'s rows through a sink writing to an in-memory
-    /// buffer (which the caller reads afterwards).
-    fn emit(&self, mut sink: impl RowSink) {
-        // lint: allow(panic-in-library) -- the only callers pass sinks over Vec<u8> buffers, whose io::Write impl is infallible
-        sink.begin().expect("in-memory sink cannot fail");
-        for r in &self.rows {
-            // lint: allow(panic-in-library) -- same Vec<u8>-backed sink guarantee as begin()
-            sink.row(r).expect("in-memory sink cannot fail");
-        }
-        // lint: allow(panic-in-library) -- same Vec<u8>-backed sink guarantee as begin()
-        sink.finish().expect("in-memory sink cannot fail");
-    }
-
-    /// Min/mean/max summaries of the headline metrics over successful
-    /// rows (error rows are skipped wherever they appear). Empty when
-    /// no row succeeded.
-    pub fn summary(&self) -> Vec<MetricSummary> {
-        let mut acc = SummaryAccumulator::new(0);
-        for r in &self.rows {
-            // lint: allow(panic-in-library) -- SummaryAccumulator::row is infallible (pure folds over the row's metrics)
-            acc.row(r).expect("accumulator cannot fail");
-        }
-        acc.summary()
-    }
-
-    /// The summary as an aligned Markdown table (terminal-friendly).
-    pub fn summary_table(&self) -> String {
-        summary_markdown(&self.summary())
-    }
-
-    /// Emits the full table as RFC-4180 CSV, header first, rows in grid
-    /// order. Error rows carry the error message and empty metric cells.
-    pub fn to_csv(&self) -> String {
-        let mut buf = Vec::new();
-        self.emit(CsvSink::new(&mut buf));
-        // The emitter only writes UTF-8, so the lossy conversion never
-        // actually substitutes anything.
-        String::from_utf8_lossy(&buf).into_owned()
-    }
-
-    /// Emits the table as a JSON array of objects with a **uniform
-    /// schema**: every row carries every CSV column. `id` and `seed` are
-    /// numbers; the other dimensions are strings; `error` and `verdict`
-    /// are strings or `null`; metrics are numbers or `null` (always
-    /// `null` on error rows, mirroring the CSV's empty cells).
-    pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.emit(JsonSink::new(&mut buf));
-        // Same lossy-conversion reasoning as to_csv().
-        String::from_utf8_lossy(&buf).into_owned()
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::exec::{SweepConfig, SweepExecutor};
+    use crate::exec::{Sweep, SweepConfig, SweepReport};
     use crate::grid::ScenarioGrid;
+    use crate::scenario::{StorageVariant, SystemId};
+    use crate::sink::{CollectSink, CsvSink, JsonSink, RowSink};
+    use crate::summary::SummaryAccumulator;
 
-    fn results() -> SweepResults {
-        SweepExecutor::new(SweepConfig::fast())
-            .with_threads(2)
-            .run(&ScenarioGrid::quick())
+    /// A sweep's report, CSV and JSON documents, and rows.
+    struct Run {
+        report: SweepReport,
+        csv: String,
+        json: String,
+        rows: Vec<SweepRow>,
+    }
+
+    /// Streams `grid` at two threads into every sink kind.
+    fn sweep(grid: &ScenarioGrid) -> Run {
+        let mut csv = CsvSink::new(Vec::new());
+        let mut json = JsonSink::new(Vec::new());
+        let mut collect = CollectSink::new();
+        let report = Sweep::over(grid)
+            .config(SweepConfig::fast())
+            .threads(2)
+            .sink(&mut csv)
+            .sink(&mut json)
+            .sink(&mut collect)
+            .run()
+            .unwrap();
+        Run {
+            report,
+            csv: String::from_utf8(csv.into_inner()).unwrap(),
+            json: String::from_utf8(json.into_inner()).unwrap(),
+            rows: collect.rows().to_vec(),
+        }
+    }
+
+    fn quick() -> Run {
+        sweep(&ScenarioGrid::quick())
+    }
+
+    /// Folds `rows` into a top-5 accumulator, as the executor does.
+    fn accumulate(rows: &[SweepRow]) -> SummaryAccumulator {
+        let mut acc = SummaryAccumulator::new(5);
+        for r in rows {
+            acc.row(r).unwrap();
+        }
+        acc
     }
 
     fn error_row(id: usize) -> SweepRow {
@@ -232,10 +150,9 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_scenario() {
-        let r = results();
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), r.len() + 1);
+        let r = quick();
+        let lines: Vec<&str> = r.csv.lines().collect();
+        assert_eq!(lines.len(), r.report.len() + 1);
         assert!(lines[0].starts_with("id,system,storage,region,trace,pue,policy"));
         // Every row has the full column count.
         for line in &lines {
@@ -245,13 +162,10 @@ mod tests {
 
     #[test]
     fn json_is_structurally_sound() {
-        let json = results().to_json();
+        let Run { report, json, .. } = quick();
         assert!(json.starts_with("[\n"));
         assert!(json.ends_with("]\n"));
-        assert_eq!(
-            json.matches("\"status\": \"ok\"").count(),
-            results().ok_count()
-        );
+        assert_eq!(json.matches("\"status\": \"ok\"").count(), report.ok);
         // Balanced braces (no nesting in the emitted objects).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -260,16 +174,13 @@ mod tests {
     fn json_schema_is_uniform_across_ok_and_error_rows() {
         // Run a grid that contains infeasible points so both row kinds
         // appear, then check every row carries every column key.
-        let r = SweepExecutor::new(SweepConfig::fast())
-            .with_threads(2)
-            .run(&ScenarioGrid::quick().storage(crate::scenario::StorageVariant::ALL));
-        assert!(r.error_count() > 0 && r.ok_count() > 0);
-        let json = r.to_json();
+        let Run { report, json, .. } = sweep(&ScenarioGrid::quick().storage(StorageVariant::ALL));
+        assert!(report.errors > 0 && report.ok > 0);
         let rows: Vec<&str> = json
             .lines()
             .filter(|l| l.trim_start().starts_with('{'))
             .collect();
-        assert_eq!(rows.len(), r.len());
+        assert_eq!(rows.len(), report.len());
         for key in super::COLUMNS {
             for row in &rows {
                 assert!(
@@ -285,44 +196,30 @@ mod tests {
     }
 
     #[test]
-    fn rankings_are_sorted_and_bounded() {
-        let r = results();
-        let top = r.rank_by_sched_carbon(5);
-        assert_eq!(top.len(), 5.min(r.ok_count()));
-        for w in top.windows(2) {
-            let a = w[0].outcome.as_ref().unwrap().sched_carbon_kg;
-            let b = w[1].outcome.as_ref().unwrap().sched_carbon_kg;
-            assert!(a <= b);
-        }
-    }
-
-    #[test]
     fn summary_covers_the_headline_metrics() {
-        let r = results();
-        let s = r.summary();
-        assert!(s.iter().any(|m| m.metric == "sched_kg"));
-        for m in &s {
+        let report = quick().report;
+        assert!(report.summary.iter().any(|m| m.metric == "sched_kg"));
+        for m in &report.summary {
             assert!(m.min <= m.mean && m.mean <= m.max, "{}", m.metric);
             assert!(m.count > 0);
         }
-        let table = r.summary_table();
-        assert!(table.contains("sched_kg"));
+        assert!(report.summary_table().contains("sched_kg"));
     }
 
     #[test]
     fn error_rows_anywhere_leave_summary_and_ranking_total() {
         // Error rows leading, interleaved, and trailing: the statistics
         // must come out as if only the ok rows existed.
-        let base = results();
+        let base = quick().rows;
         let mut rows = vec![error_row(9000), error_row(9001)];
-        for (i, r) in base.rows().iter().enumerate() {
+        for (i, r) in base.iter().enumerate() {
             rows.push(r.clone());
             if i % 3 == 0 {
                 rows.push(error_row(9100 + i));
             }
         }
         rows.push(error_row(9999));
-        let salted = SweepResults::new(rows);
+        let (salted, base) = (accumulate(&rows), accumulate(&base));
         assert_eq!(salted.ok_count(), base.ok_count());
         let a = salted.summary();
         let b = base.summary();
@@ -332,43 +229,39 @@ mod tests {
             assert_eq!(x.count, y.count);
             assert_eq!((x.min, x.mean, x.max), (y.min, y.mean, y.max));
         }
-        let ra: Vec<usize> = salted
-            .rank_by_sched_carbon(5)
-            .iter()
-            .map(|r| r.scenario.id)
-            .collect();
-        let rb: Vec<usize> = base
-            .rank_by_sched_carbon(5)
-            .iter()
-            .map(|r| r.scenario.id)
-            .collect();
-        assert_eq!(ra, rb);
+        let ids = |acc: &SummaryAccumulator| -> Vec<usize> {
+            acc.top().iter().map(|r| r.scenario.id).collect()
+        };
+        assert_eq!(ids(&salted), ids(&base));
     }
 
     #[test]
     fn all_error_sweep_stays_total() {
-        // Every row infeasible: counts add up, the summary is empty,
-        // rankings are empty, and both emitters still produce complete
-        // documents.
-        let rows: Vec<SweepRow> = (0..4).map(error_row).collect();
-        let r = SweepResults::new(rows);
-        assert_eq!(r.ok_count(), 0);
-        assert_eq!(r.error_count(), 4);
-        assert!(r.summary().is_empty());
-        assert!(r.rank_by_sched_carbon(5).is_empty());
-        assert_eq!(r.summary_table().lines().count(), 2); // header + rule
-        assert_eq!(r.to_csv().lines().count(), 5);
-        let json = r.to_json();
+        // Every row infeasible (Perlmutter has no HDD tier to swap):
+        // counts add up, the summary is empty, rankings are empty, and
+        // both emitters still produce complete documents.
+        let grid = ScenarioGrid::quick()
+            .systems([SystemId::Perlmutter])
+            .storage([StorageVariant::AllFlash]);
+        let Run {
+            report, csv, json, ..
+        } = sweep(&grid);
+        let n = grid.len();
+        assert!(n > 0);
+        assert_eq!((report.len(), report.ok, report.errors), (n, 0, n));
+        assert!(report.summary.is_empty());
+        assert!(report.top.is_empty());
+        assert_eq!(report.summary_table().lines().count(), 2); // header + rule
+        assert_eq!(csv.lines().count(), n + 1);
         assert!(json.starts_with("[\n") && json.ends_with("\n]\n"));
-        assert_eq!(json.matches("\"status\": \"error\"").count(), 4);
+        assert_eq!(json.matches("\"status\": \"error\"").count(), n);
     }
 
     #[test]
     fn greener_policies_rank_ahead_of_fifo() {
         // In the quick grid (GB + CA), greenest-window rows must beat the
         // FIFO rows from the same region/seed on scheduled carbon.
-        let r = results();
-        let best = r.rank_by_sched_carbon(1)[0];
+        let best = &quick().report.top[0];
         assert_ne!(best.scenario.policy, hpcarbon_sched::Policy::Fifo);
     }
 }

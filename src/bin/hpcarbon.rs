@@ -254,16 +254,10 @@ fn cmd_estimate(args: &[String]) -> i32 {
         }
     };
     let mut builder = Estimator::builder();
-    if let Some(raw) = flag(args, "--threads") {
-        // Silent fallback would break reference runs pinned to one
-        // worker, so (unlike the legacy numeric flags) this one is typed.
-        match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => builder = builder.threads(n),
-            _ => {
-                eprintln!("invalid --threads \"{raw}\" (expected a positive integer)");
-                return 2;
-            }
-        }
+    match positive_flag(args, "--threads") {
+        Ok(Some(n)) => builder = builder.threads(n),
+        Ok(None) => {}
+        Err(c) => return c,
     }
     match catalog_flag(args) {
         Ok(Some(source)) => builder = builder.embodied(source),
@@ -298,7 +292,9 @@ fn cmd_estimate(args: &[String]) -> i32 {
     0
 }
 
-/// Parses a typed positive-integer flag; `Ok(None)` when absent.
+/// Parses a typed positive-integer flag; `Ok(None)` when absent. Unlike
+/// the lenient legacy numeric flags, a bad value exits 2: falling back
+/// silently would, say, sweep a `--threads 1` reference run at full width.
 fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
     match flag(args, name) {
         None => Ok(None),
@@ -786,7 +782,10 @@ fn cmd_sweep(args: &[String]) -> i32 {
         },
         None => None,
     };
-    let threads: Option<usize> = flag(args, "--threads").and_then(|s| s.parse().ok());
+    let threads = match positive_flag(args, "--threads") {
+        Ok(t) => t,
+        Err(c) => return c,
+    };
     let top: usize = flag(args, "--top")
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);

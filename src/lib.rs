@@ -115,8 +115,6 @@ pub mod prelude {
     pub use hpcarbon_server::{
         EstimateService, LoadGenConfig, LoadSummary, Server, ServerConfig, ShutdownHandle,
     };
-    #[allow(deprecated)]
-    pub use hpcarbon_sweep::SweepExecutor;
     pub use hpcarbon_sweep::{
         CollectSink, CsvSink, JsonSink, RowSink, ScenarioGrid, Sweep, SweepConfig, SweepReport,
         TraceSource,

@@ -1,7 +1,8 @@
 //! Workspace-level guarantees of the streaming sweep engine:
 //! byte-identical output for any thread count AND any shard split, soft
 //! failure of infeasible grid points, shard manifest round-trips through
-//! `--merge`, and the default grid's ≥500-scenario coverage.
+//! `--merge`, the default grid's ≥500-scenario coverage, and a CLI that
+//! refuses a `--threads` value it cannot honour.
 
 use sustainable_hpc::prelude::*;
 use sustainable_hpc::sweep::scenario::StorageVariant;
@@ -211,15 +212,22 @@ fn facade_prelude_exposes_the_sweep_types() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_executor_matches_the_streaming_engine() {
-    // The pre-streaming API still answers, with the same bytes.
-    let grid = ScenarioGrid::quick();
-    let results = SweepExecutor::new(SweepConfig::fast())
-        .with_threads(2)
-        .run(&grid);
-    let (report, csv, json) = run_full(&grid, 2);
-    assert_eq!(results.len(), report.len());
-    assert_eq!(results.to_csv().into_bytes(), csv);
-    assert_eq!(results.to_json().into_bytes(), json);
+fn cli_rejects_a_malformed_threads_value() {
+    // CI's 1-vs-N-thread `cmp` steps compare anything only if `--threads`
+    // is honoured, so a value that is not a positive integer must exit 2
+    // before the sweep writes a byte.
+    for bad in ["four", "0"] {
+        let dir =
+            std::env::temp_dir().join(format!("hpcarbon-threads-{bad}-{}", std::process::id()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+            .args(["sweep", "--quick", "--threads", bad, "--out"])
+            .arg(&dir)
+            .output()
+            .expect("hpcarbon runs");
+        assert_eq!(out.status.code(), Some(2), "--threads {bad}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let want = format!("invalid --threads \"{bad}\" (expected a positive integer)");
+        assert!(stderr.contains(&want), "stderr was: {stderr}");
+        assert!(!dir.join("sweep.csv").exists(), "--threads {bad}");
+    }
 }
