@@ -19,9 +19,9 @@
 #     contract, likewise a pure ratio;
 #   * sweep/context/scenario_uncontexted must beat
 #     sweep/context/scenario_contexted by ≥ BENCH_GATE_MIN_SWEEP_SPEEDUP
-#     — the hoisted-SweepContext contract (trace simulation, job traces
-#     and catalogs built once per sweep, not once per row), a pure
-#     ratio as well.
+#     — the per-run context contract (trace simulation, job traces
+#     and catalogs derived once per sweep run by
+#     Estimator::context_for, not once per row), a pure ratio as well.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -140,7 +140,7 @@ else
     fi
 fi
 
-# --- gate 1c: the hoisted-SweepContext speedup contract --------------------
+# --- gate 1c: the per-run context speedup contract -------------------------
 uncontexted=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sweep/context/scenario_uncontexted" { print $2 }')
 contexted=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sweep/context/scenario_contexted" { print $2 }')
 if [[ -z "$uncontexted" || -z "$contexted" ]]; then

@@ -1,45 +1,47 @@
-//! Shared immutable evaluation context for batch estimation.
+//! Inputs shared across one batch of evaluations.
 //!
 //! Evaluating one request re-derives heavyweight inputs that are pure
 //! functions of a *few* request fields: the region-year intensity trace
 //! (a dispatch simulation plus a `WindowIndex` build), its distribution
 //! stats, the as-built system inventory, and the generated job trace.
-//! A scenario sweep evaluates thousands-to-millions of requests drawn
-//! from a handful of distinct key tuples, so almost every derivation is
-//! a repeat. [`EstimateContext`] hoists them: built once per batch from
-//! the key sets the requests actually use, then consulted by
-//! [`crate::Estimator`] with a provider fallback for any key it does
+//! A batch or a sweep evaluates many requests drawn from a handful of
+//! distinct key tuples, so almost every derivation is a repeat.
+//! [`crate::Estimator::context_for`] derives each distinct key's inputs
+//! once, and the [`EstimateContext`] it returns evaluates requests
+//! against them, asking the estimator's providers for any key it does
 //! not hold.
 //!
 //! ## Byte-safety
 //!
-//! Context hits must be indistinguishable from provider calls. That
-//! holds because every cached value is produced by calling the *same*
-//! provider with the *same* arguments the estimator would have used
-//! (providers are pure by contract — see [`crate::providers`]), and the
-//! derived stats are pure functions of the trace. A context can
-//! therefore never change reported bytes, only the time it takes to
-//! produce them; `crates/api` unit tests assert report equality with
-//! and without a context.
+//! A context hit must be indistinguishable from a provider call. It is:
+//! a context borrows the estimator that built it and evaluates through
+//! it, every value it holds came from that estimator's own providers
+//! called with the arguments an evaluation would pass (providers are
+//! pure by contract — see [`crate::providers`]), and the stats are pure
+//! functions of the trace. A context can therefore never change
+//! reported bytes, only the time it takes to produce them; `crates/api`
+//! unit tests assert report equality with and without one.
 //!
 //! ## Memory
 //!
-//! The context holds `O(distinct keys)` data, not `O(requests)`:
-//! traces and job lists are stored behind [`Arc`]s and shared into
-//! every evaluation (clusters hold `Arc<IntensityTrace>`, simulations
-//! borrow the job slice). A million-scenario sweep over two regions,
-//! two trace sources and a few seeds holds a handful of traces total.
+//! A context holds `O(distinct keys)` data, not `O(requests)`: traces
+//! and job lists are stored behind [`Arc`]s and shared into every
+//! evaluation (clusters hold `Arc<IntensityTrace>`, simulations borrow
+//! the job slice). A million-scenario sweep over two regions, two trace
+//! sources and a few seeds holds a handful of traces total.
 
-use crate::providers::{EmbodiedSource, IntensityProvider, JobSource};
+use crate::error::ApiError;
+use crate::estimator::Estimator;
+use crate::report::FootprintReport;
 use crate::request::EstimateRequest;
 use crate::types::{SystemId, TraceSource};
+use hpcarbon_core::systems::HpcSystem;
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::trace::IntensityTrace;
 use hpcarbon_sched::Job;
-use hpcarbon_sim::par::{par_map_workers, worker_count};
 use hpcarbon_sim::rng::SimRng;
 use hpcarbon_timeseries::stats;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifies one region-year trace: `(region, source, year, seed)`,
@@ -92,14 +94,26 @@ pub struct RequestKeys {
 
 impl RequestKeys {
     /// Derives the keys `req`'s evaluation will look up.
+    ///
+    /// This is the one place the partner rule lives. A multi-region
+    /// policy engages a partner site unless `req.partner` turns it off,
+    /// and `req.partner` can force one onto any policy. The partner is
+    /// the greenest complement region: GB, or CA when the request
+    /// already is GB, under the request's own source, year and trace
+    /// seed.
     pub fn of(req: &EstimateRequest) -> RequestKeys {
         let rng = SimRng::seed_from(req.seed);
         let trace_seed = rng.substream("trace").seed();
         let jobs_seed = rng.substream("jobs").seed();
+        let partner = if req.region == OperatorId::Eso {
+            OperatorId::Ciso
+        } else {
+            OperatorId::Eso
+        };
         let partner_trace = req
             .partner
             .unwrap_or_else(|| req.policy.is_multi_region())
-            .then(|| (partner_region(req.region), req.source, req.year, trace_seed));
+            .then_some((partner, req.source, req.year, trace_seed));
         RequestKeys {
             trace: (req.region, req.source, req.year, trace_seed),
             partner_trace,
@@ -109,174 +123,86 @@ impl RequestKeys {
     }
 }
 
-/// The partner site a multi-region evaluation pairs with `region`: the
-/// greenest complement region (GB, or CA when the request already is
-/// GB). Must stay in lockstep with `Estimator::evaluate`.
-pub fn partner_region(region: OperatorId) -> OperatorId {
-    if region == OperatorId::Eso {
-        OperatorId::Ciso
-    } else {
-        OperatorId::Eso
-    }
-}
-
-/// Precomputed immutable inputs shared across one batch of evaluations.
+/// Inputs derived once for a batch of requests, bound to the
+/// [`Estimator`] that derived them.
 ///
-/// Build one with [`crate::Estimator::context_for`] (which uses the
-/// estimator's own providers) and attach it via
-/// [`crate::EstimatorBuilder::context`]; or let
-/// [`crate::Estimator::estimate_batch`] build one automatically.
-#[derive(Debug, Default)]
-pub struct EstimateContext {
-    traces: BTreeMap<TraceKey, Arc<IntensityTrace>>,
-    stats: BTreeMap<TraceKey, TraceStats>,
-    systems: BTreeMap<SystemId, hpcarbon_core::systems::HpcSystem>,
-    jobs: BTreeMap<JobKey, Arc<Vec<Job>>>,
+/// Only [`Estimator::context_for`] builds one, and
+/// [`EstimateContext::estimate`] evaluates through that same estimator,
+/// so a context never serves values from another estimator's providers.
+/// It is immutable: share one across any number of worker threads.
+pub struct EstimateContext<'e> {
+    pub(crate) estimator: &'e Estimator,
+    pub(crate) traces: BTreeMap<TraceKey, (Arc<IntensityTrace>, TraceStats)>,
+    pub(crate) systems: BTreeMap<SystemId, HpcSystem>,
+    pub(crate) jobs: BTreeMap<JobKey, Arc<Vec<Job>>>,
 }
 
-impl EstimateContext {
-    /// An empty context: every lookup misses to the provider. Useful as
-    /// a neutral default in plumbing that always carries a context.
-    pub fn empty() -> EstimateContext {
-        EstimateContext::default()
-    }
-
-    /// Builds a context covering every key in `reqs`, deriving values
-    /// from the given providers. Distinct trace keys are simulated in
-    /// parallel over `threads` workers (they dominate build time: one
-    /// dispatch simulation plus a `WindowIndex` each); pass 1 for a
-    /// serial reference build — the result is identical either way.
-    pub fn build(
-        reqs: &[EstimateRequest],
-        intensity: &dyn IntensityProvider,
-        embodied: &dyn EmbodiedSource,
-        jobs: &dyn JobSource,
-        threads: Option<usize>,
-    ) -> EstimateContext {
-        let mut trace_keys = BTreeSet::new();
-        let mut job_keys = BTreeSet::new();
-        let mut system_keys = BTreeSet::new();
-        for req in reqs {
-            let k = RequestKeys::of(req);
-            trace_keys.insert(k.trace);
-            if let Some(p) = k.partner_trace {
-                trace_keys.insert(p);
-            }
-            job_keys.insert(k.jobs);
-            system_keys.insert(k.system);
-        }
-        Self::build_from_keys(
-            trace_keys,
-            job_keys,
-            system_keys,
-            intensity,
-            embodied,
-            jobs,
-            threads,
-        )
-    }
-
-    /// Builds a context directly from key sets, without materializing
-    /// the requests that will use it. This is the O(distinct keys) path
-    /// for callers like the sweep engine whose grids are combinatorial:
-    /// the key sets fall out of the dimension lists, so a
-    /// million-scenario sweep never allocates a million requests just
-    /// to discover a handful of keys. Semantics are identical to
-    /// [`EstimateContext::build`] on any request set deriving exactly
-    /// these keys.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_from_keys(
-        trace_keys: BTreeSet<TraceKey>,
-        job_keys: BTreeSet<JobKey>,
-        system_keys: BTreeSet<SystemId>,
-        intensity: &dyn IntensityProvider,
-        embodied: &dyn EmbodiedSource,
-        jobs: &dyn JobSource,
-        threads: Option<usize>,
-    ) -> EstimateContext {
-        // File-sourced keys never consult a provider: the estimator
-        // resolves them from its registered trace files (which are
-        // already parsed and indexed — there is nothing to precompute),
-        // so they are simply absent from the context and miss through.
-        let keys: Vec<TraceKey> = trace_keys
-            .into_iter()
-            .filter(|&(_, source, _, _)| source != TraceSource::File)
-            .collect();
-        let workers = threads
-            .map(|n| n.max(1))
-            .unwrap_or_else(|| worker_count(keys.len()));
-        let built = par_map_workers(&keys, workers, |_, &(region, source, year, seed)| {
-            let trace = intensity.year_trace(region, source, year, seed);
-            let stats = TraceStats::of(&trace);
-            (trace, stats)
-        });
-        let mut traces = BTreeMap::new();
-        let mut stats = BTreeMap::new();
-        for (key, (trace, stat)) in keys.into_iter().zip(built) {
-            traces.insert(key, trace);
-            stats.insert(key, stat);
-        }
+impl<'e> EstimateContext<'e> {
+    /// A context holding nothing: every lookup goes to `estimator`'s
+    /// providers.
+    pub(crate) fn new(estimator: &'e Estimator) -> EstimateContext<'e> {
         EstimateContext {
-            traces,
-            stats,
-            systems: system_keys
-                .into_iter()
-                .map(|id| (id, embodied.build_system(id)))
-                .collect(),
-            jobs: job_keys
-                .into_iter()
-                .map(|(n, seed)| ((n, seed), jobs.job_trace(n, seed)))
-                .collect(),
+            estimator,
+            traces: BTreeMap::new(),
+            systems: BTreeMap::new(),
+            jobs: BTreeMap::new(),
         }
     }
 
-    /// The trace for `key`, if precomputed.
-    pub fn trace(&self, key: &TraceKey) -> Option<Arc<IntensityTrace>> {
-        self.traces.get(key).cloned()
-    }
-
-    /// The stats of `key`'s trace, if precomputed.
-    pub fn trace_stats(&self, key: &TraceKey) -> Option<TraceStats> {
-        self.stats.get(key).copied()
-    }
-
-    /// The as-built inventory of `system`, if precomputed.
-    pub fn system(&self, system: SystemId) -> Option<&hpcarbon_core::systems::HpcSystem> {
-        self.systems.get(&system)
-    }
-
-    /// The job trace for `key`, if precomputed.
-    pub fn job_trace(&self, key: &JobKey) -> Option<Arc<Vec<Job>>> {
-        self.jobs.get(key).cloned()
-    }
-
-    /// Number of distinct traces held.
-    pub fn trace_count(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Number of distinct job traces held.
-    pub fn job_trace_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Number of distinct system inventories held.
-    pub fn system_count(&self) -> usize {
-        self.systems.len()
+    /// Validates and evaluates one request against the held inputs.
+    /// Keys the context does not hold go to the estimator's providers,
+    /// so the report equals [`Estimator::estimate`]'s, byte for byte.
+    ///
+    /// # Errors
+    /// The [`ApiError`]s of [`Estimator::estimate`].
+    pub fn estimate(&self, req: &EstimateRequest) -> Result<FootprintReport, ApiError> {
+        self.estimator.evaluate(&req.validate()?, self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::providers::{CatalogEmbodied, DispatchIntensity, GeneratedJobs};
+    use crate::providers::{FlatIntensity, IntensityProvider};
     use hpcarbon_sched::Policy;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn req(seed: u64) -> EstimateRequest {
         let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
         r.seed = seed;
         r.jobs = 10;
         r
+    }
+
+    fn spatio(seed: u64) -> EstimateRequest {
+        let mut r = req(seed);
+        r.policy = Policy::SpatioTemporal { slack_hours: 24 };
+        r
+    }
+
+    /// A flat 250 g/kWh provider that counts the traces it hands out.
+    struct CountingFlat(Arc<AtomicUsize>);
+
+    impl IntensityProvider for CountingFlat {
+        fn year_trace(
+            &self,
+            region: OperatorId,
+            source: TraceSource,
+            year: i32,
+            seed: u64,
+        ) -> Arc<IntensityTrace> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            FlatIntensity::new(250.0).year_trace(region, source, year, seed)
+        }
+    }
+
+    fn counting_estimator() -> (Estimator, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let est = Estimator::builder()
+            .intensity(CountingFlat(Arc::clone(&calls)))
+            .threads(2)
+            .build();
+        (est, calls)
     }
 
     #[test]
@@ -292,11 +218,15 @@ mod tests {
     fn partner_key_tracks_policy_and_override() {
         let fifo = req(1);
         assert_eq!(RequestKeys::of(&fifo).partner_trace, None);
-        let mut multi = req(1);
-        multi.policy = Policy::SpatioTemporal { slack_hours: 24 };
+        let multi = spatio(1);
         let k = RequestKeys::of(&multi).partner_trace.unwrap();
         assert_eq!(k.0, OperatorId::Ciso);
         assert_eq!(k.3, RequestKeys::of(&multi).trace.3);
+        // Any region other than GB pairs with GB.
+        let mut miso = multi.clone();
+        miso.region = OperatorId::Miso;
+        let k = RequestKeys::of(&miso).partner_trace.unwrap();
+        assert_eq!(k, (OperatorId::Eso, miso.source, miso.year, k.3));
         let mut forced = req(1);
         forced.partner = Some(true);
         assert!(RequestKeys::of(&forced).partner_trace.is_some());
@@ -317,50 +247,42 @@ mod tests {
     }
 
     #[test]
-    fn build_deduplicates_keys() {
-        // Same seed twice, one distinct: 2 trace keys, 2 job keys, 1 system.
-        let reqs = [req(7), req(7), req(9)];
-        let ctx = EstimateContext::build(
-            &reqs,
-            &DispatchIntensity,
-            &CatalogEmbodied,
-            &GeneratedJobs,
-            Some(1),
+    fn context_for_calls_the_provider_once_per_distinct_key() {
+        let (est, calls) = counting_estimator();
+        let mut file = req(11);
+        file.source = TraceSource::File;
+        // Distinct non-file keys: GB under seed 7 (asked twice), GB
+        // under seed 9 and its CA partner. The file key never reaches
+        // the provider.
+        let reqs = [req(7), req(7), spatio(9), file];
+        let ctx = est.context_for(reqs.iter().map(RequestKeys::of));
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        let reports: Vec<_> = reqs.iter().map(|r| ctx.estimate(r)).collect();
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            3,
+            "a context hit called the provider"
         );
-        assert_eq!(ctx.trace_count(), 2);
-        assert_eq!(ctx.job_trace_count(), 2);
-        assert_eq!(ctx.system_count(), 1);
-        let key = RequestKeys::of(&reqs[0]);
-        let trace = ctx.trace(&key.trace).unwrap();
-        assert_eq!(ctx.trace_stats(&key.trace).unwrap(), TraceStats::of(&trace));
-        assert_eq!(ctx.job_trace(&key.jobs).unwrap().len(), 10);
-        assert!(ctx.system(SystemId::Frontier).is_some());
-        assert!(ctx.system(SystemId::Lumi).is_none());
+        for (r, rep) in reqs.iter().zip(&reports) {
+            assert_eq!(*rep, est.estimate(r));
+        }
+        // The estimator's own provider answered: a flat 250 g/kWh grid.
+        for rep in &reports[..3] {
+            assert_eq!(rep.as_ref().unwrap().grid.median_g_per_kwh, 250.0);
+        }
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let reqs = [req(1), req(2), req(3), req(4)];
-        let serial = EstimateContext::build(
-            &reqs,
-            &DispatchIntensity,
-            &CatalogEmbodied,
-            &GeneratedJobs,
-            Some(1),
-        );
-        let parallel = EstimateContext::build(
-            &reqs,
-            &DispatchIntensity,
-            &CatalogEmbodied,
-            &GeneratedJobs,
-            Some(4),
-        );
-        for (key, t) in &serial.traces {
-            let p = parallel.trace(key).unwrap();
-            assert_eq!(t.series().values(), p.series().values());
-            assert_eq!(serial.trace_stats(key), parallel.trace_stats(key));
+    fn empty_context_misses_everything() {
+        // `estimate` and `estimate_valid`, the server's miss path,
+        // evaluate against an empty context: every request asks the
+        // provider for its traces, and nothing is kept between requests.
+        let (est, calls) = counting_estimator();
+        for (r, traces) in [(req(7), 1), (req(7), 1), (spatio(9), 2)] {
+            let before = calls.load(Ordering::Relaxed);
+            est.estimate(&r).unwrap();
+            assert_eq!(calls.load(Ordering::Relaxed) - before, traces);
         }
-        assert_eq!(serial.jobs.len(), parallel.jobs.len());
     }
 
     #[test]
@@ -369,21 +291,9 @@ mod tests {
         // must filter them rather than forward them.
         let mut file_req = req(7);
         file_req.source = TraceSource::File;
-        let ctx = EstimateContext::build(
-            &[file_req.clone(), req(9)],
-            &DispatchIntensity,
-            &CatalogEmbodied,
-            &GeneratedJobs,
-            Some(1),
-        );
-        assert_eq!(ctx.trace_count(), 1);
-        assert!(ctx.trace(&RequestKeys::of(&file_req).trace).is_none());
-    }
-
-    #[test]
-    fn empty_context_misses_everything() {
-        let ctx = EstimateContext::empty();
-        assert!(ctx.trace(&RequestKeys::of(&req(1)).trace).is_none());
-        assert!(ctx.system(SystemId::Frontier).is_none());
+        let est = Estimator::builder().threads(1).build();
+        let ctx = est.context_for([&file_req, &req(9)].map(RequestKeys::of));
+        assert_eq!(ctx.traces.len(), 1);
+        assert!(!ctx.traces.contains_key(&RequestKeys::of(&file_req).trace));
     }
 }

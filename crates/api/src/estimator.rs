@@ -22,7 +22,7 @@
 //! **byte-identical for every thread count**; `tests/api_roundtrip.rs`
 //! and the CI smoke job diff 1-thread against 4-thread runs.
 
-use crate::context::{EstimateContext, RequestKeys, TraceStats};
+use crate::context::{EstimateContext, RequestKeys, TraceKey, TraceStats};
 use crate::error::ApiError;
 use crate::providers::{
     CatalogEmbodied, DispatchIntensity, EmbodiedSource, GeneratedJobs, IntensityProvider,
@@ -48,7 +48,7 @@ use hpcarbon_units::{CarbonIntensity, TimeSpan};
 use hpcarbon_upgrade::savings::UpgradeScenario;
 use hpcarbon_upgrade::{Recommendation, UpgradeAdvisor};
 use hpcarbon_workloads::power::node_active_power;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Assembles an [`Estimator`] from providers; every axis defaults to the
@@ -58,7 +58,6 @@ pub struct EstimatorBuilder {
     embodied: Box<dyn EmbodiedSource>,
     pue: Box<dyn PueProvider>,
     jobs: Box<dyn JobSource>,
-    context: Option<Arc<EstimateContext>>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
 }
@@ -88,17 +87,9 @@ impl EstimatorBuilder {
         self
     }
 
-    /// Attaches a prebuilt [`EstimateContext`]. Every evaluation consults
-    /// it before falling back to the providers; because the context is
-    /// built *from* the providers (see [`Estimator::context_for`]),
-    /// attaching one can never change reported bytes — only latency.
-    pub fn context(mut self, ctx: Arc<EstimateContext>) -> EstimatorBuilder {
-        self.context = Some(ctx);
-        self
-    }
-
-    /// Forces the batch worker count (1 = serial reference run); the
-    /// default uses the available parallelism.
+    /// Forces the worker count of batches and of context builds (1 =
+    /// serial reference run); the default uses the available
+    /// parallelism.
     pub fn threads(mut self, n: usize) -> EstimatorBuilder {
         self.threads = Some(n.max(1));
         self
@@ -127,7 +118,6 @@ impl EstimatorBuilder {
             embodied: self.embodied,
             pue: self.pue,
             jobs: self.jobs,
-            context: self.context,
             threads: self.threads,
             trace_files: self.trace_files,
         }
@@ -151,7 +141,6 @@ pub struct Estimator {
     embodied: Box<dyn EmbodiedSource>,
     pue: Box<dyn PueProvider>,
     jobs: Box<dyn JobSource>,
-    context: Option<Arc<EstimateContext>>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
 }
@@ -165,24 +154,46 @@ impl Estimator {
             embodied: Box::new(CatalogEmbodied),
             pue: Box::new(RequestPue),
             jobs: Box::new(GeneratedJobs),
-            context: None,
             threads: None,
             trace_files: BTreeMap::new(),
         }
     }
 
-    /// Builds an [`EstimateContext`] covering every key `reqs` will look
-    /// up, derived from **this estimator's own providers** — the
-    /// property that makes attaching it transparent. Distinct traces
-    /// build in parallel over the estimator's configured thread count.
-    pub fn context_for(&self, reqs: &[EstimateRequest]) -> EstimateContext {
-        EstimateContext::build(
-            reqs,
-            self.intensity.as_ref(),
-            self.embodied.as_ref(),
-            self.jobs.as_ref(),
-            self.threads,
-        )
+    /// Derives the inputs behind `keys` once per distinct key, from
+    /// **this estimator's own providers**, and returns the context that
+    /// evaluates requests through this estimator against them — the
+    /// property that makes a context transparent. Pass the keys of every
+    /// request the context will see, e.g.
+    /// `reqs.iter().map(RequestKeys::of)`; any other request still
+    /// evaluates, through the providers.
+    ///
+    /// Distinct traces, one dispatch simulation each, build in parallel
+    /// over the configured thread count. File-sourced keys are skipped:
+    /// the registered trace files already hold them.
+    pub fn context_for(&self, keys: impl IntoIterator<Item = RequestKeys>) -> EstimateContext<'_> {
+        let mut ctx = EstimateContext::new(self);
+        let mut trace_keys = BTreeSet::new();
+        for k in keys {
+            let traces = std::iter::once(k.trace).chain(k.partner_trace);
+            trace_keys.extend(traces.filter(|key| key.1 != TraceSource::File));
+            ctx.jobs
+                .entry(k.jobs)
+                .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
+            ctx.systems
+                .entry(k.system)
+                .or_insert_with(|| self.embodied.build_system(k.system));
+        }
+        let trace_keys: Vec<TraceKey> = trace_keys.into_iter().collect();
+        let workers = self
+            .threads
+            .unwrap_or_else(|| worker_count(trace_keys.len()));
+        let built = par_map_workers(&trace_keys, workers, |_, &(region, source, year, seed)| {
+            let trace = self.intensity.year_trace(region, source, year, seed);
+            let stats = TraceStats::of(&trace);
+            (trace, stats)
+        });
+        ctx.traces = trace_keys.into_iter().zip(built).collect();
+        ctx
     }
 
     /// Validates and evaluates one request.
@@ -197,22 +208,19 @@ impl Estimator {
         self.estimate_valid(&valid)
     }
 
-    /// The attached context, if any.
-    fn attached(&self) -> Option<&EstimateContext> {
-        self.context.as_deref()
-    }
-
     /// Evaluates an already-validated request, skipping re-validation —
     /// the entry point for callers that need the [`ValidRequest`] anyway
     /// (the serving layer derives its cache key from it). Same pipeline,
-    /// same bytes as [`Estimator::estimate`].
+    /// same bytes as [`Estimator::estimate`]. Both evaluate against an
+    /// empty context: every input comes from the providers, and nothing
+    /// is kept for the next request.
     ///
     /// # Errors
     /// [`ApiError`] when the (valid) combination is infeasible at
     /// evaluation time — storage what-if without a source tier,
     /// oversized shifting slack, a provider returning an unphysical PUE.
     pub fn estimate_valid(&self, valid: &ValidRequest) -> Result<FootprintReport, ApiError> {
-        self.evaluate(valid, self.attached())
+        self.evaluate(valid, &EstimateContext::new(self))
     }
 
     /// Evaluates a batch in parallel, one result per request, **in
@@ -220,25 +228,16 @@ impl Estimator {
     /// batch always completes. Output is byte-identical for every
     /// configured thread count.
     ///
-    /// Unless a context is already attached, multi-request batches
-    /// hoist their shared setup (traces, inventories, job traces) into
-    /// a per-call [`EstimateContext`] first — a pure cache, so batch
-    /// bytes are unchanged by it.
+    /// Each call first derives the batch's shared inputs (traces,
+    /// inventories, job traces) into one [`EstimateContext`] — a pure
+    /// cache, so batch bytes are unchanged by it.
     pub fn estimate_batch(
         &self,
         reqs: &[EstimateRequest],
     ) -> Vec<Result<FootprintReport, ApiError>> {
+        let ctx = self.context_for(reqs.iter().map(RequestKeys::of));
         let workers = self.threads.unwrap_or_else(|| worker_count(reqs.len()));
-        let built = if self.context.is_none() && reqs.len() > 1 {
-            Some(self.context_for(reqs))
-        } else {
-            None
-        };
-        let ctx = self.attached().or(built.as_ref());
-        par_map_workers(reqs, workers, |_, req| match req.validate() {
-            Ok(valid) => self.evaluate(&valid, ctx),
-            Err(e) => Err(e),
-        })
+        par_map_workers(reqs, workers, |_, req| ctx.estimate(req))
     }
 
     /// The trace for `key`: file-sourced keys resolve from the registered
@@ -251,8 +250,8 @@ impl Estimator {
     /// different year than the request asks for.
     fn trace_for(
         &self,
-        ctx: Option<&EstimateContext>,
-        key: &crate::context::TraceKey,
+        ctx: &EstimateContext<'_>,
+        key: &TraceKey,
     ) -> Result<Arc<IntensityTrace>, ApiError> {
         if key.1 == TraceSource::File {
             let trace = self
@@ -270,20 +269,22 @@ impl Estimator {
             }
             return Ok(Arc::clone(trace));
         }
-        Ok(ctx
-            .and_then(|c| c.trace(key))
-            .unwrap_or_else(|| self.intensity.year_trace(key.0, key.1, key.2, key.3)))
+        Ok(match ctx.traces.get(key) {
+            Some((trace, _)) => Arc::clone(trace),
+            None => self.intensity.year_trace(key.0, key.1, key.2, key.3),
+        })
     }
 
     /// The five-layer pipeline. Mirrors the historical
     /// `sweep::run_scenario` computation exactly — the sweep now delegates
     /// here, and its CSV/JSON output is a frozen contract. Every `ctx`
     /// lookup falls back to the provider computing the identical value,
-    /// so a context changes latency, never bytes.
-    fn evaluate(
+    /// so a context changes latency, never bytes. `ctx` is always one
+    /// this estimator built.
+    pub(crate) fn evaluate(
         &self,
         v: &ValidRequest,
-        ctx: Option<&EstimateContext>,
+        ctx: &EstimateContext<'_>,
     ) -> Result<FootprintReport, ApiError> {
         let r = v.request();
         let pue = self.pue.resolve(r.pue);
@@ -293,7 +294,7 @@ impl Estimator {
 
         // Layer 1: embodied composition, with the storage what-if applied.
         let built_system;
-        let base: &HpcSystem = match ctx.and_then(|c| c.system(r.system)) {
+        let base: &HpcSystem = match ctx.systems.get(&r.system) {
             Some(s) => s,
             None => {
                 built_system = self.embodied.build_system(r.system);
@@ -313,8 +314,9 @@ impl Estimator {
         // Layer 2: the regional grid year, from this request's own stream.
         let trace = self.trace_for(ctx, &keys.trace)?;
         let stats = ctx
-            .and_then(|c| c.trace_stats(&keys.trace))
-            .unwrap_or_else(|| TraceStats::of(&trace));
+            .traces
+            .get(&keys.trace)
+            .map_or_else(|| TraceStats::of(&trace), |&(_, stats)| stats);
         let median = CarbonIntensity::from_g_per_kwh(stats.median_g_per_kwh);
 
         // Layer 3: the scheduling run on a cluster powered by that grid,
@@ -326,20 +328,20 @@ impl Estimator {
         // the spatial axis would silently degenerate to the temporal one
         // in these single-region requests) and single-region policies
         // don't; `request.partner` forces it either way so a policy
-        // comparison can hold the topology fixed. The partner is the
-        // greenest complement region (GB, or CA when the request already
-        // is GB), built from the same provider, seed stream and PUE — so
-        // the estimate stays a pure function of the request and the
-        // providers. `RequestKeys::of` encodes both rules.
+        // comparison can hold the topology fixed. `RequestKeys::of` holds
+        // both rules and picks the partner region; its cluster is built
+        // from the same provider, seed stream and PUE — so the estimate
+        // stays a pure function of the request and the providers.
         if let Some(pk) = keys.partner_trace {
             let partner_trace = self.trace_for(ctx, &pk)?;
             let mut partner = Cluster::new(pk.0.info().short, partner_trace, r.cluster_gpus);
             partner.pue = pue.mean_value();
             clusters.push(partner);
         }
-        let jobs = ctx
-            .and_then(|c| c.job_trace(&keys.jobs))
-            .unwrap_or_else(|| self.jobs.job_trace(keys.jobs.0, keys.jobs.1));
+        let jobs = match ctx.jobs.get(&keys.jobs) {
+            Some(jobs) => Arc::clone(jobs),
+            None => self.jobs.job_trace(keys.jobs.0, keys.jobs.1),
+        };
         // The oracle run: policies plan on the actual trace — perfect
         // future knowledge, the numbers the paper reports.
         let oracle_sim = Simulation::multi_region(clusters.clone(), r.policy, &jobs).try_run()?;
@@ -595,22 +597,16 @@ mod tests {
                 reqs.push(r);
             }
         }
-        let ctx = std::sync::Arc::new(est.context_for(&reqs));
-        assert_eq!(ctx.trace_count(), 4); // 2 seeds × {Eso, Ciso partner}
-        let with_ctx = Estimator::builder()
-            .threads(1)
-            .context(ctx)
-            .build()
-            .estimate_batch(&reqs);
-        let without = est.estimate_batch(&reqs);
+        let without: Vec<_> = reqs.iter().map(|r| est.estimate(r)).collect();
+        let ctx = est.context_for(reqs.iter().map(RequestKeys::of));
+        assert_eq!(ctx.traces.len(), 4); // 2 seeds × {Eso, Ciso partner}
+        let with_ctx: Vec<_> = reqs.iter().map(|r| ctx.estimate(r)).collect();
         assert_eq!(with_ctx, without);
-        // Single estimates consult the attached context too.
-        let single = Estimator::builder()
-            .context(std::sync::Arc::new(est.context_for(&reqs[..1])))
-            .build()
-            .estimate(&reqs[0])
-            .unwrap();
-        assert_eq!(Some(&single), with_ctx[0].as_ref().ok());
+        // A context holding one request's keys answers the others
+        // through the providers, with the same bytes.
+        let partial = est.context_for([RequestKeys::of(&reqs[0])]);
+        let mixed: Vec<_> = reqs.iter().map(|r| partial.estimate(r)).collect();
+        assert_eq!(mixed, without);
     }
 
     #[test]
@@ -702,7 +698,7 @@ mod tests {
             ApiError::InvalidRequest { field: "year", .. }
         ));
         // File requests never consult the provider (DispatchIntensity
-        // would panic), including in batches with a hoisted context.
+        // would panic), including in batches, whose context skips them.
         let out = est.estimate_batch(&[r.clone(), miss]);
         assert!(out[0].is_ok());
         assert!(out[1].is_err());

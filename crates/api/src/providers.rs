@@ -21,10 +21,11 @@
 //! thread count — is promised over them.
 //!
 //! Traces and job lists are returned behind [`Arc`]s: they are the
-//! heavyweight inputs (an indexed year trace is ~1 MiB of prefix sums),
-//! and batch consumers — the streaming sweep engine above all — evaluate
-//! many requests against the *same* region-year, so the provider
-//! contract is "hand out a shared immutable value", never "copy".
+//! heavyweight inputs (an indexed year trace is ~140 KB: 8,760 hourly
+//! values plus 8,761 prefix sums, all `f64`), and batch consumers — the
+//! streaming sweep engine above all — evaluate many requests against the
+//! *same* region-year, so the provider contract is "hand out a shared
+//! immutable value", never "copy".
 
 use crate::types::{PueSpec, SystemId, TraceSource};
 use hpcarbon_core::systems::HpcSystem;
@@ -85,7 +86,7 @@ pub trait EmbodiedSource: Send + Sync {
 }
 
 /// Delegation through [`Arc`], so one embodied source (e.g. a loaded
-/// catalog) can back an estimator, a sweep context, and server shards
+/// catalog) can back an estimator, a sweep, and server shards
 /// simultaneously.
 impl<T: EmbodiedSource + ?Sized> EmbodiedSource for Arc<T> {
     fn build_system(&self, system: SystemId) -> HpcSystem {

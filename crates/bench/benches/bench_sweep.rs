@@ -1,12 +1,13 @@
-//! Benches for the streaming scenario-sweep engine: the hoisted
-//! [`SweepContext`] vs. the cold per-scenario path, serial vs. parallel
-//! streaming of the same grid, plus expansion and emission costs.
+//! Benches for the streaming scenario-sweep engine: rows evaluated
+//! through a per-run [`EstimateContext`] vs. the cold per-scenario path,
+//! serial vs. parallel streaming of the same grid, plus expansion and
+//! emission costs.
 //!
 //! The contract gated in CI (`ci/bench_gate.sh`): a scenario evaluated
-//! through a pre-built `SweepContext` must beat the uncontexted
-//! `run_scenario` path by ≥ `BENCH_GATE_MIN_SWEEP_SPEEDUP` (default 2×),
-//! because the context hoists trace simulation, job-trace generation,
-//! and catalog assembly out of the per-row loop.
+//! through a pre-built context must beat the uncontexted `run_scenario`
+//! path by ≥ `BENCH_GATE_MIN_SWEEP_SPEEDUP` (default 2×), because the
+//! context derives trace simulation, job-trace generation, and catalog
+//! assembly once per run instead of once per row.
 //! `scenario_contexted_seasonal` is the same row under seasonal PUE, the
 //! paper grid's other PUE model, whose hourly accounting the
 //! constant-PUE rows never reach. On a multi-core host
@@ -15,9 +16,9 @@
 //! same time, never worse.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hpcarbon_api::{EstimateContext, Estimator, RequestKeys};
 use hpcarbon_sweep::{
     run_scenario, CsvSink, JsonSink, PueSpec, Scenario, ScenarioGrid, Sweep, SweepConfig,
-    SweepContext,
 };
 use std::hint::black_box;
 
@@ -44,20 +45,24 @@ fn context(c: &mut Criterion) {
     let cfg = SweepConfig::fast();
     let mut g = c.benchmark_group("sweep/context");
     g.sample_size(10);
-    // One-time cost of hoisting every shared derivation (intensity
-    // traces, job traces, catalogs) for the whole grid.
-    g.bench_function("build", |b| {
-        b.iter(|| black_box(SweepContext::build(&grid, cfg, Some(1))))
-    });
-    // Per-row cost with vs. without the hoisted context — the ≥2x
-    // speedup the bench gate enforces.
-    let ctx = SweepContext::build(&grid, cfg, Some(1));
+    // One-time cost of deriving every shared input (intensity traces,
+    // job traces, catalogs) the grid's rows touch, as `Sweep::run` does.
+    let est = Estimator::builder().threads(1).build();
+    let build = || -> EstimateContext<'_> {
+        est.context_for(
+            (0..grid.len()).map(|id| RequestKeys::of(&grid.scenario_at(id).to_request(&cfg))),
+        )
+    };
+    g.bench_function("build", |b| b.iter(|| black_box(build())));
+    // Per-row cost with vs. without the context — the ≥2x speedup the
+    // bench gate enforces.
+    let ctx = build();
     let sc = grid.scenario_at(0);
     g.bench_function("scenario_uncontexted", |b| {
         b.iter(|| black_box(run_scenario(&sc, &cfg).unwrap()))
     });
     g.bench_function("scenario_contexted", |b| {
-        b.iter(|| black_box(ctx.run(&sc).unwrap()))
+        b.iter(|| black_box(ctx.estimate(&sc.to_request(&cfg)).unwrap()))
     });
     // The same row under the paper grid's seasonal PUE, which prices the
     // node's year hour by hour (`account_with_seasonal_pue`). The
@@ -70,7 +75,7 @@ fn context(c: &mut Criterion) {
         ..sc
     };
     g.bench_function("scenario_contexted_seasonal", |b| {
-        b.iter(|| black_box(ctx.run(&seasonal).unwrap()))
+        b.iter(|| black_box(ctx.estimate(&seasonal.to_request(&cfg)).unwrap()))
     });
     g.finish();
 }

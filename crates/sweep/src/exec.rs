@@ -20,9 +20,11 @@
 //! assert_eq!(report.errors, 0);
 //! ```
 //!
-//! `run` builds one shared [`SweepContext`] (traces, catalogs and job
-//! lists hoisted out of the per-scenario path), then evaluates the
-//! shard's id range:
+//! `run` builds one estimator and, from the keys of the shard's own
+//! rows ([`RequestKeys::of`]), one [`hpcarbon_api::EstimateContext`]: each
+//! trace, catalog and job list the rows touch is derived once, the
+//! distinct traces in parallel over the run's workers, before any row
+//! starts. Then it evaluates the shard's id range:
 //!
 //! - **workers** claim scenario ids from an atomic cursor, decode them
 //!   with [`ScenarioGrid::scenario_at`] (no grid materialization), and
@@ -43,14 +45,14 @@
 //! `threads(1)` bypasses the machinery entirely (a plain in-order loop)
 //! and is the byte reference the streaming path is tested against.
 
-use crate::context::SweepContext;
 use crate::grid::ScenarioGrid;
+use crate::scenario::ScenarioOutcome;
 use crate::shard::ShardSpec;
 use crate::sink::{RowSink, SinkDigest};
 use crate::summary::SummaryAccumulator;
 use crate::table::{summary_markdown, MetricSummary, SweepRow};
 use hpcarbon_api::providers::EmbodiedSource;
-use hpcarbon_api::ForecastModel;
+use hpcarbon_api::{Estimator, EstimatorBuilder, ForecastModel, RequestKeys};
 use hpcarbon_sim::par::worker_count;
 use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::BinaryHeap;
@@ -192,11 +194,8 @@ pub struct Sweep<'a> {
     shard: Option<(usize, usize)>,
     top: usize,
     sinks: Vec<&'a mut dyn RowSink>,
-    embodied: Option<Arc<dyn EmbodiedSource>>,
-    trace_files: Vec<(
-        hpcarbon_grid::regions::OperatorId,
-        Arc<hpcarbon_grid::trace::IntensityTrace>,
-    )>,
+    /// Providers and trace files; [`Sweep::run`] adds the worker count.
+    estimator: EstimatorBuilder,
 }
 
 impl<'a> Sweep<'a> {
@@ -210,8 +209,7 @@ impl<'a> Sweep<'a> {
             shard: None,
             top: 5,
             sinks: Vec::new(),
-            embodied: None,
-            trace_files: Vec::new(),
+            estimator: Estimator::builder(),
         }
     }
 
@@ -252,7 +250,7 @@ impl<'a> Sweep<'a> {
     /// — the `hpcarbon sweep --catalog DIR` path. Defaults to the
     /// built-in Table 1/2 tables.
     pub fn embodied(mut self, source: Arc<dyn EmbodiedSource>) -> Sweep<'a> {
-        self.embodied = Some(source);
+        self.estimator = self.estimator.embodied(source);
         self
     }
 
@@ -266,7 +264,7 @@ impl<'a> Sweep<'a> {
         region: hpcarbon_grid::regions::OperatorId,
         trace: Arc<hpcarbon_grid::trace::IntensityTrace>,
     ) -> Sweep<'a> {
-        self.trace_files.push((region, trace));
+        self.estimator = self.estimator.trace_file(region, trace);
         self
     }
 
@@ -293,17 +291,23 @@ impl<'a> Sweep<'a> {
             .threads
             .unwrap_or_else(|| worker_count(range.len()))
             .clamp(1, range.len().max(1));
-        let embodied = self
-            .embodied
-            .take()
-            .unwrap_or_else(|| Arc::new(hpcarbon_api::CatalogEmbodied));
-        let ctx = SweepContext::build_full(
-            self.grid,
-            self.config,
-            Some(workers),
-            embodied,
-            std::mem::take(&mut self.trace_files),
+        let (grid, config) = (self.grid, self.config);
+        let estimator = std::mem::replace(&mut self.estimator, Estimator::builder())
+            .threads(workers)
+            .build();
+        let ctx = estimator.context_for(
+            range
+                .clone()
+                .map(|id| RequestKeys::of(&grid.scenario_at(id).to_request(&config))),
         );
+        let row_at = |id: usize| {
+            let scenario = grid.scenario_at(id);
+            let outcome = ctx.estimate(&scenario.to_request(&config));
+            SweepRow {
+                scenario,
+                outcome: outcome.map(ScenarioOutcome::from),
+            }
+        };
         let mut acc = SummaryAccumulator::new(self.top);
 
         for sink in self.sinks.iter_mut() {
@@ -311,23 +315,11 @@ impl<'a> Sweep<'a> {
         }
         if workers == 1 {
             for id in range.clone() {
-                let sc = self.grid.scenario_at(id);
-                let row = SweepRow {
-                    scenario: sc,
-                    outcome: ctx.run(&sc),
-                };
-                deliver(&mut self.sinks, &mut acc, &row).map_err(SweepError::Sink)?;
+                deliver(&mut self.sinks, &mut acc, &row_at(id)).map_err(SweepError::Sink)?;
             }
         } else {
-            stream(
-                self.grid,
-                &ctx,
-                range.clone(),
-                workers,
-                &mut self.sinks,
-                &mut acc,
-            )
-            .map_err(SweepError::Sink)?;
+            stream(&row_at, range.clone(), workers, &mut self.sinks, &mut acc)
+                .map_err(SweepError::Sink)?;
         }
         for sink in self.sinks.iter_mut() {
             sink.finish().map_err(SweepError::Sink)?;
@@ -433,8 +425,9 @@ impl ReorderBuffer {
     }
 }
 
-/// The multi-threaded streaming engine. See the module docs for the
-/// design; the invariants that keep it live and bounded:
+/// The multi-threaded streaming engine: evaluates `row_at(id)` for every
+/// id of `range`. See the module docs for the design; the invariants
+/// that keep it live and bounded:
 ///
 /// - the reorder gate admits any id within `window` of the oldest
 ///   unforwarded row, so the worker holding the row the merge is
@@ -446,8 +439,7 @@ impl ReorderBuffer {
 ///   the receiver is dropped, releasing workers from both the gate and
 ///   the channel.
 fn stream(
-    grid: &ScenarioGrid,
-    ctx: &SweepContext,
+    row_at: &(impl Fn(usize) -> SweepRow + Sync),
     range: Range<usize>,
     workers: usize,
     sinks: &mut [&mut dyn RowSink],
@@ -471,7 +463,6 @@ fn stream(
             let gate = &gate;
             let abort = &abort;
             let range = range.clone();
-            let ctx = &ctx;
             scope.spawn(move || loop {
                 let id = cursor.fetch_add(1, Ordering::Relaxed);
                 if id >= range.end {
@@ -489,12 +480,7 @@ fn stream(
                         break;
                     }
                 }
-                let sc = grid.scenario_at(id);
-                let row = SweepRow {
-                    scenario: sc,
-                    outcome: ctx.run(&sc),
-                };
-                if tx.send(Pending(id, row)).is_err() {
+                if tx.send(Pending(id, row_at(id))).is_err() {
                     break; // receiver gone: the run was aborted
                 }
             });
@@ -545,6 +531,7 @@ fn stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::run_scenario;
     use crate::sink::{CollectSink, CsvSink, JsonSink};
 
     fn run_bytes(threads: usize, shard: Option<(usize, usize)>) -> (Vec<u8>, Vec<u8>, SweepReport) {
@@ -715,6 +702,35 @@ mod tests {
             }
         }
         assert!(engaged > 0, "the noisy forecast never cost anything");
+    }
+
+    #[test]
+    fn contexted_run_matches_run_scenario_exactly() {
+        // Rows evaluated through the run's context equal the uncontexted
+        // reference path, infeasible rows included.
+        let grid = ScenarioGrid::shifting();
+        let cfg = SweepConfig::fast();
+        let mut collect = CollectSink::new();
+        Sweep::over(&grid)
+            .config(cfg)
+            .threads(2)
+            .sink(&mut collect)
+            .run()
+            .unwrap();
+        assert_eq!(collect.rows().len(), grid.len());
+        for row in collect.rows() {
+            let sc = row.scenario;
+            match (&row.outcome, run_scenario(&sc, &cfg)) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.sched_carbon_kg, b.sched_carbon_kg, "id {}", sc.id);
+                    assert_eq!(a.median_g_per_kwh, b.median_g_per_kwh);
+                    assert_eq!(a.shift_saved_kg, b.shift_saved_kg);
+                    assert_eq!(a.break_even_years, b.break_even_years);
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("divergent feasibility: {a:?} vs {b:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   position without expanding the product ([`grid`]);
 //! - [`run_scenario`] evaluates one grid point end to end as a *pure
 //!   function* that fails soft with a [`ScenarioError`] ([`scenario`]),
-//!   delegating to [`hpcarbon_api::Estimator`]; [`SweepContext`] hoists
-//!   the shared derivations (intensity traces, catalogs, job traces) out
-//!   of that path, built once per sweep ([`context`]);
-//! - [`Sweep`] is the executor: workers fan scenario ids out, an
-//!   order-restoring merge forwards rows **in grid order** to pluggable
-//!   [`RowSink`]s, and a bounded reorder window keeps memory at
-//!   O(threads), independent of grid size ([`exec`], [`sink`]);
+//!   delegating to [`hpcarbon_api::Estimator`];
+//! - [`Sweep`] is the executor: it derives the shared inputs its rows
+//!   need (intensity traces, catalogs, job traces) once per run through
+//!   [`hpcarbon_api::Estimator::context_for`], workers fan scenario ids
+//!   out, an order-restoring merge forwards rows **in grid order** to
+//!   pluggable [`RowSink`]s, and a bounded reorder window keeps memory
+//!   at O(threads), independent of grid size ([`exec`], [`sink`]);
 //! - [`CsvSink`] / [`JsonSink`] stream the frozen CSV/JSON documents,
 //!   [`SummaryAccumulator`] folds summary statistics and a top-k ranking
 //!   online ([`summary`]), and the returned [`SweepReport`] carries the
@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod context;
 pub mod exec;
 pub mod grid;
 pub mod scenario;
@@ -70,7 +69,6 @@ pub mod sink;
 pub mod summary;
 pub mod table;
 
-pub use context::SweepContext;
 pub use exec::{Sweep, SweepConfig, SweepError, SweepReport};
 pub use grid::ScenarioGrid;
 pub use hpcarbon_sim::rng::fnv1a64;

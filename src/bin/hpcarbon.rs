@@ -743,7 +743,12 @@ fn cmd_sweep(args: &[String]) -> i32 {
         // N consecutive seeds starting at --seed (default 0): the knob
         // that scales any grid to 10^5+ rows for sharded runs.
         let base = seed.unwrap_or(0);
-        grid = grid.seeds((base..base + n).collect::<Vec<u64>>());
+        let seeds: Option<Vec<u64>> = (0..n).map(|i| base.checked_add(i)).collect();
+        let Some(seeds) = seeds else {
+            eprintln!("invalid --seeds \"{n}\" (--seed {base} plus {n} seeds passes u64::MAX)");
+            return 2;
+        };
+        grid = grid.seeds(seeds);
     } else if let Some(s) = seed {
         grid = grid.seeds([s]);
     }

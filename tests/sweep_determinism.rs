@@ -2,7 +2,7 @@
 //! byte-identical output for any thread count AND any shard split, soft
 //! failure of infeasible grid points, shard manifest round-trips through
 //! `--merge`, the default grid's ≥500-scenario coverage, and a CLI that
-//! refuses a `--threads` value it cannot honour.
+//! refuses a `--threads` or `--seeds` value it cannot honour.
 
 use sustainable_hpc::prelude::*;
 use sustainable_hpc::sweep::scenario::StorageVariant;
@@ -230,4 +230,25 @@ fn cli_rejects_a_malformed_threads_value() {
         assert!(stderr.contains(&want), "stderr was: {stderr}");
         assert!(!dir.join("sweep.csv").exists(), "--threads {bad}");
     }
+}
+
+#[test]
+fn cli_rejects_a_seed_range_past_u64_max() {
+    // `--seeds N` sweeps the N seeds from `--seed` up. A range that runs
+    // past the largest seed must exit 2 before the sweep writes a byte,
+    // not wrap around or sweep an empty grid.
+    let dir = std::env::temp_dir().join(format!("hpcarbon-seeds-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+        .args(["sweep", "--quick", "--seed", &u64::MAX.to_string()])
+        .args(["--seeds", "2", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("hpcarbon runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("invalid --seeds \"2\""),
+        "stderr was: {stderr}"
+    );
+    assert!(!dir.join("sweep.csv").exists());
 }
