@@ -21,7 +21,11 @@
 #     sweep/context/scenario_contexted by ≥ BENCH_GATE_MIN_SWEEP_SPEEDUP
 #     — the per-run context contract (trace simulation, job traces
 #     and catalogs derived once per sweep run by
-#     Estimator::context_for, not once per row), a pure ratio as well.
+#     Estimator::context_for, not once per row), a pure ratio as well;
+#   * grid/simulate_year must beat grid/simulate_year_per_hour by
+#     ≥ BENCH_GATE_MIN_GRID_SPEEDUP — the per-local-day grid-year
+#     contract (calendar inputs derived once per local date, not once
+#     per hour, with bit-identical traces), a pure ratio too.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -31,7 +35,8 @@
 # Knobs (env): BENCH_GATE_MAX_RATIO (default 1.30 = ±30%),
 # BENCH_GATE_MIN_ARGMIN_SPEEDUP (default 10),
 # BENCH_GATE_MIN_CACHE_SPEEDUP (default 5),
-# BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2), BENCH_GATE_OUT_DIR
+# BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2),
+# BENCH_GATE_MIN_GRID_SPEEDUP (default 1.3), BENCH_GATE_OUT_DIR
 # (default ci/out), BENCH_GATE_BASELINE (default ci/bench_baseline.json).
 #
 # Wall-clock baselines move with the host; refresh with --update when the
@@ -44,6 +49,7 @@ MAX_RATIO="${BENCH_GATE_MAX_RATIO:-1.30}"
 MIN_SPEEDUP="${BENCH_GATE_MIN_ARGMIN_SPEEDUP:-10}"
 MIN_CACHE_SPEEDUP="${BENCH_GATE_MIN_CACHE_SPEEDUP:-5}"
 MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
+MIN_GRID_SPEEDUP="${BENCH_GATE_MIN_GRID_SPEEDUP:-1.3}"
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -153,6 +159,22 @@ else
         fail=1
     else
         echo "OK: contexted scenarios beat uncontexted by ${sweep_speedup}x (>= ${MIN_SWEEP_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1d: the per-local-day grid-year speedup contract -----------------
+per_hour=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "grid/simulate_year_per_hour" { print $2 }')
+per_day=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "grid/simulate_year" { print $2 }')
+if [[ -z "$per_hour" || -z "$per_day" ]]; then
+    echo "FAIL: grid simulate_year benchmarks missing from BENCH_trace.json"
+    fail=1
+else
+    grid_speedup=$(awk -v h="$per_hour" -v d="$per_day" 'BEGIN { printf "%.2f", h / d }')
+    if awk -v s="$grid_speedup" -v m="$MIN_GRID_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: per-local-day simulate_year speedup ${grid_speedup}x < required ${MIN_GRID_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: per-local-day simulate_year beats the per-hour reference by ${grid_speedup}x (>= ${MIN_GRID_SPEEDUP}x)"
     fi
 fi
 

@@ -1,15 +1,20 @@
-//! Benches for the trace-file ingestion path and the forecast layer:
-//! the strict CSV parser over a full 8760-hour year, and the day-ahead
-//! harmonic forecast built and scored against its actual trace.
+//! Benches for the trace layer: the strict CSV parser over a full
+//! 8760-hour year, the day-ahead harmonic forecast built and scored
+//! against its actual trace, and the two grid-year generators next to
+//! their per-hour references.
 //!
-//! `ci/bench_gate.sh` tracks both medians against the committed
+//! `ci/bench_gate.sh` tracks every median against the committed
 //! baseline — parsing a year of real data sits on the CLI's hot path
-//! (`hpcarbon trace …`, `--trace-file` sweeps), and the forecast build
-//! runs once per cluster per scenario under `--forecast`.
+//! (`hpcarbon trace …`, `--trace-file` sweeps), the forecast build runs
+//! once per cluster per scenario under `--forecast`, and a grid year is
+//! built for every region-year a request or sweep has not seen. Its gate
+//! 1d also requires `grid/simulate_year` to beat
+//! `grid/simulate_year_per_hour` by a same-run ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_grid::forecast::day_ahead_harmonic_forecast;
-use hpcarbon_grid::synth::synthesize_year;
+use hpcarbon_grid::sim::{simulate_year, simulate_year_per_hour};
+use hpcarbon_grid::synth::{synthesize_year, SyntheticSpec};
 use hpcarbon_grid::tracefile::{parse_trace_csv, write_trace_csv, GapPolicy};
 use hpcarbon_grid::OperatorId;
 use std::hint::black_box;
@@ -46,5 +51,27 @@ fn forecast(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, trace, forecast);
+/// One ESO 2021 year per iteration (seed 7), each generator beside the
+/// per-hour reference it is checked against bit for bit.
+fn grid(c: &mut Criterion) {
+    let mut g = c.benchmark_group("grid");
+    g.bench_function("simulate_year", |b| {
+        b.iter(|| black_box(simulate_year(black_box(OperatorId::Eso), 2021, 7)))
+    });
+    g.bench_function("simulate_year_per_hour", |b| {
+        b.iter(|| black_box(simulate_year_per_hour(black_box(OperatorId::Eso), 2021, 7)))
+    });
+    g.bench_function("synthesize_year", |b| {
+        b.iter(|| black_box(synthesize_year(black_box(OperatorId::Eso), 2021, 7)))
+    });
+    g.bench_function("synthesize_year_per_hour", |b| {
+        b.iter(|| {
+            let spec = SyntheticSpec::for_region(black_box(OperatorId::Eso));
+            black_box(spec.generate_per_hour(2021, 7))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, trace, forecast, grid);
 criterion_main!(benches);

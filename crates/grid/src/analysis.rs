@@ -298,12 +298,8 @@ pub fn seasonal_summary(trace: &IntensityTrace) -> Vec<SeasonalSummary> {
     let mut buckets: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     for (stamp, v) in trace.series().iter() {
         let season = tz.from_utc(stamp).date().season();
-        let idx = Season::ALL
-            .iter()
-            .position(|s| *s == season)
-            // lint: allow(panic-in-library) -- Season::ALL is exhaustive over the Season enum by definition, so the position always exists
-            .expect("season in ALL");
-        buckets[idx].push(v);
+        // Season::ALL lists the seasons in declaration order.
+        buckets[season as usize].push(v);
     }
     Season::ALL
         .iter()

@@ -150,12 +150,10 @@ impl GenerationMix {
         out
     }
 
+    /// A fuel's slot: [`Fuel::ALL`] lists the fuels in declaration order,
+    /// so the discriminant is the position.
     fn index(fuel: Fuel) -> usize {
-        Fuel::ALL
-            .iter()
-            .position(|f| *f == fuel)
-            // lint: allow(panic-in-library) -- Fuel::ALL is exhaustive over the Fuel enum by definition, so the position always exists
-            .expect("fuel in ALL")
+        fuel as usize
     }
 }
 
@@ -173,6 +171,13 @@ mod tests {
         let ratio = Fuel::Coal.emission_factor().as_g_per_kwh()
             / Fuel::Hydro.emission_factor().as_g_per_kwh();
         assert!(ratio > 20.0, "coal/hydro = {ratio}");
+    }
+
+    #[test]
+    fn discriminants_index_all() {
+        for (i, fuel) in Fuel::ALL.iter().enumerate() {
+            assert_eq!(*fuel as usize, i);
+        }
     }
 
     #[test]

@@ -18,13 +18,23 @@
 //!
 //! Over-supply hours curtail wind/solar (keeping must-run), like real
 //! system operators do.
+//!
+//! The calendar inputs of step 1 depend on the local date or only on the
+//! local hour. [`simulate_year`] therefore walks the year one *local* day
+//! at a time ([`HourlySeries::from_local_days`]): the weekend flag and the
+//! seasonal phase are derived once per local date, and the night-wind
+//! phase comes from a 24-entry table. Each input is the same expression
+//! on the same arguments as when it is derived from every hour's UTC
+//! stamp ([`RegionSim::step`], `simulate_year_per_hour`), so the trace
+//! is bit-identical. The OU draws, the shaping and the dispatch still run
+//! every hour.
 
 use crate::fuel::{Fuel, GenerationMix};
 use crate::regions::{OperatorId, RegionParams};
 use crate::trace::IntensityTrace;
 use hpcarbon_sim::process::OrnsteinUhlenbeck;
 use hpcarbon_sim::rng::SimRng;
-use hpcarbon_timeseries::datetime::HourStamp;
+use hpcarbon_timeseries::datetime::{days_in_year, CivilDate, HourStamp};
 use hpcarbon_timeseries::series::HourlySeries;
 
 /// Normalized diurnal demand deviation by local hour: overnight trough,
@@ -34,34 +44,54 @@ const DIURNAL_SHAPE: [f64; 24] = [
     0.70, 0.70, 0.75, 0.90, 1.00, 1.00, 0.80, 0.50, 0.00, -0.50,
 ];
 
+/// Deterministic inputs derived once per local date.
+#[derive(Debug, Clone, Copy)]
+struct DayContext {
+    /// True on Saturday/Sunday (local).
+    weekend: bool,
+    /// Phase aligned so that 1.0 = mid-summer (Jun 21-ish), -1.0 =
+    /// mid-winter: the local day of year over the local year's length.
+    summer_phase: f64,
+}
+
+impl DayContext {
+    fn on(local: CivilDate) -> DayContext {
+        let doy = f64::from(local.day_of_year());
+        let days_in_year = f64::from(days_in_year(local.year()));
+        DayContext {
+            weekend: local.weekday().is_weekend(),
+            summer_phase: (std::f64::consts::TAU * (doy - 172.0) / days_in_year).cos(),
+        }
+    }
+}
+
+/// Phase of the night-wind boost at a local hour: 1.0 around 02:00,
+/// -1.0 around 14:00.
+fn night_phase(local_hour: usize) -> f64 {
+    (std::f64::consts::TAU * (local_hour as f64 - 2.0) / 24.0).cos()
+}
+
 /// Deterministic per-hour inputs derived from the calendar.
 struct HourContext {
     /// Local hour of day.
     local_hour: usize,
-    /// Local day of year (1-based).
-    doy: f64,
-    /// Days in the local year.
-    days_in_year: f64,
-    /// True on Saturday/Sunday (local).
-    weekend: bool,
+    /// [`night_phase`] of the local hour.
+    night_phase: f64,
+    /// The local date's inputs.
+    day: DayContext,
 }
 
 impl HourContext {
+    /// Every input derived from one UTC stamp: the per-hour reference
+    /// for the per-day walk in [`simulate_year`].
     fn at(params: &RegionParams, utc: HourStamp) -> HourContext {
         let local = params.tz.from_utc(utc);
+        let local_hour = local.hour() as usize;
         HourContext {
-            local_hour: local.hour() as usize,
-            doy: f64::from(local.date().day_of_year()),
-            days_in_year: f64::from(hpcarbon_timeseries::datetime::days_in_year(
-                local.date().year(),
-            )),
-            weekend: local.date().weekday().is_weekend(),
+            local_hour,
+            night_phase: night_phase(local_hour),
+            day: DayContext::on(local.date()),
         }
-    }
-
-    /// Phase aligned so that 1.0 = mid-summer (Jun 21-ish), -1.0 = mid-winter.
-    fn summer_phase(&self) -> f64 {
-        (std::f64::consts::TAU * (self.doy - 172.0) / self.days_in_year).cos()
     }
 }
 
@@ -69,12 +99,12 @@ impl HourContext {
 fn demand(params: &RegionParams, ctx: &HourContext, noise: f64) -> f64 {
     let diurnal = 1.0 + params.diurnal_amp * DIURNAL_SHAPE[ctx.local_hour];
     let phase = if params.summer_peaking {
-        ctx.summer_phase()
+        ctx.day.summer_phase
     } else {
-        -ctx.summer_phase()
+        -ctx.day.summer_phase
     };
     let seasonal = 1.0 + params.seasonal_amp * phase;
-    let weekend = if ctx.weekend {
+    let weekend = if ctx.day.weekend {
         params.weekend_factor
     } else {
         1.0
@@ -87,11 +117,9 @@ fn wind_generation(params: &RegionParams, ctx: &HourContext, cf_dev: f64) -> f64
     if params.wind_cap <= 0.0 {
         return 0.0;
     }
-    let winter = 1.0 - params.wind_winter_boost * ctx.summer_phase();
+    let winter = 1.0 - params.wind_winter_boost * ctx.day.summer_phase;
     // Night boost peaks around 02:00 local, dips around 14:00.
-    let night = 1.0
-        + params.wind_night_boost
-            * (std::f64::consts::TAU * (ctx.local_hour as f64 - 2.0) / 24.0).cos();
+    let night = 1.0 + params.wind_night_boost * ctx.night_phase;
     let cf = (params.wind_cf_mean * winter * night + cf_dev).clamp(0.02, 0.95);
     params.wind_cap * cf
 }
@@ -101,7 +129,7 @@ fn solar_generation(params: &RegionParams, ctx: &HourContext, cloud_dev: f64) ->
     if params.solar_cap <= 0.0 {
         return 0.0;
     }
-    let daylen = 12.0 + params.daylen_amp * ctx.summer_phase();
+    let daylen = 12.0 + params.daylen_amp * ctx.day.summer_phase;
     let rise = 12.0 - daylen / 2.0;
     let set = 12.0 + daylen / 2.0;
     let h = ctx.local_hour as f64 + 0.5; // mid-hour sun position
@@ -110,7 +138,7 @@ fn solar_generation(params: &RegionParams, ctx: &HourContext, cloud_dev: f64) ->
     }
     let elevation = (std::f64::consts::PI * (h - rise) / daylen).sin();
     // Seasonal irradiance: stronger sun in summer even at equal day length.
-    let irradiance = 0.75 + 0.25 * ctx.summer_phase();
+    let irradiance = 0.75 + 0.25 * ctx.day.summer_phase;
     let clear_sky = elevation.powf(1.2) * irradiance;
     let cloud = (1.0 - (params.cloud_mean + cloud_dev)).clamp(0.10, 1.0);
     params.solar_cap * clear_sky * cloud
@@ -161,8 +189,10 @@ fn dispatch(
 }
 
 /// A stateful per-region simulator: a deterministic stream of hourly
-/// generation mixes. [`simulate_year`] and [`annual_fuel_shares`] are both
-/// thin loops over [`RegionSim::step`].
+/// generation mixes. [`RegionSim::step`] derives the hour's calendar
+/// inputs from its UTC stamp; [`annual_fuel_shares`] and
+/// `simulate_year_per_hour` loop over it. [`simulate_year`] feeds the
+/// same per-hour model from a walk over local days instead.
 pub struct RegionSim {
     params: RegionParams,
     demand_rng: SimRng,
@@ -234,14 +264,14 @@ impl RegionSim {
 
     /// Advances one hour and returns the dispatched generation mix.
     pub fn step(&mut self, stamp: HourStamp) -> GenerationMix {
-        let ctx = HourContext::at(&self.params, stamp);
-        let d = demand(
-            &self.params,
-            &ctx,
-            self.demand_ou.step(&mut self.demand_rng),
-        );
-        let w = wind_generation(&self.params, &ctx, self.wind_ou.step(&mut self.wind_rng));
-        let s = solar_generation(&self.params, &ctx, self.cloud_ou.step(&mut self.cloud_rng));
+        self.step_in(&HourContext::at(&self.params, stamp))
+    }
+
+    /// Advances one hour whose calendar inputs are already derived.
+    fn step_in(&mut self, ctx: &HourContext) -> GenerationMix {
+        let d = demand(&self.params, ctx, self.demand_ou.step(&mut self.demand_rng));
+        let w = wind_generation(&self.params, ctx, self.wind_ou.step(&mut self.wind_rng));
+        let s = solar_generation(&self.params, ctx, self.cloud_ou.step(&mut self.cloud_rng));
         let avail = (1.0 + self.outage_ou.step(&mut self.outage_rng)).clamp(0.75, 1.0);
         dispatch(&self.params, d, w, s, avail)
     }
@@ -250,6 +280,28 @@ impl RegionSim {
 /// Simulates one region for one civil year, returning the hourly intensity
 /// trace. Deterministic in `(operator, year, seed)`.
 pub fn simulate_year(operator: OperatorId, year: i32, seed: u64) -> IntensityTrace {
+    let mut sim = RegionSim::new(operator, seed);
+    let import_intensity = sim.params().import_intensity;
+    let tz = sim.params().tz;
+    let night: [f64; 24] = std::array::from_fn(night_phase);
+    let series = HourlySeries::from_local_days(year, tz, DayContext::on, |day, hour| {
+        let local_hour = usize::from(hour);
+        let ctx = HourContext {
+            local_hour,
+            night_phase: night[local_hour],
+            day: *day,
+        };
+        sim.step_in(&ctx).intensity(import_intensity).as_g_per_kwh()
+    });
+    IntensityTrace::new(operator, series)
+}
+
+/// [`simulate_year`] with every calendar input re-derived from each hour's
+/// UTC stamp through [`RegionSim::step`]. Bit-identical and slower: the
+/// reference that the proptests compare against and the bench gate's
+/// baseline.
+#[doc(hidden)]
+pub fn simulate_year_per_hour(operator: OperatorId, year: i32, seed: u64) -> IntensityTrace {
     let mut sim = RegionSim::new(operator, seed);
     let import_intensity = sim.params().import_intensity;
     let series = HourlySeries::from_fn(year, |stamp| {
@@ -489,11 +541,10 @@ mod mix_tests {
 
     #[test]
     fn region_sim_matches_simulate_year() {
-        // The refactored RegionSim drives simulate_year: stepping it
-        // manually reproduces the trace exactly.
+        // Stepping a RegionSim by UTC stamp reproduces the per-day walk's
+        // trace exactly.
         let trace = simulate_year(OperatorId::Ercot, 2021, 3);
-        let mut sim = RegionSim::new(OperatorId::Ercot, 3);
-        let import = sim.params().import_intensity;
+        let import = OperatorId::Ercot.params().import_intensity;
         for idx in [0u32, 1, 100, 5000] {
             // Re-create a fresh sim each time and fast-forward, because
             // the stream is stateful.
@@ -507,6 +558,5 @@ mod mix_tests {
             }
             assert_eq!(value, trace.series().at(idx), "hour {idx}");
         }
-        let _ = &mut sim;
     }
 }

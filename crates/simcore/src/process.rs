@@ -66,6 +66,7 @@ impl OrnsteinUhlenbeck {
     }
 
     /// Advances one step and returns the new value.
+    #[inline]
     pub fn step(&mut self, rng: &mut SimRng) -> f64 {
         self.state =
             self.mu + (self.state - self.mu) * self.decay + self.sigma_eff * standard_normal(rng);

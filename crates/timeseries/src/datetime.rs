@@ -284,8 +284,11 @@ impl HourStamp {
             index < hours_in_year(year),
             "hour index {index} out of range for year {year}"
         );
-        // lint: allow(panic-in-library) -- January 1 is a valid civil date in every year, so the constructor cannot fail
-        let jan1 = CivilDate::new(year, 1, 1).expect("Jan 1 is always valid");
+        let jan1 = CivilDate {
+            year,
+            month: 1,
+            day: 1,
+        };
         HourStamp {
             date: jan1.plus_days(i64::from(index / 24)),
             hour: (index % 24) as u8,
@@ -573,6 +576,13 @@ mod tests {
             CivilDate::new(2021, 12, 15).unwrap().season(),
             Season::Winter
         );
+    }
+
+    #[test]
+    fn season_discriminants_index_all() {
+        for (i, season) in Season::ALL.iter().enumerate() {
+            assert_eq!(*season as usize, i);
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   the same hour of the day … converted to JST (UTC+9)", which requires
 //!   exactly this machinery.
 //! - [`series`]: [`series::HourlySeries`] — one value per hour of a civil
-//!   year (8760 points for 2021), the shape of every grid-intensity trace.
+//!   year (8760 points for 2021), the shape of every grid-intensity trace,
+//!   and its local-day walker
+//!   [`from_local_days`](series::HourlySeries::from_local_days), which both
+//!   grid-year generators build on.
 //! - [`stats`]: summary statistics used by the paper's analyses: quantiles,
 //!   five-number (box-plot) summaries for Fig. 6(a), coefficient of
 //!   variation for Fig. 6(b), and group-by-hour aggregation for Fig. 7.

@@ -46,6 +46,38 @@ impl HourlySeries {
         HourlySeries { year, values }
     }
 
+    /// Builds a series by walking the year's UTC hours in order as local
+    /// days of zone `tz`: `per_day` runs once per local civil date, then
+    /// `per_hour` runs for each of that date's hours in the year with its
+    /// value and the local hour (0..=23).
+    ///
+    /// Equivalent to [`HourlySeries::from_fn`] with every hour converted
+    /// through `tz.from_utc`, but the offset is applied once and each
+    /// date's derived inputs are computed once. The dates are *local*:
+    /// under PST (UTC−8) the first 8 UTC hours of a year fall on the
+    /// previous year's December 31, and under JST (UTC+9) the last 9 fall
+    /// on the next year's January 1, so both partial days at the ends of
+    /// the year reach `per_day` too.
+    pub fn from_local_days<D>(
+        year: i32,
+        tz: TimeZone,
+        mut per_day: impl FnMut(CivilDate) -> D,
+        mut per_hour: impl FnMut(&D, u8) -> f64,
+    ) -> HourlySeries {
+        let n = hours_in_year(year) as usize;
+        let mut values = Vec::with_capacity(n);
+        let first = tz.from_utc(HourStamp::from_hour_of_year(year, 0));
+        let (mut date, mut hour) = (first.date(), first.hour());
+        while values.len() < n {
+            let day = per_day(date);
+            let hours = usize::from(24 - hour).min(n - values.len());
+            values.extend((hour..24).take(hours).map(|h| per_hour(&day, h)));
+            date = date.plus_days(1);
+            hour = 0;
+        }
+        HourlySeries { year, values }
+    }
+
     /// The civil year this series covers.
     pub fn year(&self) -> i32 {
         self.year
@@ -257,6 +289,60 @@ mod tests {
         assert_eq!(s.at(8759), 8759.0);
         let stamp = HourStamp::from_hour_of_year(2021, 1234);
         assert_eq!(s.at_stamp(stamp), 1234.0);
+    }
+
+    #[test]
+    fn from_local_days_visits_each_local_date_once_in_order() {
+        let ymd = |y, m, d| CivilDate::new(y, m, d).unwrap();
+        let (west, east) = (TimeZone::fixed(-12, "W12"), TimeZone::fixed(14, "E14"));
+        for (year, tz, first, last) in [
+            (2021, TimeZone::PST, ymd(2020, 12, 31), ymd(2021, 12, 31)),
+            (2021, TimeZone::JST, ymd(2021, 1, 1), ymd(2022, 1, 1)),
+            (2020, TimeZone::UTC, ymd(2020, 1, 1), ymd(2020, 12, 31)),
+            (2020, west, ymd(2019, 12, 31), ymd(2020, 12, 31)),
+            (2021, east, ymd(2021, 1, 1), ymd(2022, 1, 1)),
+        ] {
+            let mut dates = Vec::new();
+            let mut hours = Vec::new();
+            let s = HourlySeries::from_local_days(
+                year,
+                tz,
+                |date| {
+                    dates.push(date);
+                    date
+                },
+                |date, hour| {
+                    hours.push((*date, hour));
+                    f64::from(hour)
+                },
+            );
+            let n = hours_in_year(year) as usize;
+            assert_eq!((s.len(), hours.len()), (n, n), "{tz}");
+            assert_eq!((dates[0], dates[dates.len() - 1]), (first, last), "{tz}");
+            assert!(
+                dates.windows(2).all(|w| w[1] == w[0].plus_days(1)),
+                "{tz}: per_day dates are not consecutive"
+            );
+            // Every hour lands on the local date and hour the per-hour
+            // conversion gives it.
+            for (i, &(date, hour)) in hours.iter().enumerate() {
+                let local = tz.from_utc(HourStamp::from_hour_of_year(year, i as u32));
+                assert_eq!((date, hour), (local.date(), local.hour()), "{tz} hour {i}");
+                assert_eq!(s.at(i as u32), f64::from(hour));
+            }
+            // One run of hours per per_day date: full days inside, two
+            // partial days at the ends when the zone is offset.
+            let mut runs: Vec<(CivilDate, usize)> = Vec::new();
+            for &(date, _) in &hours {
+                match runs.last_mut() {
+                    Some((d, count)) if *d == date => *count += 1,
+                    _ => runs.push((date, 1)),
+                }
+            }
+            assert_eq!(runs.iter().map(|r| r.0).collect::<Vec<_>>(), dates, "{tz}");
+            assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), n, "{tz}");
+            assert!(runs[1..runs.len() - 1].iter().all(|r| r.1 == 24), "{tz}");
+        }
     }
 
     #[test]
