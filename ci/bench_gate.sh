@@ -23,9 +23,10 @@
 #     and catalogs derived once per sweep run by
 #     Estimator::context_for, not once per row), a pure ratio as well;
 #   * grid/simulate_year must beat grid/simulate_year_per_hour by
-#     ≥ BENCH_GATE_MIN_GRID_SPEEDUP — the per-local-day grid-year
-#     contract (calendar inputs derived once per local date, not once
-#     per hour, with bit-identical traces), a pure ratio too.
+#     ≥ MIN_GRID_SPEEDUP (1.3, fixed in this script) — the
+#     per-local-day grid-year contract (calendar inputs derived once per
+#     local date, not once per hour, with bit-identical traces), a pure
+#     ratio too.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -35,8 +36,7 @@
 # Knobs (env): BENCH_GATE_MAX_RATIO (default 1.30 = ±30%),
 # BENCH_GATE_MIN_ARGMIN_SPEEDUP (default 10),
 # BENCH_GATE_MIN_CACHE_SPEEDUP (default 5),
-# BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2),
-# BENCH_GATE_MIN_GRID_SPEEDUP (default 1.3), BENCH_GATE_OUT_DIR
+# BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2), BENCH_GATE_OUT_DIR
 # (default ci/out), BENCH_GATE_BASELINE (default ci/bench_baseline.json).
 #
 # Wall-clock baselines move with the host; refresh with --update when the
@@ -49,7 +49,7 @@ MAX_RATIO="${BENCH_GATE_MAX_RATIO:-1.30}"
 MIN_SPEEDUP="${BENCH_GATE_MIN_ARGMIN_SPEEDUP:-10}"
 MIN_CACHE_SPEEDUP="${BENCH_GATE_MIN_CACHE_SPEEDUP:-5}"
 MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
-MIN_GRID_SPEEDUP="${BENCH_GATE_MIN_GRID_SPEEDUP:-1.3}"
+MIN_GRID_SPEEDUP=1.3
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)

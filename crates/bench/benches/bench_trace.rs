@@ -1,7 +1,7 @@
 //! Benches for the trace layer: the strict CSV parser over a full
 //! 8760-hour year, the day-ahead harmonic forecast built and scored
-//! against its actual trace, and the two grid-year generators next to
-//! their per-hour references.
+//! against its actual trace, and the dispatch simulator's grid year next
+//! to its per-hour reference.
 //!
 //! `ci/bench_gate.sh` tracks every median against the committed
 //! baseline — parsing a year of real data sits on the CLI's hot path
@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_grid::forecast::day_ahead_harmonic_forecast;
 use hpcarbon_grid::sim::{simulate_year, simulate_year_per_hour};
-use hpcarbon_grid::synth::{synthesize_year, SyntheticSpec};
+use hpcarbon_grid::synth::synthesize_year;
 use hpcarbon_grid::tracefile::{parse_trace_csv, write_trace_csv, GapPolicy};
 use hpcarbon_grid::OperatorId;
 use std::hint::black_box;
@@ -51,8 +51,8 @@ fn forecast(c: &mut Criterion) {
     g.finish();
 }
 
-/// One ESO 2021 year per iteration (seed 7), each generator beside the
-/// per-hour reference it is checked against bit for bit.
+/// One ESO 2021 year per iteration (seed 7), beside the per-hour
+/// reference it is checked against bit for bit.
 fn grid(c: &mut Criterion) {
     let mut g = c.benchmark_group("grid");
     g.bench_function("simulate_year", |b| {
@@ -60,15 +60,6 @@ fn grid(c: &mut Criterion) {
     });
     g.bench_function("simulate_year_per_hour", |b| {
         b.iter(|| black_box(simulate_year_per_hour(black_box(OperatorId::Eso), 2021, 7)))
-    });
-    g.bench_function("synthesize_year", |b| {
-        b.iter(|| black_box(synthesize_year(black_box(OperatorId::Eso), 2021, 7)))
-    });
-    g.bench_function("synthesize_year_per_hour", |b| {
-        b.iter(|| {
-            let spec = SyntheticSpec::for_region(black_box(OperatorId::Eso));
-            black_box(spec.generate_per_hour(2021, 7))
-        })
     });
     g.finish();
 }

@@ -32,9 +32,8 @@
 //!   [`hpcarbon_timeseries::window::WindowIndex`] for `O(1)` window
 //!   averages and indexed greenest-start queries;
 //! - [`synth`]: deterministic *synthetic* region-years (harmonics +
-//!   fuel-mix-weighted OU noise) at about a fifth of the dispatch
-//!   simulator's cost, so sweeps are not limited to the calibrated
-//!   trace set;
+//!   fuel-mix-weighted OU noise) that need no calibrated merit order, so
+//!   sweeps are not limited to the calibrated trace set;
 //! - [`api::IntensityApi`]: an ESO-Carbon-Intensity-API-style interface
 //!   (actual + forecast with horizon-dependent error, intensity index
 //!   bands) used by the carbon-aware scheduler;

@@ -5,14 +5,11 @@
 //! calibrated regions. This module generates *synthetic* region-years from
 //! closed-form harmonics instead: a diurnal double-harmonic in local time,
 //! a seasonal cosine, a weekend dip, and fuel-mix-weighted
-//! Ornstein–Uhlenbeck noise from forked [`SimRng`] substreams. The
-//! harmonics depend only on the local hour or the local date, so a year
-//! is generated one local day at a time
-//! ([`HourlySeries::from_local_days`]): a 24-entry diurnal table, two
-//! per-day terms, and one OU step per hour. That is cheaper than a
-//! dispatch year, with no merit-order state to calibrate, and any number
-//! of years can be derived per region by varying the seed, so scenario
-//! sweeps are not limited to the shipped trace set.
+//! Ornstein–Uhlenbeck noise from forked [`SimRng`] substreams. One
+//! synthetic year costs a few harmonic evaluations per hour — about as
+//! much as a dispatch year, but with no merit-order state to calibrate —
+//! and any number of them can be derived per region by varying the seed,
+//! so scenario sweeps are not limited to the shipped trace set.
 //!
 //! ## Determinism contract
 //!
@@ -21,17 +18,14 @@
 //! `SimRng::seed_from(seed) → substream("synth") → substream(region)`,
 //! never from thread or call order, so synthetic traces are byte-identical
 //! across worker counts and runs — the same guarantee the sweep engine
-//! gives for simulated traces (DESIGN.md §7). The per-day walk computes
-//! each term with the same expression on the same arguments as the
-//! hidden `generate_per_hour` reference, which derives every term from
-//! each hour's UTC stamp, so the two agree bit for bit.
+//! gives for simulated traces (DESIGN.md §7).
 
 use crate::fuel::{Fuel, GenerationMix};
 use crate::regions::OperatorId;
 use crate::trace::IntensityTrace;
 use hpcarbon_sim::process::OrnsteinUhlenbeck;
 use hpcarbon_sim::rng::SimRng;
-use hpcarbon_timeseries::datetime::{days_in_year, CivilDate};
+use hpcarbon_timeseries::datetime::days_in_year;
 use hpcarbon_timeseries::series::HourlySeries;
 
 /// Parameters of one synthetic region-year.
@@ -121,82 +115,36 @@ impl SyntheticSpec {
     /// Generates the synthetic hourly trace for `year`. Pure in
     /// `(self, year, seed)` — see the module-level determinism contract.
     pub fn generate(&self, year: i32, seed: u64) -> IntensityTrace {
-        let (mut rng, mut ou) = self.noise(seed);
-        let diurnal: [f64; 24] = std::array::from_fn(|h| self.diurnal(h as f64));
-        let days = f64::from(days_in_year(year));
-        let series = HourlySeries::from_local_days(
-            year,
-            self.operator.params().tz,
-            |local| self.day_terms(local, days),
-            |day, hour| self.value(diurnal[usize::from(hour)], day, ou.step(&mut rng)),
-        );
-        IntensityTrace::new(self.operator, series)
-    }
-
-    /// [`SyntheticSpec::generate`] with every term re-derived from each
-    /// hour's UTC stamp. Bit-identical and slower: the reference that the
-    /// proptests compare against and the bench gate's baseline.
-    #[doc(hidden)]
-    pub fn generate_per_hour(&self, year: i32, seed: u64) -> IntensityTrace {
-        let (mut rng, mut ou) = self.noise(seed);
-        let tz = self.operator.params().tz;
-        let days = f64::from(days_in_year(year));
-        let series = HourlySeries::from_fn(year, |stamp| {
-            let local = tz.from_utc(stamp);
-            let diurnal = self.diurnal(f64::from(local.hour()));
-            let day = self.day_terms(local.date(), days);
-            self.value(diurnal, &day, ou.step(&mut rng))
-        });
-        IntensityTrace::new(self.operator, series)
-    }
-
-    /// The noise stream and its OU process, started from stationarity.
-    fn noise(&self, seed: u64) -> (SimRng, OrnsteinUhlenbeck) {
+        let p = self.operator.params();
         let mut rng = SimRng::seed_from(seed)
             .substream("synth")
             .substream(self.operator.info().short);
         let vol = self.noise_sd * (2.0 * self.noise_theta).sqrt();
         let mut ou = OrnsteinUhlenbeck::new(0.0, self.noise_theta, vol, 1.0);
         ou.reset_stationary(&mut rng);
-        (rng, ou)
-    }
+        let days = f64::from(days_in_year(year));
 
-    /// Relative diurnal term at local hour `h`: an evening-peaking first
-    /// harmonic (peak ≈ 19:00 local) plus a midday solar dip centered on
-    /// 13:00.
-    fn diurnal(&self, h: f64) -> f64 {
-        self.diurnal_amp * (std::f64::consts::TAU * (h - 19.0) / 24.0).cos()
-            - self.solar_dip * gaussian_bump(h, 13.0, 3.0)
-    }
-
-    /// The seasonal and weekend terms of one local date. `days` is the
-    /// length of the trace's UTC year, not of the local date's year (under
-    /// CST the first 6 hours of 2021 use day 366 over 365 days); the
-    /// mismatch is kept because the committed reports pin its bytes.
-    fn day_terms(&self, local: CivilDate, days: f64) -> SynthDay {
-        let doy = f64::from(local.day_of_year());
-        SynthDay {
+        let series = HourlySeries::from_fn(year, |stamp| {
+            let local = p.tz.from_utc(stamp);
+            let h = f64::from(local.hour());
+            let doy = f64::from(local.date().day_of_year());
+            // Evening-peaking first harmonic (peak ≈ 19:00 local) plus a
+            // midday solar dip centered on 13:00.
+            let diurnal = self.diurnal_amp * (std::f64::consts::TAU * (h - 19.0) / 24.0).cos()
+                - self.solar_dip * gaussian_bump(h, 13.0, 3.0);
             // Clean season ≈ spring (day 110): VRE-rich shoulder months.
-            seasonal: self.seasonal_amp * (std::f64::consts::TAU * (doy - 110.0) / days).cos(),
-            weekend: if local.weekday().is_weekend() {
+            let seasonal = self.seasonal_amp * (std::f64::consts::TAU * (doy - 110.0) / days).cos();
+            let weekend = if local.date().weekday().is_weekend() {
                 -self.weekend_drop
             } else {
                 0.0
-            },
-        }
+            };
+            let noise = ou.step(&mut rng);
+            let v = self.mean_g_per_kwh * (1.0 + diurnal + seasonal + weekend + noise);
+            v.clamp(self.floor_g_per_kwh, 850.0)
+        });
+        IntensityTrace::new(self.operator, series)
     }
-
-    /// One hour's intensity from its three terms and its noise draw.
-    fn value(&self, diurnal: f64, day: &SynthDay, noise: f64) -> f64 {
-        let v = self.mean_g_per_kwh * (1.0 + diurnal + day.seasonal + day.weekend + noise);
-        v.clamp(self.floor_g_per_kwh, 850.0)
-    }
-}
-
-/// Per-local-date terms of a synthetic year.
-struct SynthDay {
-    seasonal: f64,
-    weekend: f64,
 }
 
 /// A smooth bump of unit height at `center` with width `sigma` hours.

@@ -14,8 +14,8 @@
 //! - [`series`]: [`series::HourlySeries`] — one value per hour of a civil
 //!   year (8760 points for 2021), the shape of every grid-intensity trace,
 //!   and its local-day walker
-//!   [`from_local_days`](series::HourlySeries::from_local_days), which both
-//!   grid-year generators build on.
+//!   [`from_local_days`](series::HourlySeries::from_local_days), which the
+//!   grid's dispatch simulator builds its years on.
 //! - [`stats`]: summary statistics used by the paper's analyses: quantiles,
 //!   five-number (box-plot) summaries for Fig. 6(a), coefficient of
 //!   variation for Fig. 6(b), and group-by-hour aggregation for Fig. 7.
