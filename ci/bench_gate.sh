@@ -26,7 +26,15 @@
 #     ≥ MIN_GRID_SPEEDUP (1.3, fixed in this script) — the
 #     per-local-day grid-year contract (calendar inputs derived once per
 #     local date, not once per hour, with bit-identical traces), a pure
-#     ratio too.
+#     ratio too;
+#   * sched/greenest_window_place_120 must beat
+#     sched/greenest_window_place_120_reference by ≥ MIN_PLACE_SPEEDUP
+#     (1.4, fixed in this script) — the slot-rule contract (a candidate's
+#     trace slot without a floor or a 64-bit modulo, same placements);
+#   * json/metric_fixed4 must beat json/metric_std by
+#     ≥ MIN_METRIC_SPEEDUP (4, fixed in this script) — the exact `{:.4}`
+#     writer the sweep's sinks emit every metric through, byte-equal to
+#     std's formatter.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -39,9 +47,10 @@
 # BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2), BENCH_GATE_OUT_DIR
 # (default ci/out), BENCH_GATE_BASELINE (default ci/bench_baseline.json).
 #
-# Wall-clock baselines move with the host; refresh with --update when the
-# CI runner class changes, and widen BENCH_GATE_MAX_RATIO rather than
-# deleting the gate if a shared runner proves noisy.
+# Wall-clock baselines move with the host. Refresh them with --update
+# only on the CI runner class, in a change of their own that shows
+# before-and-after runs; never widen the bound or drop entries to get a
+# green run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +59,8 @@ MIN_SPEEDUP="${BENCH_GATE_MIN_ARGMIN_SPEEDUP:-10}"
 MIN_CACHE_SPEEDUP="${BENCH_GATE_MIN_CACHE_SPEEDUP:-5}"
 MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
 MIN_GRID_SPEEDUP=1.3
+MIN_PLACE_SPEEDUP=1.4
+MIN_METRIC_SPEEDUP=4
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -175,6 +186,38 @@ else
         fail=1
     else
         echo "OK: per-local-day simulate_year beats the per-hour reference by ${grid_speedup}x (>= ${MIN_GRID_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1e: the slot-rule placement speedup contract ---------------------
+place_ref=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sched/greenest_window_place_120_reference" { print $2 }')
+place=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sched/greenest_window_place_120" { print $2 }')
+if [[ -z "$place_ref" || -z "$place" ]]; then
+    echo "FAIL: greenest-window placement benchmarks missing from BENCH_sweep.json"
+    fail=1
+else
+    place_speedup=$(awk -v r="$place_ref" -v p="$place" 'BEGIN { printf "%.2f", r / p }')
+    if awk -v s="$place_speedup" -v m="$MIN_PLACE_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: slot-rule placement speedup ${place_speedup}x < required ${MIN_PLACE_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: slot-rule placement beats the floor-and-modulo reference by ${place_speedup}x (>= ${MIN_PLACE_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1f: the exact metric-writer speedup contract ---------------------
+metric_std=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "json/metric_std" { print $2 }')
+metric_fixed=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "json/metric_fixed4" { print $2 }')
+if [[ -z "$metric_std" || -z "$metric_fixed" ]]; then
+    echo "FAIL: metric writer benchmarks missing from BENCH_sweep.json"
+    fail=1
+else
+    metric_speedup=$(awk -v s="$metric_std" -v f="$metric_fixed" 'BEGIN { printf "%.1f", s / f }')
+    if awk -v s="$metric_speedup" -v m="$MIN_METRIC_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: exact metric writer speedup ${metric_speedup}x < required ${MIN_METRIC_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: the exact metric writer beats std's {:.4} by ${metric_speedup}x (>= ${MIN_METRIC_SPEEDUP}x)"
     fi
 fi
 

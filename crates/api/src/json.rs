@@ -10,8 +10,11 @@
 //!
 //! Writing goes through [`esc`] / [`fmt_f64`]; metric formatting matches
 //! the sweep table's fixed `{:.4}` idiom so parse → re-emit is stable.
+//! [`esc_into`] and [`write_metric`] are the same emitters appending to a
+//! caller's buffer.
 
 use crate::error::ParseError;
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects keep their textual key order.
 #[derive(Debug, Clone, PartialEq)]
@@ -328,6 +331,13 @@ impl<'a> Parser<'a> {
 /// Escapes and quotes a string for JSON emission.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string: the in-buffer
+/// form of [`esc`], for emitters that reuse one line buffer.
+pub fn esc_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -336,12 +346,14 @@ pub fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            // Writing into a `String` cannot fail.
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Emits a request-layer number: shortest-round-trip `Display`, which is
@@ -354,10 +366,80 @@ pub fn fmt_f64(v: f64) -> String {
 /// `null` when undefined. Fixed precision keeps parse → re-emit stable
 /// and 1-vs-N-thread outputs byte-comparable.
 pub fn fmt_metric(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
+    let mut out = String::new();
+    write_metric(&mut out, v);
+    out
+}
+
+/// Appends a report metric to `out`: exactly the bytes of
+/// `format!("{v:.4}")`, or `null` for `None`. [`fmt_metric`] and the
+/// sweep's sinks all format through this one writer.
+///
+/// A finite `v` with `|v| < 9.0e14` is formatted exactly in integers:
+/// `v = m·2^e` with `e ≤ −3` there, so `v·10⁴ = (m·10⁴) >> −e`, rounded
+/// half to even on the exact remainder as std rounds, and printed as
+/// `q / 10⁴`, `.`, and `q % 10⁴` on four digits. The sign is printed
+/// whenever the sign bit is set, so `-0.0` and `-1e-5` give `-0.0000`
+/// as std does. NaN, the infinities and larger values go through std's
+/// formatter. The tests hold the fast path to std's output.
+pub fn write_metric(out: &mut String, v: Option<f64>) {
+    let Some(v) = v else {
+        out.push_str("null");
+        return;
+    };
+    if v.is_nan() || v.abs() >= 9.0e14 {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:.4}");
+        return;
     }
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    // |v| < 2^50 with m ≥ 2^52 (or a subnormal) puts e at −3 or below,
+    // and m·10⁴ < 2^67, so a shift of 68 or more leaves less than half.
+    let shift = e.unsigned_abs();
+    let scaled = u128::from(m) * 10_000;
+    let q = if shift >= 68 {
+        0
+    } else {
+        let q = (scaled >> shift) as u64;
+        let rem = scaled & ((1 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        if rem > half || (rem == half && q & 1 == 1) {
+            q + 1
+        } else {
+            q
+        }
+    };
+    if bits >> 63 == 1 {
+        out.push('-');
+    }
+    // Digits right to left: four decimals, the point, then the integer
+    // part (at least one digit; below 9·10¹⁴ it has at most 15).
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let (mut int, mut frac) = (q / 10_000, q % 10_000);
+    for _ in 0..4 {
+        at -= 1;
+        digits[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    at -= 1;
+    digits[at] = b'.';
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 // ---- Typed decode helpers shared by the request and report decoders.

@@ -14,12 +14,25 @@
 //! `streaming/parallel` additionally beats `streaming/serial_1_thread`
 //! roughly by the core count; on a single core the two collapse to the
 //! same time, never worse.
+//!
+//! Two more ratios are gated. `sched/greenest_window_place_120_reference`
+//! must cost ≥ 1.4× `sched/greenest_window_place_120`: the same 120
+//! `GreenestWindow { 24 }` placements, with each candidate's trace slot
+//! taken by a `floor` and a 64-bit modulo and through the slot rule.
+//! `json/metric_std` must cost ≥ 4× `json/metric_fixed4`: the same sweep
+//! metric values formatted by std's `{:.4}` and by the exact integer
+//! writer the sinks use.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hpcarbon_api::json::write_metric;
 use hpcarbon_api::{EstimateContext, Estimator, RequestKeys};
+use hpcarbon_grid::{simulate_year, OperatorId};
+use hpcarbon_sched::policy::greenest_start_reference;
+use hpcarbon_sched::{Cluster, JobTraceGenerator, Policy};
 use hpcarbon_sweep::{
-    run_scenario, CsvSink, JsonSink, PueSpec, Scenario, ScenarioGrid, Sweep, SweepConfig,
+    run_scenario, CsvSink, JsonSink, PueSpec, Scenario, ScenarioGrid, Sweep, SweepConfig, SweepRow,
 };
+use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// A mid-size grid: large enough to amortize thread startup, small enough
@@ -109,16 +122,20 @@ fn streaming(c: &mut Criterion) {
     g.finish();
 }
 
-fn emission(c: &mut Criterion) {
-    // Emitter cost alone: stream pre-computed rows through each sink.
-    let grid = bench_grid();
+/// The bench grid's evaluated rows.
+fn bench_rows() -> Vec<SweepRow> {
     let mut collect = hpcarbon_sweep::CollectSink::new();
-    Sweep::over(&grid)
+    Sweep::over(&bench_grid())
         .config(SweepConfig::fast())
         .sink(&mut collect)
         .run()
         .unwrap();
-    let rows = collect.rows().to_vec();
+    collect.rows().to_vec()
+}
+
+fn emission(c: &mut Criterion) {
+    // Emitter cost alone: stream pre-computed rows through each sink.
+    let rows = bench_rows();
     let emit = |mut sink: Box<dyn hpcarbon_sweep::RowSink>| {
         sink.begin().unwrap();
         for row in &rows {
@@ -134,5 +151,100 @@ fn emission(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, grid_expansion, context, streaming, emission);
+fn metric_writer(c: &mut Criterion) {
+    // One fixed set of sweep metric values: every defined metric of the
+    // bench grid's successful rows, each written into a reused buffer.
+    let values: Vec<f64> = bench_rows()
+        .iter()
+        .filter_map(|r| r.outcome.as_ref().ok())
+        .flat_map(|o| {
+            [
+                Some(o.embodied_t),
+                o.storage_delta_pct,
+                Some(o.median_g_per_kwh),
+                Some(o.cov_percent),
+                Some(o.sched_carbon_kg),
+                Some(o.sched_energy_kwh),
+                Some(o.mean_wait_hours),
+                Some(o.max_wait_hours),
+                Some(o.shift_saved_kg),
+                Some(o.shift_saved_pct),
+                Some(o.node_annual_kg),
+                o.break_even_years,
+                Some(o.asymptotic_savings_pct),
+            ]
+        })
+        .flatten()
+        .collect();
+    let mut out = String::new();
+    c.bench_function("json/metric_fixed4", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in &values {
+                write_metric(&mut out, Some(black_box(v)));
+            }
+            black_box(out.len())
+        })
+    });
+    c.bench_function("json/metric_std", |b| {
+        b.iter(|| {
+            out.clear();
+            for &v in &values {
+                let _ = write!(out, "{:.4}", black_box(v));
+            }
+            black_box(out.len())
+        })
+    });
+}
+
+fn placement(c: &mut Criterion) {
+    // The paper workload's ESO scenario: its 120-job trace and its 2021
+    // grid year on one 96-GPU cluster, placed job by job at arrival.
+    let grid = ScenarioGrid::paper_default();
+    let cfg = SweepConfig::paper_default();
+    let sc = (0..grid.len())
+        .map(|id| grid.scenario_at(id))
+        .find(|s| s.region == OperatorId::Eso)
+        .expect("the paper grid has an ESO row");
+    let keys = RequestKeys::of(&sc.to_request(&cfg));
+    let (count, jobs_seed) = keys.jobs;
+    let (region, _, year, trace_seed) = keys.trace;
+    let jobs = JobTraceGenerator::default_rates().generate(count, jobs_seed);
+    let cluster = Cluster::new(
+        "eso",
+        simulate_year(region, year, trace_seed),
+        cfg.cluster_gpus,
+    );
+    let clusters = [cluster];
+    let policy = Policy::GreenestWindow { horizon_hours: 24 };
+    c.bench_function("sched/greenest_window_place_120", |b| {
+        b.iter(|| {
+            for job in &jobs {
+                black_box(policy.place(black_box(job), job.arrival_hours, 0, &clusters));
+            }
+        })
+    });
+    c.bench_function("sched/greenest_window_place_120_reference", |b| {
+        b.iter(|| {
+            for job in &jobs {
+                black_box(greenest_start_reference(
+                    &clusters[0],
+                    black_box(job),
+                    job.arrival_hours,
+                    24,
+                ));
+            }
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    grid_expansion,
+    context,
+    streaming,
+    emission,
+    metric_writer,
+    placement
+);
 criterion_main!(benches);

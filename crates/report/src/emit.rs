@@ -35,9 +35,15 @@ impl Csv {
     }
 
     fn raw_row<I: IntoIterator<Item = String>>(&mut self, cells: I) {
-        let cells: Vec<String> = cells.into_iter().map(|c| escape(&c)).collect();
+        let cells: Vec<String> = cells.into_iter().collect();
         assert_eq!(cells.len(), self.columns, "row arity mismatch");
-        let _ = writeln!(self.out, "{}", cells.join(","));
+        for (i, cell) in cells.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            escape_into(&mut self.out, cell);
+        }
+        self.out.push('\n');
     }
 
     /// The finished CSV text.
@@ -46,11 +52,22 @@ impl Csv {
     }
 }
 
-fn escape(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
+/// Appends one CSV cell to `out` with RFC-4180 quoting: a cell holding
+/// `,`, `"` or `\n` is wrapped in quotes with its quotes doubled; any
+/// other cell is copied as is. [`Csv`] and the sweep's CSV sink both
+/// write cells through this, so their quoting cannot drift apart.
+pub fn escape_into(out: &mut String, cell: &str) {
+    if cell.contains([',', '"', '\n']) {
+        out.push('"');
+        for c in cell.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
     } else {
-        cell.to_string()
+        out.push_str(cell);
     }
 }
 
@@ -128,6 +145,19 @@ mod tests {
         assert_eq!(lines[0], "a,b");
         assert_eq!(lines[1], "1,2");
         assert_eq!(lines[2], "\"x,y\",\"q\"\"r\"");
+    }
+
+    #[test]
+    fn escape_into_appends_and_quotes_only_when_needed() {
+        let mut out = String::from("x|");
+        for cell in ["plain", "a,b", "say \"hi\"", "two\nlines", "cr\ronly", ""] {
+            escape_into(&mut out, cell);
+            out.push('|');
+        }
+        assert_eq!(
+            out,
+            "x|plain|\"a,b\"|\"say \"\"hi\"\"\"|\"two\nlines\"|cr\ronly||"
+        );
     }
 
     #[test]

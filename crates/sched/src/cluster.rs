@@ -24,6 +24,32 @@ pub fn fitting_cluster(preferred: usize, job: &Job, clusters: &[Cluster]) -> usi
     }
 }
 
+/// The trace slot hour `t` falls in, wrapping at year end: exactly
+/// `(t.floor() as u64 % u64::from(len)) as u32`.
+///
+/// This is THE slot rule: carbon accounting, the window lookups and
+/// every placement scan index a trace through it. A float-to-integer
+/// `as` cast truncates, sends negatives and NaN to 0 and saturates, so
+/// `t as u64` already equals `t.floor() as u64` for every `f64`, and
+/// only an hour past the year pays for the division.
+#[inline]
+pub(crate) fn slot(t: f64, len: u32) -> u32 {
+    let hour = t as u64;
+    let len = u64::from(len);
+    if hour < len {
+        hour as u32
+    } else {
+        (hour % len) as u32
+    }
+}
+
+/// Window width, in whole trace hours, of a `duration_hours` run: at
+/// least one hour and at most the whole trace of `len` hours.
+#[inline]
+pub(crate) fn window_width(duration_hours: f64, len: u32) -> u32 {
+    (duration_hours.ceil().max(1.0) as u32).min(len)
+}
+
 /// A homogeneous GPU partition whose electricity comes from one regional
 /// grid (its [`IntensityTrace`]).
 ///
@@ -93,19 +119,23 @@ impl Cluster {
     /// Operational carbon of drawing `power` (IT) from this cluster for
     /// `[start, start+duration]` hours since the trace's year start —
     /// the hourly-priced Eq. 6.
+    ///
+    /// # Panics
+    /// If `start_hours` is negative or NaN, or `duration` is not
+    /// positive.
     pub fn carbon_for(&self, start_hours: f64, duration: TimeSpan, power: Power) -> CarbonMass {
         assert!(start_hours >= 0.0, "start must be non-negative");
         assert!(duration.as_hours() > 0.0, "duration must be positive");
         let facility_kw = power.as_kw() * self.pue;
-        let len = self.trace.series().len() as f64;
+        let values = self.trace.series().values();
+        let len = values.len() as u32;
         let mut grams = 0.0;
         let mut t = start_hours;
         let end = start_hours + duration.as_hours();
         while t < end {
             let hour_end = (t.floor() + 1.0).min(end);
             let dt = hour_end - t;
-            let idx = (t.floor() as u64 % len as u64) as u32;
-            grams += facility_kw * dt * self.trace.at_index(idx).as_g_per_kwh();
+            grams += facility_kw * dt * values[slot(t, len) as usize];
             t = hour_end;
         }
         CarbonMass::from_g(grams)
@@ -124,11 +154,9 @@ impl Cluster {
     /// matters for runtimes far outside the workload model (log-normal,
     /// median 3 h).
     pub fn mean_intensity_over(&self, start_hours: f64, duration_hours: f64) -> f64 {
-        let planning = self.planning_trace();
-        let len = planning.series().len() as u32;
-        let w = (duration_hours.ceil().max(1.0) as u32).min(len);
-        let start = (start_hours.floor() as u64 % u64::from(len)) as u32;
-        planning.window_index().window_mean(start, w)
+        let index = self.planning_trace().window_index();
+        let len = index.len() as u32;
+        index.window_mean(slot(start_hours, len), window_width(duration_hours, len))
     }
 
     /// The indexed greenest shift for a `duration_hours` run on this
@@ -144,8 +172,8 @@ impl Cluster {
     ) -> (u32, f64) {
         let planning = self.planning_trace();
         let len = planning.series().len() as u32;
-        let w = (duration_hours.ceil().max(1.0) as u32).min(len);
-        let start = (start_hours.floor() as u64 % u64::from(len)) as u32;
+        let w = window_width(duration_hours, len);
+        let start = slot(start_hours, len);
         let shift = planning.greenest_shift(start, slack_hours, w);
         let mean = planning
             .window_index()
@@ -159,6 +187,7 @@ mod tests {
     use super::*;
     use hpcarbon_grid::regions::OperatorId;
     use hpcarbon_timeseries::series::HourlySeries;
+    use proptest::prelude::*;
 
     fn step_trace() -> IntensityTrace {
         // 100 g/kWh during hours 0-11, 300 during 12-23 of every day.
@@ -280,6 +309,27 @@ mod tests {
             c.planning_trace().series().values(),
             c.trace.series().values()
         );
+    }
+
+    fn any_hour() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..=u64::MAX).prop_map(f64::from_bits),
+            -2.0..20_000.0f64,
+            (1u32..20_000).prop_map(|k| f64::from_bits(f64::from(k).to_bits() - 1)),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(-0.0),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn slot_is_the_floored_modulo(t in any_hour(), which in 0usize..5) {
+            let len = [1, 24, 8760, 8784, u32::MAX][which];
+            prop_assert_eq!(slot(t, len), (t.floor() as u64 % u64::from(len)) as u32);
+        }
     }
 
     #[test]

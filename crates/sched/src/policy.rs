@@ -1,7 +1,7 @@
 //! Scheduling policies: the carbon-unaware baseline and the
 //! carbon-intensity-aware strategies the paper's §4 implications describe.
 
-use crate::cluster::Cluster;
+use crate::cluster::{slot, Cluster};
 use crate::job::Job;
 
 /// A placement decision: which cluster to run on and the earliest start
@@ -114,18 +114,16 @@ impl Policy {
             Policy::ThresholdDefer {
                 threshold_g_per_kwh,
             } => {
-                let c = &clusters[arrival_cluster];
                 // Decide on the planning trace: a threshold crossing a
                 // forecast predicts may not materialize in the actual.
-                let planning = c.planning_trace();
+                let values = clusters[arrival_cluster].planning_trace().series().values();
+                let len = values.len() as u32;
                 let limit = now_hours + job.max_defer_hours;
-                let len = planning.series().len() as f64;
                 let mut t = now_hours;
                 // Scan forward hour by hour until the threshold is met or
                 // tolerance runs out.
                 while t < limit {
-                    let idx = (t.floor() as u64 % len as u64) as u32;
-                    if planning.at_index(idx).as_g_per_kwh() <= threshold_g_per_kwh {
+                    if values[slot(t, len) as usize] <= threshold_g_per_kwh {
                         break;
                     }
                     t = t.floor() + 1.0;
@@ -224,7 +222,14 @@ impl Policy {
 }
 
 /// The start within `[now, now + min(horizon, tolerance)]` minimizing the
-/// job's mean intensity over its runtime on cluster `c`.
+/// job's mean intensity over its runtime on cluster `c`; ties keep the
+/// earliest start.
+///
+/// Candidate `k` starts at `now + k` as an `f64` add and is priced at
+/// that sum's slot, never at `floor(now) + k`: the add can round up
+/// (`0.9999999999999999 + 1.0 == 2.0`), so the two slots can differ.
+/// Candidates compare window means, not window sums, because two
+/// different sums can divide to one mean and the tie-break would change.
 fn greenest_start(c: &Cluster, job: &Job, now_hours: f64, horizon_hours: u32) -> f64 {
     let max_shift = f64::from(horizon_hours).min(job.max_defer_hours).max(0.0);
     let mut best = now_hours;
@@ -233,6 +238,38 @@ fn greenest_start(c: &Cluster, job: &Job, now_hours: f64, horizon_hours: u32) ->
     while shift <= max_shift {
         let t = now_hours + shift;
         let mean = c.mean_intensity_over(t, job.runtime_hours);
+        if mean < best_mean {
+            best_mean = mean;
+            best = t;
+        }
+        shift += 1.0;
+    }
+    best
+}
+
+/// [`Policy::GreenestWindow`]'s start with every candidate looked up the
+/// long way: the window width recomputed and the trace indexed by the
+/// floored modulo `(t.floor() as u64 % len) as u32`, one `floor` and one
+/// 64-bit division per candidate, which the slot rule
+/// ([`Cluster::mean_intensity_over`]) must equal. Kept as the oracle the
+/// placement proptests compare against bit for bit, and as the bench
+/// gate's baseline for the placement scan.
+#[doc(hidden)]
+pub fn greenest_start_reference(c: &Cluster, job: &Job, now_hours: f64, horizon_hours: u32) -> f64 {
+    let mean_over = |start_hours: f64| {
+        let planning = c.planning_trace();
+        let len = planning.series().len() as u32;
+        let w = (job.runtime_hours.ceil().max(1.0) as u32).min(len);
+        let start = (start_hours.floor() as u64 % u64::from(len)) as u32;
+        planning.window_index().window_mean(start, w)
+    };
+    let max_shift = f64::from(horizon_hours).min(job.max_defer_hours).max(0.0);
+    let mut best = now_hours;
+    let mut best_mean = mean_over(now_hours);
+    let mut shift = 1.0;
+    while shift <= max_shift {
+        let t = now_hours + shift;
+        let mean = mean_over(t);
         if mean < best_mean {
             best_mean = mean;
             best = t;

@@ -6,11 +6,13 @@ use crate::job::Job;
 use crate::policy::Policy;
 use hpcarbon_sim::des::EventQueue;
 use hpcarbon_units::{CarbonMass, Energy, TimeSpan};
+use std::cmp::Ordering;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// A job is submitted.
+    /// A job is submitted. [`Simulation::try_run`] takes arrivals from
+    /// its sorted arrival list; they never enter the event queue.
     Arrive(usize),
     /// A deferred job becomes eligible to run on its placed cluster.
     Release(usize, usize),
@@ -188,8 +190,10 @@ impl<'a> Simulation<'a> {
     /// Runs the simulation to completion.
     ///
     /// # Panics
-    /// If a job is larger than every cluster ([`Simulation::try_run`] is
-    /// the non-panicking variant).
+    /// On either error [`Simulation::try_run`] returns (a job larger
+    /// than every cluster, or a shifting slack of a full trace year or
+    /// more), and wherever `try_run` panics (a NaN or negative arrival, a
+    /// runtime that is not positive).
     pub fn run(self) -> SimOutcome {
         match self.try_run() {
             Ok(out) => out,
@@ -201,120 +205,252 @@ impl<'a> Simulation<'a> {
     /// Runs the simulation, reporting infeasible configurations as a
     /// [`SimError`] instead of panicking — the sweep-friendly entry point.
     ///
+    /// Arrivals are merged into the event queue from a list of job
+    /// indices sorted by arrival time, ties in job order. An arrival wins
+    /// a time tie against a queued release or finish, so events run in
+    /// the order they would if every arrival had been queued first.
+    ///
     /// # Errors
-    /// [`SimError::OversizedJob`] when a job is larger than every cluster.
+    /// - [`SimError::OversizedJob`] when a job is larger than every
+    ///   cluster;
+    /// - [`SimError::ShiftSlackExceedsTrace`] when a shifting policy's
+    ///   slack is at least as long as a cluster's trace.
+    ///
+    /// # Panics
+    /// - If a job's `arrival_hours` is NaN (`"event time must not be
+    ///   NaN"`) or negative (`"cannot schedule into the past"`). Arrivals
+    ///   are checked in job order before either error above, so such a job
+    ///   panics even when the run would also be infeasible.
+    /// - If a job's `runtime_hours` is not positive, through
+    ///   [`Cluster::carbon_for`] when the job starts.
     pub fn try_run(self) -> Result<SimOutcome, SimError> {
         let Simulation {
             clusters,
             policy,
             jobs,
-            mut ledger,
+            ledger,
             discipline,
         } = self;
-        let mut q: EventQueue<Event> = EventQueue::new();
-        let mut regions: Vec<RegionState> = clusters
-            .iter()
-            .map(|c| RegionState {
-                free_gpus: c.capacity_gpus,
-                queue: Vec::new(),
-                running: Vec::new(),
-            })
-            .collect();
-        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-
-        for (i, job) in jobs.iter().enumerate() {
-            q.schedule_at(job.arrival_hours, Event::Arrive(i));
+        check_arrivals(jobs);
+        check_feasible(&clusters, policy, jobs)?;
+        let order = arrival_order(jobs);
+        let mut run = Run::new(&clusters, policy, jobs, ledger, discipline);
+        let mut next = 0;
+        loop {
+            let arrival = order.get(next).map(|&i| (jobs[i].arrival_hours, i));
+            match (arrival, run.q.peek_time()) {
+                (Some((t, i)), queued) if queued.is_none_or(|q| t <= q) => {
+                    next += 1;
+                    run.q.advance_to(t);
+                    run.handle(t, Event::Arrive(i));
+                }
+                _ => match run.q.pop() {
+                    Some((now, event)) => run.handle(now, event),
+                    None => break,
+                },
+            }
         }
+        Ok(run.into_outcome())
+    }
+}
 
-        // Capacity guard: a job larger than every cluster can never run.
-        for job in jobs {
-            if !clusters.iter().any(|c| c.capacity_gpus >= job.gpus) {
-                return Err(SimError::OversizedJob {
-                    job: job.id,
-                    gpus: job.gpus,
+/// Panics on the first NaN or negative arrival in job order, with the
+/// messages [`EventQueue::schedule_at`] gives an event at time zero.
+fn check_arrivals(jobs: &[Job]) {
+    for job in jobs {
+        let t = job.arrival_hours;
+        assert!(!t.is_nan(), "event time must not be NaN");
+        assert!(t >= 0.0, "cannot schedule into the past: {t} < 0");
+    }
+}
+
+/// The capacity and slack guards of [`Simulation::try_run`].
+fn check_feasible(clusters: &[Cluster], policy: Policy, jobs: &[Job]) -> Result<(), SimError> {
+    // Capacity guard: a job larger than every cluster can never run.
+    for job in jobs {
+        if !clusters.iter().any(|c| c.capacity_gpus >= job.gpus) {
+            return Err(SimError::OversizedJob {
+                job: job.id,
+                gpus: job.gpus,
+            });
+        }
+    }
+
+    // Slack guard: a shifting slack of a full trace year (or more)
+    // would defer jobs past the hours the trace can price.
+    if let Some(slack_hours) = policy.shift_slack_hours() {
+        for c in clusters {
+            let trace_hours = c.trace.series().len() as u32;
+            if slack_hours >= trace_hours {
+                return Err(SimError::ShiftSlackExceedsTrace {
+                    slack_hours,
+                    trace_hours,
                 });
             }
         }
+    }
+    Ok(())
+}
 
-        // Slack guard: a shifting slack of a full trace year (or more)
-        // would defer jobs past the hours the trace can price.
-        if let Some(slack_hours) = policy.shift_slack_hours() {
-            for c in &clusters {
-                let trace_hours = c.trace.series().len() as u32;
-                if slack_hours >= trace_hours {
-                    return Err(SimError::ShiftSlackExceedsTrace {
-                        slack_hours,
-                        trace_hours,
-                    });
+/// Job indices in arrival order, ties in job order. `sort_by` is stable,
+/// and `partial_cmp` orders `-0.0` equal to `0.0`, as the event queue
+/// does. Arrivals have passed [`check_arrivals`], so none is NaN.
+fn arrival_order(jobs: &[Job]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by(|&a, &b| {
+        jobs[a]
+            .arrival_hours
+            .partial_cmp(&jobs[b].arrival_hours)
+            .unwrap_or(Ordering::Equal)
+    });
+    order
+}
+
+/// One run's mutable state: the queue of pending releases and finishes,
+/// each cluster's capacity state, and the outcomes so far.
+struct Run<'s> {
+    clusters: &'s [Cluster],
+    policy: Policy,
+    jobs: &'s [Job],
+    ledger: Option<CarbonBudgetLedger>,
+    discipline: QueueDiscipline,
+    q: EventQueue<Event>,
+    regions: Vec<RegionState>,
+    outcomes: Vec<Option<JobOutcome>>,
+}
+
+impl<'s> Run<'s> {
+    fn new(
+        clusters: &'s [Cluster],
+        policy: Policy,
+        jobs: &'s [Job],
+        ledger: Option<CarbonBudgetLedger>,
+        discipline: QueueDiscipline,
+    ) -> Run<'s> {
+        Run {
+            clusters,
+            policy,
+            jobs,
+            ledger,
+            discipline,
+            q: EventQueue::new(),
+            regions: clusters
+                .iter()
+                .map(|c| RegionState {
+                    free_gpus: c.capacity_gpus,
+                    queue: Vec::new(),
+                    running: Vec::new(),
+                })
+                .collect(),
+            outcomes: vec![None; jobs.len()],
+        }
+    }
+
+    /// Handles one event at time `now`.
+    fn handle(&mut self, now: f64, event: Event) {
+        let (jobs, clusters) = (self.jobs, self.clusters);
+        match event {
+            Event::Arrive(i) => {
+                let arrival_cluster = jobs[i].user % clusters.len();
+                let mut placement = self.policy.place(&jobs[i], now, arrival_cluster, clusters);
+                // The shared fallback rule; the capacity guard ensures a
+                // fit exists.
+                placement.cluster =
+                    crate::cluster::fitting_cluster(placement.cluster, &jobs[i], clusters);
+                if placement.earliest_start_hours > now {
+                    self.q.schedule_at(
+                        placement.earliest_start_hours,
+                        Event::Release(i, placement.cluster),
+                    );
+                } else {
+                    self.regions[placement.cluster].queue.push(i);
+                    self.try_start(placement.cluster, now);
                 }
             }
-        }
-
-        while let Some((now, event)) = q.pop() {
-            match event {
-                Event::Arrive(i) => {
-                    let arrival_cluster = jobs[i].user % clusters.len();
-                    let mut placement = policy.place(&jobs[i], now, arrival_cluster, &clusters);
-                    // The shared fallback rule; the capacity guard above
-                    // ensures a fit exists.
-                    placement.cluster =
-                        crate::cluster::fitting_cluster(placement.cluster, &jobs[i], &clusters);
-                    if placement.earliest_start_hours > now {
-                        q.schedule_at(
-                            placement.earliest_start_hours,
-                            Event::Release(i, placement.cluster),
-                        );
-                    } else {
-                        regions[placement.cluster].queue.push(i);
-                        try_start(
-                            &mut q,
-                            &clusters,
-                            &mut regions,
-                            jobs,
-                            &mut outcomes,
-                            ledger.as_ref(),
-                            discipline,
-                            placement.cluster,
-                            now,
-                        );
-                    }
+            Event::Release(i, cluster) => {
+                self.regions[cluster].queue.push(i);
+                self.try_start(cluster, now);
+            }
+            Event::Finish(i, cluster) => {
+                self.regions[cluster].free_gpus += jobs[i].gpus;
+                self.regions[cluster].running.retain(|(_, _, j)| *j != i);
+                if let (Some(ledger), Some(outcome)) =
+                    (self.ledger.as_mut(), self.outcomes[i].as_ref())
+                {
+                    ledger.charge(jobs[i].user, outcome.carbon);
                 }
-                Event::Release(i, cluster) => {
-                    regions[cluster].queue.push(i);
-                    try_start(
-                        &mut q,
-                        &clusters,
-                        &mut regions,
-                        jobs,
-                        &mut outcomes,
-                        ledger.as_ref(),
-                        discipline,
-                        cluster,
-                        now,
-                    );
-                }
-                Event::Finish(i, cluster) => {
-                    regions[cluster].free_gpus += jobs[i].gpus;
-                    regions[cluster].running.retain(|(_, _, j)| *j != i);
-                    if let (Some(ledger), Some(outcome)) = (ledger.as_mut(), outcomes[i].as_ref()) {
-                        ledger.charge(jobs[i].user, outcome.carbon);
-                    }
-                    try_start(
-                        &mut q,
-                        &clusters,
-                        &mut regions,
-                        jobs,
-                        &mut outcomes,
-                        ledger.as_ref(),
-                        discipline,
-                        cluster,
-                        now,
-                    );
-                }
+                self.try_start(cluster, now);
             }
         }
+    }
 
-        let jobs_out: Vec<JobOutcome> = outcomes
+    /// Starts as many queued jobs as the discipline and capacity allow on
+    /// `cluster`.
+    fn try_start(&mut self, cluster: usize, now: f64) {
+        let jobs = self.jobs;
+        loop {
+            let region = &mut self.regions[cluster];
+            if region.queue.is_empty() {
+                return;
+            }
+            // Budget priority reorders the whole queue before admission;
+            // otherwise the queue stays in eligibility order.
+            if let Some(ledger) = &self.ledger {
+                region.queue.sort_by(|a, b| {
+                    // Remaining fractions are finite by construction, so
+                    // `total_cmp` orders them identically without the panic.
+                    ledger
+                        .remaining_fraction(jobs[*b].user)
+                        .total_cmp(&ledger.remaining_fraction(jobs[*a].user))
+                        .then(a.cmp(b))
+                });
+            }
+
+            let head = region.queue[0];
+            let pick = if jobs[head].gpus <= region.free_gpus {
+                Some(0)
+            } else {
+                match self.discipline {
+                    QueueDiscipline::StrictFifo => None,
+                    QueueDiscipline::FirstFit => (1..region.queue.len())
+                        .find(|qi| jobs[region.queue[*qi]].gpus <= region.free_gpus),
+                    QueueDiscipline::EasyBackfill => {
+                        let reservation = easy_reservation(region, &jobs[head], now);
+                        (1..region.queue.len()).find(|qi| {
+                            let j = &jobs[region.queue[*qi]];
+                            j.gpus <= region.free_gpus
+                                && now + j.runtime_hours <= reservation + 1e-9
+                        })
+                    }
+                }
+            };
+            let Some(pick) = pick else { return };
+            let job_idx = region.queue.remove(pick);
+            let job = &jobs[job_idx];
+            region.free_gpus -= job.gpus;
+            region
+                .running
+                .push((now + job.runtime_hours, job.gpus, job_idx));
+            let duration = TimeSpan::from_hours(job.runtime_hours);
+            let carbon = self.clusters[cluster].carbon_for(now, duration, job.power());
+            let energy = self.clusters[cluster].energy_for(duration, job.power());
+            self.outcomes[job_idx] = Some(JobOutcome {
+                id: job.id,
+                cluster,
+                wait_hours: now - job.arrival_hours,
+                start_hours: now,
+                carbon,
+                energy,
+            });
+            self.q
+                .schedule_at(now + job.runtime_hours, Event::Finish(job_idx, cluster));
+        }
+    }
+
+    /// The aggregate outcome, once every event has been handled.
+    fn into_outcome(self) -> SimOutcome {
+        let jobs_out: Vec<JobOutcome> = self
+            .outcomes
             .into_iter()
             // lint: allow(panic-in-library) -- the event loop only terminates once every queue is drained, and try_run has already rejected jobs no cluster can fit
             .map(|o| o.expect("every job eventually runs"))
@@ -324,86 +460,15 @@ impl<'a> Simulation<'a> {
         let mean_wait =
             jobs_out.iter().map(|j| j.wait_hours).sum::<f64>() / jobs_out.len().max(1) as f64;
         let max_wait = jobs_out.iter().map(|j| j.wait_hours).fold(0.0f64, f64::max);
-        Ok(SimOutcome {
-            policy,
+        SimOutcome {
+            policy: self.policy,
             jobs: jobs_out,
             total_carbon,
             total_energy,
             mean_wait_hours: mean_wait,
             max_wait_hours: max_wait,
-            ledger,
-        })
-    }
-}
-
-/// Starts as many queued jobs as the discipline and capacity allow on
-/// `cluster`.
-#[allow(clippy::too_many_arguments)]
-fn try_start(
-    q: &mut EventQueue<Event>,
-    clusters: &[Cluster],
-    regions: &mut [RegionState],
-    jobs: &[Job],
-    outcomes: &mut [Option<JobOutcome>],
-    ledger: Option<&CarbonBudgetLedger>,
-    discipline: QueueDiscipline,
-    cluster: usize,
-    now: f64,
-) {
-    loop {
-        let region = &mut regions[cluster];
-        if region.queue.is_empty() {
-            return;
+            ledger: self.ledger,
         }
-        // Budget priority reorders the whole queue before admission;
-        // otherwise the queue stays in eligibility order.
-        if let Some(ledger) = ledger {
-            region.queue.sort_by(|a, b| {
-                // Remaining fractions are finite by construction, so
-                // `total_cmp` orders them identically without the panic.
-                ledger
-                    .remaining_fraction(jobs[*b].user)
-                    .total_cmp(&ledger.remaining_fraction(jobs[*a].user))
-                    .then(a.cmp(b))
-            });
-        }
-
-        let head = region.queue[0];
-        let pick = if jobs[head].gpus <= region.free_gpus {
-            Some(0)
-        } else {
-            match discipline {
-                QueueDiscipline::StrictFifo => None,
-                QueueDiscipline::FirstFit => (1..region.queue.len())
-                    .find(|qi| jobs[region.queue[*qi]].gpus <= region.free_gpus),
-                QueueDiscipline::EasyBackfill => {
-                    let reservation = easy_reservation(region, &jobs[head], now);
-                    (1..region.queue.len()).find(|qi| {
-                        let j = &jobs[region.queue[*qi]];
-                        j.gpus <= region.free_gpus && now + j.runtime_hours <= reservation + 1e-9
-                    })
-                }
-            }
-        };
-        let Some(pick) = pick else { return };
-        let job_idx = region.queue.remove(pick);
-        let job = &jobs[job_idx];
-        region.free_gpus -= job.gpus;
-        region
-            .running
-            .push((now + job.runtime_hours, job.gpus, job_idx));
-        let duration = TimeSpan::from_hours(job.runtime_hours);
-        let carbon = clusters[cluster].carbon_for(now, duration, job.power());
-        let energy = clusters[cluster].energy_for(duration, job.power());
-        outcomes[job_idx] = Some(JobOutcome {
-            id: job.id,
-            cluster,
-            wait_hours: now - job.arrival_hours,
-            start_hours: now,
-            carbon,
-            energy,
-        });
-        q.schedule_at(now + job.runtime_hours, Event::Finish(job_idx, cluster));
     }
 }
 
@@ -682,6 +747,211 @@ mod tests {
             max_defer_hours: 0.0,
         }];
         let _ = Simulation::single_region(diurnal_cluster(8), Policy::Fifo, &js).run();
+    }
+}
+
+#[cfg(test)]
+mod cursor_tests {
+    use super::*;
+    use crate::job::JobTraceGenerator;
+    use hpcarbon_grid::regions::OperatorId;
+    use hpcarbon_grid::trace::IntensityTrace;
+    use hpcarbon_sim::rng::SimRng;
+    use hpcarbon_timeseries::series::HourlySeries;
+    use hpcarbon_units::Power;
+
+    /// The heap-only event loop: every arrival queued up front, then the
+    /// queue drained. The reference the arrival cursor must reproduce.
+    fn try_run_heap_only(sim: Simulation<'_>) -> Result<SimOutcome, SimError> {
+        let Simulation {
+            clusters,
+            policy,
+            jobs,
+            ledger,
+            discipline,
+        } = sim;
+        let mut run = Run::new(&clusters, policy, jobs, ledger, discipline);
+        for (i, job) in jobs.iter().enumerate() {
+            run.q.schedule_at(job.arrival_hours, Event::Arrive(i));
+        }
+        check_feasible(&clusters, policy, jobs)?;
+        while let Some((now, event)) = run.q.pop() {
+            run.handle(now, event);
+        }
+        Ok(run.into_outcome())
+    }
+
+    fn clusters(n: usize) -> Vec<Cluster> {
+        // Integer plateaus, so placement ties are common.
+        let diurnal = IntensityTrace::new(
+            OperatorId::Eso,
+            HourlySeries::from_fn(2021, |st| if st.hour() < 6 { 50.0 } else { 400.0 }),
+        );
+        let steps = IntensityTrace::new(
+            OperatorId::Ciso,
+            HourlySeries::from_fn(2021, |st| 100.0 + 100.0 * f64::from(st.hour() / 8)),
+        );
+        [Cluster::new("a", diurnal, 8), Cluster::new("b", steps, 12)]
+            .into_iter()
+            .take(n)
+            .collect()
+    }
+
+    /// Job sets whose event order the cursor must not change: arrival
+    /// order not job order, repeated arrival times, arrivals that tie
+    /// releases and finishes, and a `-0.0` arrival.
+    fn job_sets(seed: u64) -> Vec<Vec<Job>> {
+        let base = JobTraceGenerator::default_rates().generate(40, seed);
+        let mut shuffled = base.clone();
+        let mut rng = SimRng::seed_from(seed).substream("shuffle");
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.index(i + 1));
+        }
+        let mut repeated = shuffled.clone();
+        for pair in repeated.chunks_mut(2) {
+            if let [a, b] = pair {
+                b.arrival_hours = a.arrival_hours;
+            }
+        }
+        let integer: Vec<Job> = shuffled
+            .iter()
+            .map(|j| Job {
+                arrival_hours: j.arrival_hours.floor(),
+                runtime_hours: j.runtime_hours.ceil(),
+                max_defer_hours: j.max_defer_hours.floor(),
+                ..j.clone()
+            })
+            .collect();
+        let mut zeros = integer.clone();
+        zeros[0].arrival_hours = -0.0;
+        zeros[1].arrival_hours = 0.0;
+        zeros[2].arrival_hours = -0.0;
+        vec![base, shuffled, repeated, integer, zeros]
+    }
+
+    fn assert_same(a: &SimOutcome, b: &SimOutcome, what: &str) {
+        assert_eq!(a.jobs.len(), b.jobs.len(), "{what}");
+        for (x, y) in a.jobs.iter().zip(&b.jobs) {
+            assert_eq!(x.id, y.id, "{what}");
+            assert_eq!(x.cluster, y.cluster, "{what}: job {}", x.id);
+            assert_eq!(x.wait_hours.to_bits(), y.wait_hours.to_bits(), "{what}");
+            assert_eq!(x.start_hours.to_bits(), y.start_hours.to_bits(), "{what}");
+            assert_eq!(
+                x.carbon.as_g().to_bits(),
+                y.carbon.as_g().to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                x.energy.as_kwh().to_bits(),
+                y.energy.as_kwh().to_bits(),
+                "{what}"
+            );
+        }
+        let bits = |o: &SimOutcome| {
+            (
+                o.total_carbon.as_g().to_bits(),
+                o.total_energy.as_kwh().to_bits(),
+                o.mean_wait_hours.to_bits(),
+                o.max_wait_hours.to_bits(),
+                o.ledger.as_ref().map(|l| l.total_spent().as_g().to_bits()),
+            )
+        };
+        assert_eq!(bits(a), bits(b), "{what}: totals");
+    }
+
+    #[test]
+    fn arrival_cursor_matches_the_heap_only_loop() {
+        let policies = [
+            Policy::Fifo,
+            Policy::ThresholdDefer {
+                threshold_g_per_kwh: 150.0,
+            },
+            Policy::GreenestWindow { horizon_hours: 24 },
+            Policy::LowestIntensityRegion,
+            Policy::RegionAndTime { horizon_hours: 24 },
+            Policy::TemporalShift { slack_hours: 24 },
+            Policy::SpatioTemporal { slack_hours: 24 },
+        ];
+        let disciplines = [
+            QueueDiscipline::StrictFifo,
+            QueueDiscipline::FirstFit,
+            QueueDiscipline::EasyBackfill,
+        ];
+        let pool = clusters(2);
+        for seed in [3, 11] {
+            for (set, jobs) in job_sets(seed).iter().enumerate() {
+                for n in [1, 2] {
+                    for policy in policies {
+                        for discipline in disciplines {
+                            for budgets in [false, true] {
+                                let sim = || {
+                                    let sim =
+                                        Simulation::multi_region(pool[..n].to_vec(), policy, jobs)
+                                            .with_discipline(discipline);
+                                    if budgets {
+                                        sim.with_budgets(CarbonBudgetLedger::uniform(
+                                            16,
+                                            CarbonMass::from_kg(5.0),
+                                        ))
+                                    } else {
+                                        sim
+                                    }
+                                };
+                                let what = format!(
+                                    "seed {seed} set {set} clusters {n} {policy:?} \
+                                     {discipline:?} budgets {budgets}"
+                                );
+                                let cursor = sim().try_run().expect("feasible");
+                                let heap = try_run_heap_only(sim()).expect("feasible");
+                                assert_same(&cursor, &heap, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn one_job(arrival_hours: f64, runtime_hours: f64, gpus: u32) -> Job {
+        Job {
+            id: 0,
+            user: 0,
+            arrival_hours,
+            runtime_hours,
+            gpus,
+            power_per_gpu: Power::from_w(300.0),
+            max_defer_hours: 0.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must not be NaN")]
+    fn nan_arrival_panics() {
+        let jobs = [one_job(1.0, 1.0, 1), one_job(f64::NAN, 1.0, 1)];
+        let _ = Simulation::multi_region(clusters(1), Policy::Fifo, &jobs).try_run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past: -1 < 0")]
+    fn negative_arrival_panics() {
+        let jobs = [one_job(1.0, 1.0, 1), one_job(-1.0, 1.0, 1)];
+        let _ = Simulation::multi_region(clusters(1), Policy::Fifo, &jobs).try_run();
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must not be NaN")]
+    fn nan_arrival_panics_before_the_capacity_guard() {
+        // The oversized job alone would be an `Err`; the NaN arrival is
+        // checked first.
+        let jobs = [one_job(0.0, 1.0, 64), one_job(f64::NAN, 1.0, 1)];
+        let _ = Simulation::multi_region(clusters(1), Policy::Fifo, &jobs).try_run();
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive")]
+    fn zero_runtime_panics() {
+        let jobs = [one_job(1.0, 0.0, 1)];
+        let _ = Simulation::multi_region(clusters(1), Policy::Fifo, &jobs).try_run();
     }
 }
 

@@ -115,6 +115,29 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
+    /// Advances the clock to `time` without popping an event. A caller
+    /// that merges its own time-ordered stream (such as a sorted list of
+    /// arrivals) with the queue calls this for each event it takes from
+    /// that stream, so `schedule_at`'s past check holds against the
+    /// merged clock. The caller's event does not count in
+    /// [`EventQueue::processed`].
+    ///
+    /// # Panics
+    /// If `time` is NaN, earlier than the current time, or later than the
+    /// earliest pending event (which could then never be popped in order).
+    pub fn advance_to(&mut self, time: SimTime) {
+        assert!(
+            time >= self.now,
+            "cannot move the clock backwards: {time} < {}",
+            self.now
+        );
+        assert!(
+            self.peek_time().is_none_or(|next| time <= next),
+            "cannot move the clock past a pending event"
+        );
+        self.now = time;
+    }
+
     /// Pops the next event, advancing the clock. Returns `None` when the
     /// simulation has run dry.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -229,6 +252,49 @@ mod tests {
         });
         // Events 0,1,2 return true; event 3 returns false and stops the run.
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_without_popping() {
+        let mut q = EventQueue::new();
+        q.schedule_at(4.0, "pending");
+        q.advance_to(2.5);
+        assert_eq!(q.now(), 2.5);
+        assert_eq!(q.processed(), 0);
+        // A tie with the pending event is allowed; it still pops.
+        q.advance_to(4.0);
+        assert_eq!(q.pop(), Some((4.0, "pending")));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn advanced_clock_guards_schedule_at() {
+        let mut q = EventQueue::new();
+        q.advance_to(5.0);
+        q.schedule_at(3.0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot move the clock backwards")]
+    fn advance_to_rejects_going_back() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(3.0);
+        q.advance_to(2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot move the clock backwards")]
+    fn advance_to_rejects_nan() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a pending event")]
+    fn advance_to_rejects_skipping_a_pending_event() {
+        let mut q = EventQueue::new();
+        q.schedule_at(1.0, ());
+        q.advance_to(2.0);
     }
 
     #[test]

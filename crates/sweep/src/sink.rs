@@ -28,10 +28,25 @@
 //!
 //! Every byte-emitting sink tracks an FNV-1a 64 [`SinkDigest`] of what
 //! it wrote, which shard manifests embed and `--merge` re-validates.
+//!
+//! ## One buffer per sink
+//!
+//! Each emitter owns one `String` line buffer, cleared for every row.
+//! The row is written into it cell by cell in column order and leaves in
+//! one `write_all` (the JSON separator included). Text cells go through
+//! the shared escapers, [`hpcarbon_report::emit::escape_into`] and
+//! [`hpcarbon_api::json::esc_into`]; metrics go through
+//! [`hpcarbon_api::json::write_metric`], the exact integer `{:.4}` writer
+//! whose tests hold it to std's `format!`. Only the `pue` and `upgrade`
+//! labels and an error row's message are formatted into strings of
+//! their own.
 
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::table::{SweepRow, COLUMNS, FORECAST_COLUMNS};
+use hpcarbon_api::json::{esc_into, write_metric};
+use hpcarbon_report::emit::escape_into;
 use hpcarbon_sim::rng::{fnv1a64, fnv1a64_update};
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 /// What a byte-emitting sink wrote: length and FNV-1a 64 digest.
@@ -109,50 +124,46 @@ impl<W: Write> DigestWriter<W> {
     }
 }
 
-/// Stable decimal formatting: enough digits to distinguish real metric
-/// differences, no dependence on shortest-roundtrip printing.
-fn num(v: f64) -> String {
-    format!("{v:.4}")
-}
-
-fn opt(v: Option<f64>) -> String {
-    v.map(num).unwrap_or_default()
-}
-
-/// JSON string escaping: the API's emitter, shared so the sweep's JSON
-/// and `hpcarbon estimate` output can never desynchronize.
-fn json_string(s: &str) -> String {
-    hpcarbon_api::json::esc(s)
-}
-
-/// JSON number with the same fixed `{:.4}` formatting as the CSV;
-/// `null` when undefined. Also the API's emitter.
-fn json_num(v: Option<f64>) -> String {
-    hpcarbon_api::json::fmt_metric(v)
-}
-
-/// The scenario dimensions of one row as display strings, CSV order.
-fn dimension_cells(s: &Scenario) -> [String; 9] {
+/// The metric cells of a successful row, in column order (`embodied_t`
+/// through `asymptotic_pct`); `None` is an undefined metric.
+fn metrics(o: &ScenarioOutcome) -> [Option<f64>; 13] {
     [
-        s.id.to_string(),
-        s.system.label().to_string(),
-        s.storage.label().to_string(),
-        s.region.info().short.to_string(),
-        s.source.label().to_string(),
-        s.pue.label(),
-        s.policy.label().to_string(),
-        s.upgrade.label(),
-        s.seed.to_string(),
+        Some(o.embodied_t),
+        o.storage_delta_pct,
+        Some(o.median_g_per_kwh),
+        Some(o.cov_percent),
+        Some(o.sched_carbon_kg),
+        Some(o.sched_energy_kwh),
+        Some(o.mean_wait_hours),
+        Some(o.max_wait_hours),
+        Some(o.shift_saved_kg),
+        Some(o.shift_saved_pct),
+        Some(o.node_annual_kg),
+        o.break_even_years,
+        Some(o.asymptotic_savings_pct),
     ]
 }
 
-/// RFC-4180 cell escaping (matches `hpcarbon_report::emit::Csv`).
-fn csv_escape(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
-    }
+/// The forecast extension cells, in column order.
+fn forecast_metrics(o: Option<&ScenarioOutcome>) -> [Option<f64>; 2] {
+    [
+        o.and_then(|o| o.oracle_saved_kg),
+        o.and_then(|o| o.oracle_saved_pct),
+    ]
+}
+
+/// The text dimensions of a row, columns `system` through `upgrade`.
+/// `pue` and `upgrade` are the row's two formatted labels.
+fn text_dimensions<'a>(s: &'a Scenario, pue: &'a str, upgrade: &'a str) -> [&'a str; 7] {
+    [
+        s.system.label(),
+        s.storage.label(),
+        s.region.info().short,
+        s.source.label(),
+        pue,
+        s.policy.label(),
+        upgrade,
+    ]
 }
 
 /// The CSV header line (with trailing newline).
@@ -171,179 +182,101 @@ pub(crate) fn csv_header_with(forecast: bool) -> String {
     line
 }
 
-/// One row as an RFC-4180 CSV line (with trailing newline). Error rows
-/// carry the error message and empty metric cells. `forecast` appends
-/// the extension columns (empty on error rows and forecast-free
-/// outcomes, like the other optional metrics).
-pub(crate) fn csv_line_with(r: &SweepRow, forecast: bool) -> String {
-    let dims = dimension_cells(&r.scenario);
-    let (status, error, metrics) = match &r.outcome {
-        Ok(o) => (
-            "ok".to_string(),
-            String::new(),
-            [
-                num(o.embodied_t),
-                opt(o.storage_delta_pct),
-                num(o.median_g_per_kwh),
-                num(o.cov_percent),
-                num(o.sched_carbon_kg),
-                num(o.sched_energy_kwh),
-                num(o.mean_wait_hours),
-                num(o.max_wait_hours),
-                num(o.shift_saved_kg),
-                num(o.shift_saved_pct),
-                num(o.node_annual_kg),
-                opt(o.break_even_years),
-                num(o.asymptotic_savings_pct),
-                o.verdict.to_string(),
-            ],
-        ),
-        Err(e) => (
-            "error".to_string(),
-            e.to_string(),
-            std::array::from_fn(|_| String::new()),
-        ),
-    };
-    let extra = forecast.then(|| {
-        let o = r.outcome.as_ref().ok();
-        [
-            opt(o.and_then(|o| o.oracle_saved_kg)),
-            opt(o.and_then(|o| o.oracle_saved_pct)),
-        ]
-    });
-    let cells: Vec<String> = dims
-        .into_iter()
-        .chain([status, error])
-        .chain(metrics)
-        .chain(extra.into_iter().flatten())
-        .map(|c| csv_escape(&c))
-        .collect();
-    debug_assert_eq!(
-        cells.len(),
-        COLUMNS.len() + if forecast { FORECAST_COLUMNS.len() } else { 0 }
-    );
-    let mut line = cells.join(",");
+/// Appends one row as an RFC-4180 CSV line (with trailing newline) to
+/// `line`. Error rows carry the error message and empty metric cells.
+/// `forecast` appends the extension columns (empty on error rows and
+/// forecast-free outcomes, like the other optional metrics).
+///
+/// Text cells go through [`escape_into`]; numbers never hold `,`, `"`
+/// or a newline, so they are written straight in.
+fn write_csv_line(line: &mut String, r: &SweepRow, forecast: bool) {
+    let s = &r.scenario;
+    let (pue, upgrade) = (s.pue.label(), s.upgrade.label());
+    // Writing into a `String` cannot fail.
+    let _ = write!(line, "{}", s.id);
+    for cell in text_dimensions(s, &pue, &upgrade) {
+        line.push(',');
+        escape_into(line, cell);
+    }
+    let _ = write!(line, ",{}", s.seed);
+    match &r.outcome {
+        Ok(o) => {
+            line.push_str(",ok,");
+            for v in metrics(o) {
+                line.push(',');
+                if v.is_some() {
+                    write_metric(line, v);
+                }
+            }
+            line.push(',');
+            escape_into(line, o.verdict);
+        }
+        Err(e) => {
+            line.push_str(",error,");
+            escape_into(line, &e.to_string());
+            // The metric cells and `verdict`, all empty.
+            for _ in &COLUMNS[11..] {
+                line.push(',');
+            }
+        }
+    }
+    if forecast {
+        for v in forecast_metrics(r.outcome.as_ref().ok()) {
+            line.push(',');
+            if v.is_some() {
+                write_metric(line, v);
+            }
+        }
+    }
     line.push('\n');
-    line
 }
 
-/// One row as the two-space-indented JSON object (`  {…}`, no separator
-/// or newline) of the sweep's array document: a **uniform schema**
-/// where every row carries every CSV column. `id` and `seed` are
-/// numbers; the other dimensions are strings; `error` and `verdict` are
-/// strings or `null`; metrics are numbers or `null` (always `null` on
-/// error rows, mirroring the CSV's empty cells).
-pub(crate) fn json_object_with(r: &SweepRow, forecast: bool) -> String {
-    let dims = dimension_cells(&r.scenario);
-    let mut obj = String::from("  {");
-    let push = |obj: &mut String, key: &str, value: String| {
-        if !obj.ends_with('{') {
-            obj.push_str(", ");
-        }
-        obj.push_str(&format!("\"{key}\": {value}"));
+/// Appends one row to `obj` as the two-space-indented JSON object
+/// (`  {…}`, no separator or newline) of the sweep's array document: a
+/// **uniform schema** where every row carries every CSV column. `id` and
+/// `seed` are numbers; the other dimensions are strings; `error` and
+/// `verdict` are strings or `null`; metrics are numbers or `null` (always
+/// `null` on error rows, mirroring the CSV's empty cells).
+fn write_json_object(obj: &mut String, r: &SweepRow, forecast: bool) {
+    let key = |obj: &mut String, key: &str| {
+        obj.push_str(", \"");
+        obj.push_str(key);
+        obj.push_str("\": ");
     };
-    push(&mut obj, "id", r.scenario.id.to_string());
-    for (key, cell) in COLUMNS[1..8].iter().zip(dims[1..8].iter()) {
-        push(&mut obj, key, json_string(cell));
+    let s = &r.scenario;
+    let (pue, upgrade) = (s.pue.label(), s.upgrade.label());
+    // Writing into a `String` cannot fail.
+    let _ = write!(obj, "  {{\"id\": {}", s.id);
+    for (name, cell) in COLUMNS[1..8].iter().zip(text_dimensions(s, &pue, &upgrade)) {
+        key(obj, name);
+        esc_into(obj, cell);
     }
-    push(&mut obj, "seed", r.scenario.seed.to_string());
-    let o = r.outcome.as_ref();
-    push(
-        &mut obj,
-        "status",
-        json_string(if o.is_ok() { "ok" } else { "error" }),
-    );
-    push(
-        &mut obj,
-        "error",
-        match &r.outcome {
-            Ok(_) => "null".to_string(),
-            Err(e) => json_string(&e.to_string()),
-        },
-    );
-    push(
-        &mut obj,
-        "embodied_t",
-        json_num(o.ok().map(|o| o.embodied_t)),
-    );
-    push(
-        &mut obj,
-        "storage_delta_pct",
-        json_num(o.ok().and_then(|o| o.storage_delta_pct)),
-    );
-    push(
-        &mut obj,
-        "median_g_per_kwh",
-        json_num(o.ok().map(|o| o.median_g_per_kwh)),
-    );
-    push(&mut obj, "cov_pct", json_num(o.ok().map(|o| o.cov_percent)));
-    push(
-        &mut obj,
-        "sched_kg",
-        json_num(o.ok().map(|o| o.sched_carbon_kg)),
-    );
-    push(
-        &mut obj,
-        "sched_kwh",
-        json_num(o.ok().map(|o| o.sched_energy_kwh)),
-    );
-    push(
-        &mut obj,
-        "mean_wait_h",
-        json_num(o.ok().map(|o| o.mean_wait_hours)),
-    );
-    push(
-        &mut obj,
-        "max_wait_h",
-        json_num(o.ok().map(|o| o.max_wait_hours)),
-    );
-    push(
-        &mut obj,
-        "saved_kg",
-        json_num(o.ok().map(|o| o.shift_saved_kg)),
-    );
-    push(
-        &mut obj,
-        "saved_pct",
-        json_num(o.ok().map(|o| o.shift_saved_pct)),
-    );
-    push(
-        &mut obj,
-        "node_annual_kg",
-        json_num(o.ok().map(|o| o.node_annual_kg)),
-    );
-    push(
-        &mut obj,
-        "break_even_y",
-        json_num(o.ok().and_then(|o| o.break_even_years)),
-    );
-    push(
-        &mut obj,
-        "asymptotic_pct",
-        json_num(o.ok().map(|o| o.asymptotic_savings_pct)),
-    );
-    push(
-        &mut obj,
-        "verdict",
-        match o.ok() {
-            Some(o) => json_string(o.verdict),
-            None => "null".to_string(),
-        },
-    );
+    let _ = write!(obj, ", \"seed\": {}", s.seed);
+    let o = r.outcome.as_ref().ok();
+    key(obj, "status");
+    esc_into(obj, if o.is_some() { "ok" } else { "error" });
+    key(obj, "error");
+    match &r.outcome {
+        Ok(_) => obj.push_str("null"),
+        Err(e) => esc_into(obj, &e.to_string()),
+    }
+    let values = o.map_or([None; 13], metrics);
+    for (name, v) in COLUMNS[11..24].iter().zip(values) {
+        key(obj, name);
+        write_metric(obj, v);
+    }
+    key(obj, "verdict");
+    match o {
+        Some(o) => esc_into(obj, o.verdict),
+        None => obj.push_str("null"),
+    }
     if forecast {
-        push(
-            &mut obj,
-            "oracle_saved_kg",
-            json_num(o.ok().and_then(|o| o.oracle_saved_kg)),
-        );
-        push(
-            &mut obj,
-            "oracle_saved_pct",
-            json_num(o.ok().and_then(|o| o.oracle_saved_pct)),
-        );
+        for (name, v) in FORECAST_COLUMNS.iter().zip(forecast_metrics(o)) {
+            key(obj, name);
+            write_metric(obj, v);
+        }
     }
     obj.push('}');
-    obj
 }
 
 /// Streams rows as RFC-4180 CSV.
@@ -355,6 +288,8 @@ pub struct CsvSink<W: Write> {
     out: DigestWriter<W>,
     header: bool,
     forecast: bool,
+    /// The row being written, reused from row to row.
+    line: String,
 }
 
 impl<W: Write> CsvSink<W> {
@@ -364,6 +299,7 @@ impl<W: Write> CsvSink<W> {
             out: DigestWriter::new(w),
             header: true,
             forecast: false,
+            line: String::new(),
         }
     }
 
@@ -373,6 +309,7 @@ impl<W: Write> CsvSink<W> {
             out: DigestWriter::new(w),
             header: false,
             forecast: false,
+            line: String::new(),
         }
     }
 
@@ -401,8 +338,9 @@ impl<W: Write> RowSink for CsvSink<W> {
     }
 
     fn row(&mut self, row: &SweepRow) -> io::Result<()> {
-        self.out
-            .write_all(csv_line_with(row, self.forecast).as_bytes())
+        self.line.clear();
+        write_csv_line(&mut self.line, row, self.forecast);
+        self.out.write_all(self.line.as_bytes())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -429,6 +367,9 @@ pub struct JsonSink<W: Write> {
     separate: bool,
     rows: u64,
     forecast: bool,
+    /// The separator and row object being written, reused from row to
+    /// row.
+    line: String,
 }
 
 impl<W: Write> JsonSink<W> {
@@ -440,6 +381,7 @@ impl<W: Write> JsonSink<W> {
             separate: false,
             rows: 0,
             forecast: false,
+            line: String::new(),
         }
     }
 
@@ -453,6 +395,7 @@ impl<W: Write> JsonSink<W> {
             separate: continues,
             rows: 0,
             forecast: false,
+            line: String::new(),
         }
     }
 
@@ -479,13 +422,14 @@ impl<W: Write> RowSink for JsonSink<W> {
     }
 
     fn row(&mut self, row: &SweepRow) -> io::Result<()> {
+        self.line.clear();
         if self.separate {
-            self.out.write_all(b",\n")?;
+            self.line.push_str(",\n");
         }
         self.separate = true;
         self.rows += 1;
-        self.out
-            .write_all(json_object_with(row, self.forecast).as_bytes())
+        write_json_object(&mut self.line, row, self.forecast);
+        self.out.write_all(self.line.as_bytes())
     }
 
     fn finish(&mut self) -> io::Result<()> {
