@@ -7,20 +7,20 @@
 # BENCH_trace.json — uploaded as CI artifacts), and compares against the
 # committed baseline:
 #
-#   * a benchmark slower than baseline × BENCH_GATE_MAX_RATIO fails the
-#     gate (regression);
-#   * a benchmark faster than baseline ÷ BENCH_GATE_MAX_RATIO prints a
-#     notice suggesting a baseline refresh (never fails);
+#   * a benchmark slower than baseline × MAX_RATIO (1.30 = ±30%, fixed
+#     in this script) fails the gate (regression);
+#   * a benchmark faster than baseline ÷ MAX_RATIO prints a notice
+#     suggesting a baseline refresh (never fails);
 #   * window_index/argmin_indexed must beat window_index/argmin_naive by
-#     ≥ BENCH_GATE_MIN_ARGMIN_SPEEDUP — the indexed-query contract, a
-#     pure ratio and therefore machine-independent;
+#     ≥ MIN_ARGMIN_SPEEDUP (10, fixed in this script) — the indexed-query
+#     contract, a pure ratio and therefore machine-independent;
 #   * serve/estimate_uncached must beat serve/estimate_cached_hit by
-#     ≥ BENCH_GATE_MIN_CACHE_SPEEDUP — the canonical-request cache
-#     contract, likewise a pure ratio;
+#     ≥ MIN_CACHE_SPEEDUP (5, fixed in this script) — the
+#     canonical-request cache contract, likewise a pure ratio;
 #   * sweep/context/scenario_uncontexted must beat
-#     sweep/context/scenario_contexted by ≥ BENCH_GATE_MIN_SWEEP_SPEEDUP
-#     — the per-run context contract (trace simulation, job traces
-#     and catalogs derived once per sweep run by
+#     sweep/context/scenario_contexted by ≥ MIN_SWEEP_SPEEDUP (2, fixed
+#     in this script) — the per-run context contract (trace simulation,
+#     job traces and catalogs derived once per sweep run by
 #     Estimator::context_for, not once per row), a pure ratio as well;
 #   * grid/simulate_year must beat grid/simulate_year_per_hour by
 #     ≥ MIN_GRID_SPEEDUP (1.3, fixed in this script) — the
@@ -41,11 +41,10 @@
 #   ci/bench_gate.sh --update   rewrite ci/bench_baseline.json from this
 #                               machine's run (commit the result)
 #
-# Knobs (env): BENCH_GATE_MAX_RATIO (default 1.30 = ±30%),
-# BENCH_GATE_MIN_ARGMIN_SPEEDUP (default 10),
-# BENCH_GATE_MIN_CACHE_SPEEDUP (default 5),
-# BENCH_GATE_MIN_SWEEP_SPEEDUP (default 2), BENCH_GATE_OUT_DIR
-# (default ci/out), BENCH_GATE_BASELINE (default ci/bench_baseline.json).
+# Knobs (env): BENCH_GATE_OUT_DIR (default ci/out) and
+# BENCH_GATE_BASELINE (default ci/bench_baseline.json), both paths. Every
+# threshold is a constant in this script, so no environment can weaken a
+# gate without a reviewed diff.
 #
 # Wall-clock baselines move with the host. Refresh them with --update
 # only on the CI runner class, in a change of their own that shows
@@ -54,10 +53,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_RATIO="${BENCH_GATE_MAX_RATIO:-1.30}"
-MIN_SPEEDUP="${BENCH_GATE_MIN_ARGMIN_SPEEDUP:-10}"
-MIN_CACHE_SPEEDUP="${BENCH_GATE_MIN_CACHE_SPEEDUP:-5}"
-MIN_SWEEP_SPEEDUP="${BENCH_GATE_MIN_SWEEP_SPEEDUP:-2}"
+MAX_RATIO=1.30
+MIN_ARGMIN_SPEEDUP=10
+MIN_CACHE_SPEEDUP=5
+MIN_SWEEP_SPEEDUP=2
 MIN_GRID_SPEEDUP=1.3
 MIN_PLACE_SPEEDUP=1.4
 MIN_METRIC_SPEEDUP=4
@@ -133,11 +132,11 @@ if [[ -z "$naive" || -z "$indexed" ]]; then
     fail=1
 else
     speedup=$(awk -v n="$naive" -v i="$indexed" 'BEGIN { printf "%.1f", n / i }')
-    if awk -v s="$speedup" -v m="$MIN_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
-        echo "FAIL: indexed argmin speedup ${speedup}x < required ${MIN_SPEEDUP}x"
+    if awk -v s="$speedup" -v m="$MIN_ARGMIN_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: indexed argmin speedup ${speedup}x < required ${MIN_ARGMIN_SPEEDUP}x"
         fail=1
     else
-        echo "OK: indexed argmin beats the naive scan by ${speedup}x (>= ${MIN_SPEEDUP}x)"
+        echo "OK: indexed argmin beats the naive scan by ${speedup}x (>= ${MIN_ARGMIN_SPEEDUP}x)"
     fi
 fi
 

@@ -6,7 +6,7 @@
 //! same handler on the same request body — the only difference is the
 //! cache capacity (primed 64-entry cache vs capacity 0). Their ratio is
 //! the cache-hit speedup, a **machine-independent contract** the bench
-//! gate holds at ≥ 5x (`ci/bench_gate.sh`, `BENCH_GATE_MIN_CACHE_SPEEDUP`);
+//! gate holds at ≥ 5x (`ci/bench_gate.sh`, `MIN_CACHE_SPEEDUP`);
 //! in practice a hit skips a multi-millisecond simulation for
 //! microseconds of parse + lookup + emission, so the observed ratio is
 //! orders of magnitude above the gate.

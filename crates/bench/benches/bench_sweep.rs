@@ -5,7 +5,7 @@
 //!
 //! The contract gated in CI (`ci/bench_gate.sh`): a scenario evaluated
 //! through a pre-built context must beat the uncontexted `run_scenario`
-//! path by ≥ `BENCH_GATE_MIN_SWEEP_SPEEDUP` (default 2×), because the
+//! path by ≥ `MIN_SWEEP_SPEEDUP` (2×, fixed in the script), because the
 //! context derives trace simulation, job-trace generation, and catalog
 //! assembly once per run instead of once per row.
 //! `scenario_contexted_seasonal` is the same row under seasonal PUE, the

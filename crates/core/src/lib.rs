@@ -41,10 +41,8 @@
 
 pub mod db;
 pub mod embodied;
-pub mod interconnect;
 pub mod lifecycle;
 pub mod operational;
-pub mod rfp;
 pub mod systems;
 pub mod whatif;
 

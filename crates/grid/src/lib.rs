@@ -34,15 +34,13 @@
 //! - [`synth`]: deterministic *synthetic* region-years (harmonics +
 //!   fuel-mix-weighted OU noise) that need no calibrated merit order, so
 //!   sweeps are not limited to the calibrated trace set;
-//! - [`api::IntensityApi`]: an ESO-Carbon-Intensity-API-style interface
-//!   (actual + forecast with horizon-dependent error, intensity index
-//!   bands) used by the carbon-aware scheduler;
 //! - [`analysis`]: the Fig. 6/Fig. 7 analyses (per-region summaries,
 //!   winner-per-JST-hour counts);
 //! - [`tracefile`]: strict ElectricityMaps/EIA-style CSV ingestion of
 //!   *measured* region-years into the same [`trace::IntensityTrace`];
 //! - [`forecast`]: planning traces (persistence, day-ahead harmonic,
-//!   seeded noisy oracle) for uncertainty-aware shifting.
+//!   seeded noisy oracle) for uncertainty-aware shifting; the
+//!   carbon-aware scheduler plans on them through `Cluster::with_forecast`.
 //!
 //! # Example
 //!
@@ -59,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod api;
 pub mod forecast;
 pub mod fuel;
 pub mod regions;

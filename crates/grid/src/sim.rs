@@ -190,9 +190,9 @@ fn dispatch(
 
 /// A stateful per-region simulator: a deterministic stream of hourly
 /// generation mixes. [`RegionSim::step`] derives the hour's calendar
-/// inputs from its UTC stamp; [`annual_fuel_shares`] and
-/// `simulate_year_per_hour` loop over it. [`simulate_year`] feeds the
-/// same per-hour model from a walk over local days instead.
+/// inputs from its UTC stamp; `simulate_year_per_hour` loops over it.
+/// [`simulate_year`] feeds the same per-hour model from a walk over local
+/// days instead.
 pub struct RegionSim {
     params: RegionParams,
     demand_rng: SimRng,
@@ -315,22 +315,6 @@ pub fn simulate_year_per_hour(operator: OperatorId, year: i32, seed: u64) -> Int
 /// sequential run).
 pub fn simulate_all_regions(year: i32, seed: u64) -> Vec<IntensityTrace> {
     hpcarbon_sim::par::par_map(&OperatorId::ALL, |_, op| simulate_year(*op, year, seed))
-}
-
-/// Annual average generation shares per fuel for a simulated region-year —
-/// the simulator's "energy mix", validating that each region tells the
-/// physical story its parameters intend (ESO wind-heavy, MISO coal-heavy,
-/// CISO solar-rich, …).
-pub fn annual_fuel_shares(operator: OperatorId, year: i32, seed: u64) -> Vec<(Fuel, f64)> {
-    let mut sim = RegionSim::new(operator, seed);
-    let mut totals = GenerationMix::new();
-    for idx in 0..hpcarbon_timeseries::datetime::hours_in_year(year) {
-        let mix = sim.step(HourStamp::from_hour_of_year(year, idx));
-        for fuel in Fuel::ALL {
-            totals.add(fuel, mix.get(fuel));
-        }
-    }
-    Fuel::ALL.iter().map(|f| (*f, totals.share(*f))).collect()
 }
 
 #[cfg(test)]
@@ -490,6 +474,22 @@ mod tests {
 #[cfg(test)]
 mod mix_tests {
     use super::*;
+
+    /// Annual average generation shares per fuel for a simulated
+    /// region-year: the simulator's "energy mix", validating that each
+    /// region tells the physical story its parameters intend (ESO
+    /// wind-heavy, MISO coal-heavy, CISO solar-rich, …).
+    fn annual_fuel_shares(operator: OperatorId, year: i32, seed: u64) -> Vec<(Fuel, f64)> {
+        let mut sim = RegionSim::new(operator, seed);
+        let mut totals = GenerationMix::new();
+        for idx in 0..hpcarbon_timeseries::datetime::hours_in_year(year) {
+            let mix = sim.step(HourStamp::from_hour_of_year(year, idx));
+            for fuel in Fuel::ALL {
+                totals.add(fuel, mix.get(fuel));
+            }
+        }
+        Fuel::ALL.iter().map(|f| (*f, totals.share(*f))).collect()
+    }
 
     fn share(shares: &[(Fuel, f64)], fuel: Fuel) -> f64 {
         shares.iter().find(|(f, _)| *f == fuel).expect("present").1

@@ -1,19 +1,13 @@
 //! # hpcarbon-power
 //!
-//! Power telemetry and operational-carbon tracking — the workspace's
-//! stand-in for the measurement stack the paper uses on real nodes
-//! (NVML/RAPL power counters read by the `carbontracker` tool).
+//! The device power model and seasonal-PUE accounting behind the
+//! operational half of the paper's model (Eq. 6):
 //!
-//! - [`sensor`]: device power models and simulated NVML/RAPL-style sensors
-//!   whose utilization can be driven by a workload simulation;
-//! - [`energy`]: trapezoidal energy integration over sample streams;
-//! - [`sampler`]: a background sampling daemon (spawned thread, a
-//!   `std` mutex + acquire/release atomics) that polls sensors and
-//!   accumulates per-device energy, mirroring how carbontracker samples
-//!   NVML at a fixed cadence;
-//! - [`tracker`]: the carbontracker-equivalent: measure the first epochs of
-//!   a training run, extrapolate whole-run energy, and convert to gCO₂
-//!   with a grid-intensity trace and PUE (the paper's Eq. 6 pipeline).
+//! - [`sensor`]: the utilization-to-draw curve of one device, the node
+//!   power that `hpcarbon-workloads` builds from NVML/RAPL-style idle and
+//!   TDP figures;
+//! - [`pue_model`]: a seasonal PUE and the hourly-priced accounting that
+//!   applies it against a grid-intensity trace.
 //!
 //! # Example
 //!
@@ -31,12 +25,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod energy;
 pub mod pue_model;
-pub mod sampler;
 pub mod sensor;
-pub mod tracker;
 
 pub use pue_model::SeasonalPue;
-pub use sensor::{DevicePowerModel, PowerSensor, SimulatedDevice};
-pub use tracker::CarbonTracker;
+pub use sensor::DevicePowerModel;

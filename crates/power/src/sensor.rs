@@ -1,23 +1,13 @@
-//! Device power models and simulated sensors.
+//! The device power model.
 //!
 //! The paper measures device power with "power measurement tools (e.g.,
-//! NVML, RAPL)". Here the same interface is served by simulated devices:
-//! a power model maps utilization to draw, and a [`SimulatedDevice`] holds
-//! the current utilization (settable by a workload simulation) behind an
-//! atomic so sampler threads can read it without locking.
+//! NVML, RAPL)". Here a power model maps a device's utilization to its
+//! draw between the idle and TDP figures such tools report.
 
-use hpcarbon_units::{Fraction, Power};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use hpcarbon_units::Power;
 
-/// Anything that can report an instantaneous power draw (the NVML
-/// `nvmlDeviceGetPowerUsage` / RAPL energy-counter role).
-pub trait PowerSensor: Send + Sync {
-    /// Sensor name (e.g. `"gpu0"`).
-    fn name(&self) -> &str;
-    /// Current power draw.
-    fn read_power(&self) -> Power;
-}
+/// Curvature exponent of the utilization-to-power curve.
+const ALPHA: f64 = 0.85;
 
 /// Maps utilization to power draw for one device.
 ///
@@ -29,103 +19,27 @@ pub trait PowerSensor: Send + Sync {
 pub struct DevicePowerModel {
     idle: Power,
     tdp: Power,
-    alpha: f64,
 }
 
 impl DevicePowerModel {
-    /// Default curvature exponent.
-    pub const DEFAULT_ALPHA: f64 = 0.85;
-
-    /// Creates a model with the default curvature.
+    /// Creates a model for a device drawing `idle` at rest and `tdp` at
+    /// full utilization.
     ///
     /// # Panics
     /// If `idle > tdp` or either is negative.
     pub fn new(idle: Power, tdp: Power) -> DevicePowerModel {
-        Self::with_alpha(idle, tdp, Self::DEFAULT_ALPHA)
-    }
-
-    /// Creates a model with an explicit curvature exponent.
-    pub fn with_alpha(idle: Power, tdp: Power, alpha: f64) -> DevicePowerModel {
         assert!(
             idle.as_w() >= 0.0 && tdp.as_w() >= 0.0,
             "power must be >= 0"
         );
         assert!(idle <= tdp, "idle power cannot exceed TDP");
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
-        DevicePowerModel { idle, tdp, alpha }
-    }
-
-    /// Idle draw.
-    pub fn idle(&self) -> Power {
-        self.idle
-    }
-
-    /// Peak (TDP) draw.
-    pub fn tdp(&self) -> Power {
-        self.tdp
+        DevicePowerModel { idle, tdp }
     }
 
     /// Power at utilization `u` (clamped to `[0, 1]`).
     pub fn power_at(&self, u: f64) -> Power {
         let u = u.clamp(0.0, 1.0);
-        self.idle + (self.tdp - self.idle) * u.powf(self.alpha)
-    }
-
-    /// Average power of a duty cycle that is busy a fraction `busy` of the
-    /// time at utilization `u_busy` and idle otherwise. This is the form
-    /// the upgrade analysis uses for "40% GPU usage" style inputs (RQ8).
-    pub fn duty_cycle_power(&self, busy: Fraction, u_busy: f64) -> Power {
-        self.power_at(u_busy) * busy.value() + self.idle * busy.complement().value()
-    }
-}
-
-/// A simulated device: a power model plus the current utilization,
-/// updated by workload code and read by sampler threads.
-///
-/// Utilization is stored as `f64` bits in an `AtomicU64` — single-word
-/// atomic read/write (release/acquire) is all the synchronization a
-/// sensor value needs.
-#[derive(Debug)]
-pub struct SimulatedDevice {
-    name: String,
-    model: DevicePowerModel,
-    util_bits: AtomicU64,
-}
-
-impl SimulatedDevice {
-    /// Creates an idle device.
-    pub fn new(name: impl Into<String>, model: DevicePowerModel) -> Arc<SimulatedDevice> {
-        Arc::new(SimulatedDevice {
-            name: name.into(),
-            model,
-            util_bits: AtomicU64::new(0f64.to_bits()),
-        })
-    }
-
-    /// The device's power model.
-    pub fn model(&self) -> DevicePowerModel {
-        self.model
-    }
-
-    /// Sets utilization (clamped to `[0, 1]`).
-    pub fn set_utilization(&self, u: f64) {
-        self.util_bits
-            .store(u.clamp(0.0, 1.0).to_bits(), Ordering::Release);
-    }
-
-    /// Current utilization.
-    pub fn utilization(&self) -> f64 {
-        f64::from_bits(self.util_bits.load(Ordering::Acquire))
-    }
-}
-
-impl PowerSensor for SimulatedDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read_power(&self) -> Power {
-        self.model.power_at(self.utilization())
+        self.idle + (self.tdp - self.idle) * u.powf(ALPHA)
     }
 }
 
@@ -167,43 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn duty_cycle_average() {
-        let m = v100_model();
-        let p = m.duty_cycle_power(Fraction::new_unchecked(0.4), 1.0);
-        // 0.4 * 300 + 0.6 * 40 = 144.
-        assert!((p.as_w() - 144.0).abs() < 1e-9);
-        let idle_only = m.duty_cycle_power(Fraction::ZERO, 1.0);
-        assert_eq!(idle_only.as_w(), 40.0);
-    }
-
-    #[test]
     #[should_panic(expected = "idle power cannot exceed TDP")]
     fn rejects_idle_above_tdp() {
         let _ = DevicePowerModel::new(Power::from_w(400.0), Power::from_w(300.0));
-    }
-
-    #[test]
-    fn simulated_device_reflects_utilization() {
-        let dev = SimulatedDevice::new("gpu0", v100_model());
-        assert_eq!(dev.read_power().as_w(), 40.0);
-        dev.set_utilization(1.0);
-        assert_eq!(dev.read_power().as_w(), 300.0);
-        assert_eq!(dev.utilization(), 1.0);
-        dev.set_utilization(7.0); // clamped
-        assert_eq!(dev.utilization(), 1.0);
-        assert_eq!(dev.name(), "gpu0");
-    }
-
-    #[test]
-    fn device_is_shareable_across_threads() {
-        let dev = SimulatedDevice::new("gpu0", v100_model());
-        let d2 = Arc::clone(&dev);
-        let handle = std::thread::spawn(move || {
-            d2.set_utilization(0.5);
-            d2.read_power().as_w()
-        });
-        let from_thread = handle.join().unwrap();
-        assert!(from_thread > 40.0);
-        assert_eq!(dev.utilization(), 0.5);
     }
 }

@@ -14,8 +14,8 @@
 //! | Fig. 8–9 | [`figures::fig8`], [`figures::fig9`] | §5 RQ7–8 |
 //!
 //! Each function returns an [`artifact::Artifact`] holding a rendered
-//! text panel and CSV series; [`render_all`] produces the full set (the
-//! `paper_figures` example writes them to disk).
+//! text panel and CSV series; [`render_all`] produces the full set
+//! (`hpcarbon figures` writes them to disk).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,12 +23,10 @@
 pub mod artifact;
 pub mod charts;
 pub mod emit;
-pub mod extensions;
 pub mod figures;
 pub mod tables;
 
 pub use artifact::Artifact;
-pub use extensions::render_extensions;
 
 /// Renders every paper artifact (6 tables + 9 figures). `seed` drives the
 /// grid simulation behind Figs. 6 and 7.

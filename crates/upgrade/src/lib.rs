@@ -45,11 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod future;
-pub mod plan;
 pub mod savings;
 
 pub use advisor::{Recommendation, UpgradeAdvisor};
-pub use future::{break_even_on_trace, DecarbonizationScenario};
-pub use plan::{compare_p100_plans, UpgradePlan};
 pub use savings::{SavingsCurve, UpgradeScenario, UsageLevel};

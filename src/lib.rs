@@ -14,8 +14,7 @@
 //! - [`core`] — the paper's Eqs. 1–6: embodied and operational carbon
 //!   models, the Table 1 part catalog, the Table 2 system inventories
 //! - [`grid`] — the seven-region grid simulator behind Figs. 6–7
-//! - [`power`] — NVML/RAPL-style telemetry and the carbontracker-
-//!   equivalent accounting pipeline
+//! - [`power`] — the device power model and seasonal-PUE accounting
 //! - [`workloads`] — the Table 4 benchmark models and Table 5 node
 //!   generations (roofline + allreduce performance, node power)
 //! - [`upgrade`] — the RQ7/RQ8 upgrade decision framework (Figs. 8–9)

@@ -1,87 +1,8 @@
-//! Integration of telemetry, grid and core: the measurement pipeline the
-//! paper runs with carbontracker on real nodes.
+//! Integration of core and grid over the life cycle: where a device's
+//! operational carbon catches up with its embodied carbon (Eq. 1) on each
+//! region's simulated grid.
 
-use std::sync::Arc;
-use std::time::Duration;
-use sustainable_hpc::power::sampler::{PowerSampler, VirtualSampler};
-use sustainable_hpc::power::sensor::{DevicePowerModel, PowerSensor, SimulatedDevice};
-use sustainable_hpc::power::tracker::{CarbonTracker, EpochMeasurement};
 use sustainable_hpc::prelude::*;
-
-/// A full measurement pipeline: simulated NVML sensors -> sampler ->
-/// epoch energy -> prediction -> carbon at grid intensity.
-#[test]
-fn sampler_to_tracker_pipeline() {
-    // Four V100-class devices running flat out.
-    let devices: Vec<Arc<SimulatedDevice>> = (0..4)
-        .map(|i| {
-            let d = SimulatedDevice::new(
-                format!("gpu{i}"),
-                DevicePowerModel::new(Power::from_w(40.0), Power::from_w(300.0)),
-            );
-            d.set_utilization(1.0);
-            d
-        })
-        .collect();
-    let sensors: Vec<Arc<dyn PowerSensor>> = devices
-        .iter()
-        .map(|d| Arc::clone(d) as Arc<dyn PowerSensor>)
-        .collect();
-    let sampler = PowerSampler::start(sensors, Duration::from_millis(2));
-    std::thread::sleep(Duration::from_millis(40));
-    let reports = sampler.stop();
-    assert_eq!(reports.len(), 4);
-    for r in &reports {
-        let mean = r.mean_power.expect("many samples").as_w();
-        assert!((mean - 300.0).abs() < 2.0, "{}: {mean}", r.name);
-    }
-
-    // Pretend the sampled window was one epoch of 0.5 h at that mean power.
-    let mean_node_power: Power = reports
-        .iter()
-        .map(|r| r.mean_power.expect("many samples"))
-        .fold(Power::ZERO, |a, b| a + b);
-    let epoch_energy = mean_node_power * TimeSpan::from_hours(0.5);
-    let mut tracker = CarbonTracker::new(Pue::DEFAULT);
-    tracker.record_epoch(EpochMeasurement {
-        duration: TimeSpan::from_hours(0.5),
-        energy: epoch_energy,
-    });
-
-    let trace = simulate_year(OperatorId::Ciso, 2021, 3);
-    let prediction = tracker.predict(10, trace.mean());
-    // 10 epochs x ~0.6 kWh x PUE 1.2 x mean intensity.
-    let expect_energy = epoch_energy.as_kwh() * 10.0;
-    assert!((prediction.energy.as_kwh() - expect_energy).abs() < 1e-9);
-    assert!(prediction.carbon.as_kg() > 0.1);
-
-    // Actual accounting against the hourly trace lands within a factor of
-    // the mean-intensity prediction (hourly prices differ from the mean).
-    // Hour 4000 is a mid-June morning in California: solar can push the
-    // window down to about a third of the annual mean, hence the wide band.
-    let actual =
-        tracker.account_against_trace(&trace, 4000, prediction.energy, prediction.duration);
-    let ratio = actual.as_g() / prediction.carbon.as_g();
-    assert!((0.3..=3.0).contains(&ratio), "ratio {ratio}");
-}
-
-/// The virtual sampler gives bit-exact deterministic energy for model-
-/// driven (non-wall-clock) workloads.
-#[test]
-fn virtual_sampler_for_deterministic_pipelines() {
-    let model = DevicePowerModel::new(Power::from_w(55.0), Power::from_w(250.0));
-    let mut v = VirtualSampler::new();
-    // One training step per minute for an hour, utilization 0.9.
-    for minute in 0..=60 {
-        v.record(
-            TimeSpan::from_minutes(f64::from(minute)),
-            model.power_at(0.9),
-        );
-    }
-    let e = v.energy();
-    let expect = model.power_at(0.9).as_w() / 1000.0; // kWh over one hour
-    assert!((e.as_kwh() - expect).abs() < 1e-9);
-}
 
 /// Embodied parity: how long a device must run before operational carbon
 /// equals its embodied carbon — the paper's "greener grids make embodied
@@ -115,22 +36,5 @@ fn embodied_parity_shifts_with_region() {
     // Parity spans weeks (Tokyo's ~545 gCO2/kWh grid) to months (GB).
     for (_, years) in &parity_years {
         assert!((0.02..=5.0).contains(years), "{years}");
-    }
-}
-
-/// The carbontracker prediction is conservative under intensity variation:
-/// pricing hour-by-hour differs from mean-intensity pricing, bounded by
-/// the trace's min/max.
-#[test]
-fn hourly_pricing_bounded_by_trace_extremes() {
-    let trace = simulate_year(OperatorId::Eso, 2021, 17);
-    let tracker = CarbonTracker::new(Pue::new(1.0));
-    let energy = Energy::from_kwh(100.0);
-    let duration = TimeSpan::from_hours(10.0);
-    for start in [0u32, 1000, 4000, 8000] {
-        let carbon = tracker.account_against_trace(&trace, start, energy, duration);
-        let implied = carbon.as_g() / energy.as_kwh();
-        assert!(implied >= trace.series().min() - 1e-9);
-        assert!(implied <= trace.series().max() + 1e-9);
     }
 }
