@@ -34,7 +34,12 @@
 #   * json/metric_fixed4 must beat json/metric_std by
 #     ≥ MIN_METRIC_SPEEDUP (4, fixed in this script) — the exact `{:.4}`
 #     writer the sweep's sinks emit every metric through, byte-equal to
-#     std's formatter.
+#     std's formatter;
+#   * serve/estimate_miss_repeat_key must beat serve/estimate_uncached by
+#     ≥ MIN_STORE_SPEEDUP (10, fixed in this script) — the trace-store
+#     contract (a row-cache miss on an already-built region-year takes
+#     its grid year from the estimator's bounded store instead of a
+#     dispatch simulation, same bytes).
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -60,6 +65,7 @@ MIN_SWEEP_SPEEDUP=2
 MIN_GRID_SPEEDUP=1.3
 MIN_PLACE_SPEEDUP=1.4
 MIN_METRIC_SPEEDUP=4
+MIN_STORE_SPEEDUP=10
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -217,6 +223,21 @@ else
         fail=1
     else
         echo "OK: the exact metric writer beats std's {:.4} by ${metric_speedup}x (>= ${MIN_METRIC_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1g: the trace-store speedup contract -----------------------------
+repeat_key=$(extract "$OUT_DIR/BENCH_serve.json" | awk '$1 == "serve/estimate_miss_repeat_key" { print $2 }')
+if [[ -z "$uncached" || -z "$repeat_key" ]]; then
+    echo "FAIL: serve uncached/repeat-key benchmarks missing from BENCH_serve.json"
+    fail=1
+else
+    store_speedup=$(awk -v u="$uncached" -v r="$repeat_key" 'BEGIN { printf "%.1f", u / r }')
+    if awk -v s="$store_speedup" -v m="$MIN_STORE_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: trace-store speedup ${store_speedup}x < required ${MIN_STORE_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: repeat-key misses beat novel-key misses by ${store_speedup}x (>= ${MIN_STORE_SPEEDUP}x)"
     fi
 fi
 

@@ -8,8 +8,13 @@
 //! distinct key tuples, so almost every derivation is a repeat.
 //! [`crate::Estimator::context_for`] derives each distinct key's inputs
 //! once, and the [`EstimateContext`] it returns evaluates requests
-//! against them, asking the estimator's providers for any key it does
-//! not hold.
+//! against them. A trace it does not hold comes from the estimator's
+//! [`crate::store`], and any other input from the providers.
+//!
+//! A context lives for one batch. What lives across requests is the
+//! estimator's bounded trace store, which a single evaluation (the
+//! server's miss path) reads through an empty context. Building a
+//! context never touches the store.
 //!
 //! ## Byte-safety
 //!
@@ -138,7 +143,8 @@ pub struct EstimateContext<'e> {
 }
 
 impl<'e> EstimateContext<'e> {
-    /// A context holding nothing: every lookup goes to `estimator`'s
+    /// A context holding nothing: every trace comes from `estimator`'s
+    /// trace store or intensity provider, every other input from its
     /// providers.
     pub(crate) fn new(estimator: &'e Estimator) -> EstimateContext<'e> {
         EstimateContext {
@@ -150,8 +156,9 @@ impl<'e> EstimateContext<'e> {
     }
 
     /// Validates and evaluates one request against the held inputs.
-    /// Keys the context does not hold go to the estimator's providers,
-    /// so the report equals [`Estimator::estimate`]'s, byte for byte.
+    /// Keys the context does not hold go to the estimator's trace store
+    /// and providers, so the report equals [`Estimator::estimate`]'s,
+    /// byte for byte.
     ///
     /// # Errors
     /// The [`ApiError`]s of [`Estimator::estimate`].
@@ -275,13 +282,42 @@ mod tests {
     #[test]
     fn empty_context_misses_everything() {
         // `estimate` and `estimate_valid`, the server's miss path,
-        // evaluate against an empty context: every request asks the
-        // provider for its traces, and nothing is kept between requests.
+        // evaluate against an empty context: a key's first two requests
+        // both ask the provider for its traces, because the trace store
+        // admits a key only on its second miss.
         let (est, calls) = counting_estimator();
         for (r, traces) in [(req(7), 1), (req(7), 1), (spatio(9), 2)] {
             let before = calls.load(Ordering::Relaxed);
             est.estimate(&r).unwrap();
             assert_eq!(calls.load(Ordering::Relaxed) - before, traces);
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_fill_the_store_once() {
+        // After one miss on a key, eight threads estimating it at once
+        // make exactly one more provider call: the one that fills the
+        // store's cell for the key. The others wait for it and hit.
+        let (est, calls) = counting_estimator();
+        est.estimate(&req(7)).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        let barrier = std::sync::Barrier::new(8);
+        let reports: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        est.estimate(&req(7))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        let stats = est.trace_store_stats();
+        assert_eq!((stats.builds, stats.hits, stats.entries), (2, 7, 1));
+        for rep in &reports {
+            assert_eq!(*rep, est.estimate(&req(7)));
         }
     }
 

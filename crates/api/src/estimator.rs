@@ -21,6 +21,16 @@
 //! order. Batch output (and its JSON emission) is therefore
 //! **byte-identical for every thread count**; `tests/api_roundtrip.rs`
 //! and the CI smoke job diff 1-thread against 4-thread runs.
+//!
+//! ## What outlives a request
+//!
+//! Each estimator owns a bounded [`crate::store`] of region-year traces.
+//! A single evaluation ([`Estimator::estimate`],
+//! [`Estimator::estimate_valid`]) takes a trace from it before asking
+//! the intensity provider, so a server that answers many misses against
+//! a few region-years builds each one about twice, not once per miss.
+//! An entry is exactly what the pure provider returned, so the store
+//! changes latency, never bytes.
 
 use crate::context::{EstimateContext, RequestKeys, TraceKey, TraceStats};
 use crate::error::ApiError;
@@ -29,7 +39,8 @@ use crate::providers::{
     JobSource, PueProvider, RequestPue,
 };
 use crate::report::{FootprintReport, Verdict};
-use crate::request::{EstimateRequest, ValidRequest};
+use crate::request::{EstimateRequest, ValidRequest, MAX_JOBS};
+use crate::store::{TraceStore, TraceStoreStats};
 use crate::types::{ForecastModel, PueSpec, StorageVariant, TraceSource};
 use hpcarbon_core::db::PartId;
 use hpcarbon_core::operational::Pue;
@@ -120,6 +131,7 @@ impl EstimatorBuilder {
             jobs: self.jobs,
             threads: self.threads,
             trace_files: self.trace_files,
+            store: TraceStore::default(),
         }
     }
 }
@@ -143,6 +155,7 @@ pub struct Estimator {
     jobs: Box<dyn JobSource>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
+    store: TraceStore,
 }
 
 impl Estimator {
@@ -169,16 +182,21 @@ impl Estimator {
     ///
     /// Distinct traces, one dispatch simulation each, build in parallel
     /// over the configured thread count. File-sourced keys are skipped:
-    /// the registered trace files already hold them.
+    /// the registered trace files already hold them. So are job counts
+    /// above [`MAX_JOBS`]: validation rejects their requests before
+    /// evaluation, and generating them could exhaust memory. The
+    /// estimator's trace store is neither read nor filled.
     pub fn context_for(&self, keys: impl IntoIterator<Item = RequestKeys>) -> EstimateContext<'_> {
         let mut ctx = EstimateContext::new(self);
         let mut trace_keys = BTreeSet::new();
         for k in keys {
             let traces = std::iter::once(k.trace).chain(k.partner_trace);
             trace_keys.extend(traces.filter(|key| key.1 != TraceSource::File));
-            ctx.jobs
-                .entry(k.jobs)
-                .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
+            if k.jobs.0 <= MAX_JOBS {
+                ctx.jobs
+                    .entry(k.jobs)
+                    .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
+            }
             ctx.systems
                 .entry(k.system)
                 .or_insert_with(|| self.embodied.build_system(k.system));
@@ -212,8 +230,9 @@ impl Estimator {
     /// the entry point for callers that need the [`ValidRequest`] anyway
     /// (the serving layer derives its cache key from it). Same pipeline,
     /// same bytes as [`Estimator::estimate`]. Both evaluate against an
-    /// empty context: every input comes from the providers, and nothing
-    /// is kept for the next request.
+    /// empty context: traces come from the estimator's trace store or
+    /// its intensity provider, every other input from the providers.
+    /// Only the store keeps anything for the next request.
     ///
     /// # Errors
     /// [`ApiError`] when the (valid) combination is infeasible at
@@ -240,9 +259,16 @@ impl Estimator {
         par_map_workers(reqs, workers, |_, req| ctx.estimate(req))
     }
 
-    /// The trace for `key`: file-sourced keys resolve from the registered
-    /// trace files (never a provider); everything else is a context hit
-    /// or the intensity provider.
+    /// What the trace store has done so far: hits, provider builds and
+    /// the entries it holds now (the server's `trace_store_*` metrics).
+    pub fn trace_store_stats(&self) -> TraceStoreStats {
+        self.store.stats()
+    }
+
+    /// The trace for `key`, with its stats when a context or the store
+    /// kept them. File-sourced keys resolve from the registered trace
+    /// files (never a provider); everything else is a context hit, a
+    /// trace-store hit, or the intensity provider.
     ///
     /// # Errors
     /// [`ApiError::InvalidRequest`] when a file-sourced key has no
@@ -252,7 +278,7 @@ impl Estimator {
         &self,
         ctx: &EstimateContext<'_>,
         key: &TraceKey,
-    ) -> Result<Arc<IntensityTrace>, ApiError> {
+    ) -> Result<(Arc<IntensityTrace>, Option<TraceStats>), ApiError> {
         if key.1 == TraceSource::File {
             let trace = self
                 .trace_files
@@ -267,20 +293,22 @@ impl Estimator {
                     reason: "does not match the registered trace file's year",
                 });
             }
-            return Ok(Arc::clone(trace));
+            return Ok((Arc::clone(trace), None));
         }
-        Ok(match ctx.traces.get(key) {
-            Some((trace, _)) => Arc::clone(trace),
-            None => self.intensity.year_trace(key.0, key.1, key.2, key.3),
-        })
+        if let Some((trace, stats)) = ctx.traces.get(key) {
+            return Ok((Arc::clone(trace), Some(*stats)));
+        }
+        Ok(self.store.trace(*key, || {
+            self.intensity.year_trace(key.0, key.1, key.2, key.3)
+        }))
     }
 
     /// The five-layer pipeline. Mirrors the historical
     /// `sweep::run_scenario` computation exactly — the sweep now delegates
     /// here, and its CSV/JSON output is a frozen contract. Every `ctx`
-    /// lookup falls back to the provider computing the identical value,
-    /// so a context changes latency, never bytes. `ctx` is always one
-    /// this estimator built.
+    /// lookup falls back to the trace store or the provider, each
+    /// holding or computing the identical value, so neither changes
+    /// bytes, only latency. `ctx` is always one this estimator built.
     pub(crate) fn evaluate(
         &self,
         v: &ValidRequest,
@@ -312,11 +340,8 @@ impl Estimator {
         };
 
         // Layer 2: the regional grid year, from this request's own stream.
-        let trace = self.trace_for(ctx, &keys.trace)?;
-        let stats = ctx
-            .traces
-            .get(&keys.trace)
-            .map_or_else(|| TraceStats::of(&trace), |&(_, stats)| stats);
+        let (trace, stats) = self.trace_for(ctx, &keys.trace)?;
+        let stats = stats.unwrap_or_else(|| TraceStats::of(&trace));
         let median = CarbonIntensity::from_g_per_kwh(stats.median_g_per_kwh);
 
         // Layer 3: the scheduling run on a cluster powered by that grid,
@@ -333,7 +358,7 @@ impl Estimator {
         // from the same provider, seed stream and PUE — so the estimate
         // stays a pure function of the request and the providers.
         if let Some(pk) = keys.partner_trace {
-            let partner_trace = self.trace_for(ctx, &pk)?;
+            let (partner_trace, _) = self.trace_for(ctx, &pk)?;
             let mut partner = Cluster::new(pk.0.info().short, partner_trace, r.cluster_gpus);
             partner.pue = pue.mean_value();
             clusters.push(partner);
@@ -458,6 +483,7 @@ impl Default for Estimator {
 mod tests {
     use super::*;
     use crate::providers::FlatIntensity;
+    use crate::store;
     use crate::types::{SystemId, UpgradePath};
     use hpcarbon_grid::regions::OperatorId;
     use hpcarbon_sched::{Job, Policy};
@@ -607,6 +633,56 @@ mod tests {
         let partial = est.context_for([RequestKeys::of(&reqs[0])]);
         let mixed: Vec<_> = reqs.iter().map(|r| partial.estimate(r)).collect();
         assert_eq!(mixed, without);
+    }
+
+    #[test]
+    fn a_warm_store_never_changes_reported_bytes() {
+        // Every region under both generated sources and three seeds, plus
+        // a spatio-temporal request whose partner trace also goes through
+        // the store: the third estimate of a request is a store hit, and
+        // it must equal a fresh estimator's report.
+        let est = Estimator::builder().threads(1).build();
+        let mut reqs = Vec::new();
+        for region in OperatorId::ALL {
+            for source in [TraceSource::Paper, TraceSource::Synthetic] {
+                for seed in [2021u64, 7, 1 << 40] {
+                    let mut r = req();
+                    r.region = region;
+                    r.source = source;
+                    r.seed = seed;
+                    r.jobs = 8;
+                    reqs.push(r);
+                }
+            }
+        }
+        let mut spatio = req();
+        spatio.policy = Policy::SpatioTemporal { slack_hours: 24 };
+        spatio.seed = 99;
+        reqs.push(spatio);
+        for r in &reqs {
+            let fresh = Estimator::default().estimate(r);
+            let hits = est.trace_store_stats().hits;
+            for _ in 0..3 {
+                assert_eq!(est.estimate(r), fresh, "{r:?}");
+            }
+            let traces = 1 + u64::from(RequestKeys::of(r).partner_trace.is_some());
+            assert_eq!(est.trace_store_stats().hits - hits, traces, "{r:?}");
+        }
+        assert_eq!(est.trace_store_stats().entries, store::CAPACITY);
+    }
+
+    #[test]
+    fn batches_leave_the_store_alone_and_skip_oversized_job_traces() {
+        let est = Estimator::builder().threads(1).build();
+        let mut huge = req();
+        huge.jobs = 1_000_000_000_000;
+        let out = est.estimate_batch(&[req(), req(), huge]);
+        assert!(out[0].is_ok() && out[1].is_ok());
+        assert!(matches!(
+            out[2],
+            Err(ApiError::InvalidRequest { field: "jobs", .. })
+        ));
+        assert_eq!(est.trace_store_stats(), TraceStoreStats::default());
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub mod parse;
 pub mod providers;
 pub mod report;
 pub mod request;
+pub mod store;
 pub mod types;
 
 pub use context::{EstimateContext, JobKey, RequestKeys, TraceKey, TraceStats};
@@ -83,5 +84,6 @@ pub use report::{
     batch_from_json, batch_to_json, EmbodiedSection, FootprintReport, GridSection,
     OperationalSection, ShiftSection, UpgradeSection, Verdict,
 };
-pub use request::{EstimateRequest, ValidRequest, POLICY_VALUES, SCHEMA_VERSION};
+pub use request::{EstimateRequest, ValidRequest, MAX_JOBS, POLICY_VALUES, SCHEMA_VERSION};
+pub use store::TraceStoreStats;
 pub use types::{ForecastModel, PueSpec, StorageVariant, SystemId, TraceSource, UpgradePath};

@@ -36,6 +36,12 @@ use hpcarbon_workloads::nodes::NodeGen;
 /// The request/report schema version this build speaks.
 pub const SCHEMA_VERSION: u32 = 1;
 
+/// The largest `jobs` a request may ask for. The job trace is generated
+/// in full before the scheduling run, at 56 bytes a job, so an
+/// unbounded count would abort the process on allocation; 100,000 jobs
+/// are ~5.6 MB.
+pub const MAX_JOBS: usize = 100_000;
+
 /// Accepted `policy.name` values.
 pub const POLICY_VALUES: [&str; 7] = [
     "fifo",
@@ -119,8 +125,8 @@ impl EstimateRequest {
         }
     }
 
-    /// Semantic validation: schema version, physical PUE, non-empty
-    /// workload, plausible year. The returned [`ValidRequest`] is the
+    /// Semantic validation: schema version, physical PUE, a workload of
+    /// 1 to [`MAX_JOBS`] jobs, plausible year. The returned [`ValidRequest`] is the
     /// only input [`crate::Estimator::estimate`] evaluates.
     pub fn validate(&self) -> Result<ValidRequest, ApiError> {
         if self.schema_version != SCHEMA_VERSION {
@@ -134,6 +140,12 @@ impl EstimateRequest {
             return Err(ApiError::InvalidRequest {
                 field: "jobs",
                 reason: "must be at least 1",
+            });
+        }
+        if self.jobs > MAX_JOBS {
+            return Err(ApiError::InvalidRequest {
+                field: "jobs",
+                reason: "must be at most 100000",
             });
         }
         if self.cluster_gpus == 0 {
@@ -627,6 +639,19 @@ mod tests {
             r.validate().unwrap_err(),
             ApiError::InvalidRequest { field: "jobs", .. }
         ));
+        // The upper bound is checked, not run: MAX_JOBS itself validates
+        // and one more does not, with the bound in the message.
+        let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
+        r.jobs = MAX_JOBS;
+        assert!(r.validate().is_ok());
+        r.jobs = MAX_JOBS + 1;
+        match r.validate().unwrap_err() {
+            ApiError::InvalidRequest {
+                field: "jobs",
+                reason,
+            } => assert_eq!(reason, format!("must be at most {MAX_JOBS}")),
+            other => panic!("{other:?}"),
+        }
         let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
         r.cluster_gpus = 0;
         assert!(matches!(

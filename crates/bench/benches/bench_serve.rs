@@ -3,13 +3,20 @@
 //! parsing costs.
 //!
 //! `serve/estimate_cached_hit` and `serve/estimate_uncached` measure the
-//! same handler on the same request body — the only difference is the
-//! cache capacity (primed 64-entry cache vs capacity 0). Their ratio is
-//! the cache-hit speedup, a **machine-independent contract** the bench
-//! gate holds at ≥ 5x (`ci/bench_gate.sh`, `MIN_CACHE_SPEEDUP`);
-//! in practice a hit skips a multi-millisecond simulation for
-//! microseconds of parse + lookup + emission, so the observed ratio is
-//! orders of magnitude above the gate.
+//! same handler on the same request shape — the differences are the
+//! cache capacity (primed 64-entry cache vs capacity 0) and the seed,
+//! which the uncached arm draws fresh each iteration so that every call
+//! also builds its grid year. Their ratio is the cache-hit speedup, a
+//! **machine-independent contract** the bench gate holds at ≥ 5x
+//! (`ci/bench_gate.sh`, `MIN_CACHE_SPEEDUP`); in practice a hit skips a
+//! multi-millisecond simulation for microseconds of parse + lookup +
+//! emission, so the observed ratio is orders of magnitude above the
+//! gate.
+//!
+//! `serve/estimate_miss_repeat_key` repeats one body at capacity 0: each
+//! call misses the row cache, evaluates, and takes its grid year from
+//! the estimator's trace store. Its ratio to `serve/estimate_uncached`
+//! is the trace-store speedup, held at ≥ 10x (`MIN_STORE_SPEEDUP`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_api::{EstimateRequest, Estimator, SystemId};
@@ -22,10 +29,14 @@ use std::net::TcpStream;
 
 /// The benchmark workload: the paper-baseline Frontier/GB request at the
 /// sweep's fast job count (the smoke fixtures' shape).
-fn request_body() -> String {
+fn request() -> EstimateRequest {
     let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
     r.jobs = 40;
-    r.to_json()
+    r
+}
+
+fn request_body() -> String {
+    request().to_json()
 }
 
 fn post(body: &str) -> HttpRequest {
@@ -41,10 +52,26 @@ fn estimate_paths(c: &mut Criterion) {
     let body = request_body();
     let req = post(&body);
 
-    // Capacity 0 disables the cache: every call runs the estimator.
+    // Capacity 0 disables the cache: every call runs the estimator, and
+    // a seed no call used before makes it build its grid year too.
     let uncached = EstimateService::new(Estimator::builder().build(), 0);
+    let mut fresh = request();
+    fresh.seed = 1 << 40;
     c.bench_function("serve/estimate_uncached", |b| {
-        b.iter(|| black_box(uncached.handle(&req)))
+        b.iter(|| {
+            fresh.seed += 1;
+            black_box(uncached.handle(&post(&fresh.to_json())))
+        })
+    });
+
+    // One body at capacity 0: every call misses the row cache and takes
+    // its grid year from the trace store (a first sight and a fill
+    // prime it).
+    let repeat = EstimateService::new(Estimator::builder().build(), 0);
+    let primed = repeat.handle(&req);
+    assert_eq!(repeat.handle(&req).body, primed.body);
+    c.bench_function("serve/estimate_miss_repeat_key", |b| {
+        b.iter(|| black_box(repeat.handle(&req)))
     });
 
     // Primed cache: every call is parse + canonical key + hit + emit.

@@ -44,10 +44,13 @@ struct Shard<V> {
 }
 
 impl<V: Clone> Shard<V> {
+    /// An empty shard. Its table and slab grow as entries arrive: a
+    /// large `--cache` reserves nothing at boot, and a shard holding a
+    /// few entries touches a few pages, not one per reserved bucket.
     fn new(capacity: usize) -> Shard<V> {
         Shard {
-            map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
+            map: HashMap::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -243,6 +246,17 @@ mod tests {
         assert_eq!(cache.get("a"), None);
         assert!(cache.is_empty());
         assert_eq!(cache.capacity(), 0);
+    }
+
+    #[test]
+    fn shards_reserve_nothing_at_boot() {
+        let cache: ShardedLru<u32> = ShardedLru::new(16_384);
+        for shard in &cache.shards {
+            let s = shard.lock().unwrap();
+            assert_eq!((s.map.capacity(), s.slots.capacity()), (0, 0));
+        }
+        cache.insert("a".into(), 1);
+        assert_eq!(cache.get("a"), Some(1));
     }
 
     #[test]

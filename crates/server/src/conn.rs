@@ -5,7 +5,9 @@
 //! readiness state machine needs (in-flight flag, generation stamp, read
 //! deadline). The event loop owns all transitions; this module only
 //! holds the data and the one self-contained algorithm — partial-write
-//! resume over a queue of owned or `Arc`-shared byte segments.
+//! resume over a queue of owned or `Arc`-shared byte segments, flushed
+//! with one vectored write per call, so a response's head and body
+//! leave in one write.
 //!
 //! The shared segments are the zero-copy half of the hot-response path:
 //! a cache hit pushes the `Arc`'d rendered body straight into the write
@@ -15,7 +17,7 @@
 use crate::http::RequestParser;
 use crate::poll::Interest;
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,13 +41,20 @@ impl Segment {
     }
 }
 
+/// Most segments one vectored write hands the kernel (a response is
+/// two: head and body).
+const MAX_IOV: usize = 16;
+
 /// The outgoing byte queue with partial-write resume.
 ///
 /// Responses are pushed as segments (head, body, head, body, …);
-/// [`write_to`](WriteBuf::write_to) flushes as much as the socket
-/// accepts and remembers the offset into the front segment, so a short
-/// write resumes exactly where the kernel stopped — the mechanism behind
-/// write-interest-driven flushing.
+/// [`write_to`](WriteBuf::write_to) passes the queued segments to one
+/// `write_vectored` call, so a response's head and body go out in a
+/// single `writev(2)` rather than two writes the client may wake for
+/// twice. It advances across segment boundaries by the bytes the
+/// socket took and remembers the offset into the front segment, so a
+/// short write resumes exactly where the kernel stopped — the mechanism
+/// behind write-interest-driven flushing.
 #[derive(Debug, Default)]
 pub struct WriteBuf {
     segments: VecDeque<Segment>,
@@ -91,28 +100,43 @@ impl WriteBuf {
     /// queue drained, `Ok(false)` when the sink would block (the caller
     /// arms write interest), and `Err` on transport failure.
     pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<bool> {
-        while let Some(front) = self.segments.front() {
-            let chunk = &front.as_bytes()[self.offset..];
-            match w.write(chunk) {
+        while !self.segments.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            let mut n = 0;
+            for (slot, segment) in iov.iter_mut().zip(&self.segments) {
+                let skip = if n == 0 { self.offset } else { 0 };
+                *slot = IoSlice::new(&segment.as_bytes()[skip..]);
+                n += 1;
+            }
+            match w.write_vectored(&iov[..n]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         ErrorKind::WriteZero,
                         "peer accepted zero bytes",
                     ))
                 }
-                Ok(n) if n == chunk.len() => {
-                    self.segments.pop_front();
-                    self.offset = 0;
-                }
-                Ok(n) => {
-                    self.offset += n;
-                }
+                Ok(written) => self.advance(written),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(e),
             }
         }
         Ok(true)
+    }
+
+    /// Drops `written` bytes off the front of the queue: every segment
+    /// they cover in full, then an offset into the next.
+    fn advance(&mut self, mut written: usize) {
+        while let Some(front) = self.segments.front() {
+            let left = front.as_bytes().len() - self.offset;
+            if written < left {
+                self.offset += written;
+                return;
+            }
+            written -= left;
+            self.segments.pop_front();
+            self.offset = 0;
+        }
     }
 }
 
@@ -225,6 +249,85 @@ mod tests {
         assert_eq!(sink.accepted, b"HEADshared-bodytail");
         assert!(buf.is_empty());
         assert_eq!(buf.pending_bytes(), 0);
+    }
+
+    /// A sink that takes at most `cap` bytes per `write_vectored`,
+    /// across as many slices as that covers, and counts its calls.
+    struct Vectored {
+        accepted: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl Write for Vectored {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.cap - n);
+                self.accepted.extend_from_slice(&buf[..take]);
+                n += take;
+                if n == self.cap {
+                    break;
+                }
+            }
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_writes_deliver_exactly_the_queued_bytes() {
+        let segments: [&[u8]; 5] = [
+            b"HTTP/1.1 200 OK\r\n\r\n",
+            b"{}",
+            b"x",
+            b"head-2",
+            b"body-two",
+        ];
+        let queued: Vec<u8> = segments.concat();
+        for cap in 1..=queued.len() + 1 {
+            let mut buf = WriteBuf::new();
+            for (i, s) in segments.iter().enumerate() {
+                if i % 2 == 0 {
+                    buf.push_owned(s.to_vec());
+                } else {
+                    buf.push_shared(Arc::new(s.to_vec()));
+                }
+            }
+            let mut sink = Vectored {
+                accepted: Vec::new(),
+                cap,
+                calls: 0,
+            };
+            assert!(buf.write_to(&mut sink).unwrap());
+            assert_eq!(sink.accepted, queued, "cap {cap}");
+            assert_eq!(sink.calls, queued.len().div_ceil(cap), "cap {cap}");
+            assert!(buf.is_empty());
+            assert_eq!(buf.pending_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn a_response_head_and_body_leave_in_one_write() {
+        let mut buf = WriteBuf::new();
+        buf.push_owned(b"HEAD".to_vec());
+        buf.push_shared(Arc::new(b"body".to_vec()));
+        let mut sink = Vectored {
+            accepted: Vec::new(),
+            cap: usize::MAX,
+            calls: 0,
+        };
+        assert!(buf.write_to(&mut sink).unwrap());
+        assert_eq!(
+            (sink.calls, sink.accepted.as_slice()),
+            (1, &b"HEADbody"[..])
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! the README's "Serve & load-test" section; field names are a wire
 //! contract (CI greps them).
 
+use hpcarbon_api::TraceStoreStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -61,6 +62,9 @@ pub struct Metrics {
     /// Connections dropped by peer reset/disconnect mid-request or
     /// mid-response (never counts clean keep-alive closes).
     pub conn_resets: AtomicU64,
+    /// Requests whose handler panicked; each was answered with a 500
+    /// and its worker kept serving.
+    pub worker_panics: AtomicU64,
     /// Per-shard event-loop stats; set once at event-loop boot.
     shards: OnceLock<Vec<ShardStats>>,
     /// Estimate-call latency histogram (cumulative buckets, µs).
@@ -128,8 +132,9 @@ impl Metrics {
     }
 
     /// Renders the `/metrics` document. `cache_entries` is sampled from
-    /// the cache at render time (it is a gauge, not a counter).
-    pub fn render(&self, cache_entries: usize) -> String {
+    /// the cache at render time (it is a gauge, not a counter), and
+    /// `store` from the estimator's trace store.
+    pub fn render(&self, cache_entries: usize, store: TraceStoreStats) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut out = String::with_capacity(1024);
         out.push_str("# hpcarbon-server metrics; counters are cumulative since boot.\n");
@@ -147,6 +152,10 @@ impl Metrics {
             ("cache_entries", cache_entries as u64),
             ("hot_responses_total", g(&self.hot_responses)),
             ("conn_resets_total", g(&self.conn_resets)),
+            ("worker_panics_total", g(&self.worker_panics)),
+            ("trace_store_hits_total", store.hits),
+            ("trace_store_builds_total", store.builds),
+            ("trace_store_entries", store.entries as u64),
         ] {
             out.push_str(&format!("{name} {value}\n"));
         }
@@ -212,7 +221,7 @@ mod tests {
         m.observe_latency_us(50); // le=100
         m.observe_latency_us(800); // le=1000
         m.observe_latency_us(999_999); // +Inf
-        let text = m.render(0);
+        let text = m.render(0, TraceStoreStats::default());
         assert!(text.contains("estimate_latency_us_bucket{le=\"100\"} 1\n"));
         assert!(text.contains("estimate_latency_us_bucket{le=\"1000\"} 2\n"));
         assert!(text.contains("estimate_latency_us_bucket{le=\"100000\"} 2\n"));
@@ -224,7 +233,12 @@ mod tests {
     #[test]
     fn render_names_are_the_wire_contract() {
         // CI greps these names; a rename is a contract break.
-        let text = Metrics::new().render(7);
+        let store = TraceStoreStats {
+            hits: 5,
+            builds: 3,
+            entries: 2,
+        };
+        let text = Metrics::new().render(7, store);
         for name in [
             "http_requests_total 0",
             "responses_2xx_total 0",
@@ -234,6 +248,10 @@ mod tests {
             "cache_entries 7",
             "hot_responses_total 0",
             "conn_resets_total 0",
+            "worker_panics_total 0",
+            "trace_store_hits_total 5",
+            "trace_store_builds_total 3",
+            "trace_store_entries 2",
         ] {
             assert!(text.contains(name), "missing {name:?} in:\n{text}");
         }
@@ -243,14 +261,17 @@ mod tests {
     fn shard_stats_render_labeled_lines() {
         let m = Metrics::new();
         assert_eq!(m.open_connections(), 0, "no shards yet");
-        assert!(!m.render(0).contains("shard_"), "no shard lines yet");
+        assert!(
+            !m.render(0, TraceStoreStats::default()).contains("shard_"),
+            "no shard lines yet"
+        );
         m.init_shards(2);
         m.shard(0).open_connections.store(3, Ordering::Relaxed);
         m.shard(1).open_connections.store(4, Ordering::Relaxed);
         m.shard(1).readiness_events.fetch_add(9, Ordering::Relaxed);
         m.shard(0).wakeups.fetch_add(2, Ordering::Relaxed);
         assert_eq!(m.open_connections(), 7);
-        let text = m.render(0);
+        let text = m.render(0, TraceStoreStats::default());
         for line in [
             "shard_open_connections{shard=\"0\"} 3",
             "shard_open_connections{shard=\"1\"} 4",

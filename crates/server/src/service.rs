@@ -23,12 +23,24 @@
 //! keeping them out makes cache poisoning by malformed traffic
 //! impossible. The mixed case — a batch where some rows hit and some
 //! miss — therefore composes row by row without special cases.
+//!
+//! A row that misses the cache still skips most of its work when its
+//! region-year was built before: the estimator's trace store keeps
+//! recently repeated grid years (its counters are the `trace_store_*`
+//! metrics).
+//!
+//! ## Panics
+//!
+//! [`EstimateService::handle`] catches a panic under any route and
+//! answers `500` with an `internal` error payload, so a panicking
+//! provider costs one response, never a worker thread.
 
 use crate::cache::ShardedLru;
 use crate::http::{HttpError, HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
 use hpcarbon_api::request::ValidRequest;
 use hpcarbon_api::{batch_to_json, ApiError, EstimateRequest, Estimator, FootprintReport};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,23 +141,38 @@ impl EstimateService {
         Some(hit)
     }
 
-    /// Handles one parsed request. Total: every outcome is a response.
+    /// Handles one parsed request. Total: every outcome is a response,
+    /// a panic under the route included. It becomes a `500` with an
+    /// `internal` error payload, counted in `worker_panics_total`, and
+    /// the calling thread keeps serving.
     pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        let resp = match (req.method.as_str(), req.target.as_str()) {
+        // Unwind safety: a route shares only atomics, the estimator's
+        // trace store, whose lock never runs the provider, and the two
+        // caches, which are written after the estimate a panic would
+        // come from. A panic leaves nothing shared half-done.
+        let resp = panic::catch_unwind(AssertUnwindSafe(|| self.route(req))).unwrap_or_else(|_| {
+            self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+            error_payload(500, "internal", "the request handler panicked")
+        });
+        self.metrics.count_response(resp.status);
+        resp
+    }
+
+    fn route(&self, req: &HttpRequest) -> HttpResponse {
+        match (req.method.as_str(), req.target.as_str()) {
             ("GET", "/healthz") => HttpResponse::ok("text/plain; charset=utf-8", "ok\n"),
             ("GET", "/metrics") => HttpResponse::ok(
                 "text/plain; charset=utf-8",
-                self.metrics.render(self.cache.len()),
+                self.metrics
+                    .render(self.cache.len(), self.estimator.trace_store_stats()),
             ),
             ("POST", "/v1/estimate") => self.estimate(&req.body),
             ("GET", "/v1/estimate") | ("POST", "/healthz") | ("POST", "/metrics") => {
                 error_payload(405, "http", "method not allowed for this route")
             }
             _ => error_payload(404, "http", "no such route"),
-        };
-        self.metrics.count_response(resp.status);
-        resp
+        }
     }
 
     /// The response for a request that never parsed ([`HttpError`] from
@@ -404,6 +431,54 @@ mod tests {
         assert_eq!(svc.handle(&post(&body)).status, 200);
         assert_eq!(svc.hot_entries(), 0);
         assert!(svc.try_hot(body.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_panic_under_a_route_is_a_counted_500() {
+        struct Panics;
+        impl hpcarbon_api::IntensityProvider for Panics {
+            fn year_trace(
+                &self,
+                _: OperatorId,
+                _: TraceSource,
+                _: i32,
+                _: u64,
+            ) -> Arc<hpcarbon_grid::trace::IntensityTrace> {
+                panic!("injected provider failure")
+            }
+        }
+        let svc = EstimateService::new(Estimator::builder().intensity(Panics).build(), 16);
+        let resp = svc.handle(&post(&request_json()));
+        assert_eq!(resp.status, 500);
+        let text = String::from_utf8(resp.body).unwrap();
+        assert!(text.contains("\"kind\": \"internal\""), "{text}");
+        assert_eq!(svc.metrics().worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(svc.metrics().responses_5xx.load(Ordering::Relaxed), 1);
+        assert_eq!((svc.cache_entries(), svc.hot_entries()), (0, 0));
+        // The service keeps answering.
+        assert_eq!(svc.handle(&get("/healthz")).status, 200);
+        let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();
+        assert!(metrics.contains("worker_panics_total 1\n"), "{metrics}");
+    }
+
+    #[test]
+    fn uncached_misses_on_one_region_year_reach_the_trace_store() {
+        // Capacity 0: every call misses both caches and evaluates. The
+        // trace store builds the key's grid year twice (first sight,
+        // fill), then answers it, with the same bytes.
+        let svc = EstimateService::new(Estimator::builder().build(), 0);
+        let body = request_json();
+        let answers: Vec<Vec<u8>> = (0..3).map(|_| svc.handle(&post(&body)).body).collect();
+        assert!(answers.iter().all(|a| *a == answers[0]));
+        let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();
+        for line in [
+            "cache_misses_total 3\n",
+            "trace_store_hits_total 1\n",
+            "trace_store_builds_total 2\n",
+            "trace_store_entries 1\n",
+        ] {
+            assert!(metrics.contains(line), "missing {line:?} in {metrics}");
+        }
     }
 
     #[test]

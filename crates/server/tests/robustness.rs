@@ -281,3 +281,162 @@ fn client_disconnect_mid_estimate_reclaims_the_slot() {
     // The estimate itself still ran to completion at the worker.
     assert!(summary.estimate_calls <= 1, "{summary:?}");
 }
+
+/// Where [`Faulty`]'s MISO builds meet: each waits until `width` of
+/// them are being built at once, or 10 s pass, which it records.
+struct Gate {
+    width: usize,
+    arrived: std::sync::Mutex<usize>,
+    all_here: std::sync::Condvar,
+    timed_out: std::sync::atomic::AtomicBool,
+}
+
+/// A flat 250 g/kWh provider with two injected behaviours: Kansai
+/// (`kn`) traces panic, and MISO traces wait at the [`Gate`]. All else
+/// is the plain flat provider.
+struct Faulty(std::sync::Arc<Gate>);
+
+impl hpcarbon_api::IntensityProvider for Faulty {
+    fn year_trace(
+        &self,
+        region: hpcarbon_grid::regions::OperatorId,
+        source: hpcarbon_api::TraceSource,
+        year: i32,
+        seed: u64,
+    ) -> std::sync::Arc<hpcarbon_grid::trace::IntensityTrace> {
+        use hpcarbon_grid::regions::OperatorId;
+        match region {
+            OperatorId::Kansai => panic!("injected provider failure"),
+            OperatorId::Miso => {
+                let gate = &self.0;
+                let mut arrived = gate.arrived.lock().unwrap();
+                *arrived += 1;
+                gate.all_here.notify_all();
+                let (arrived, wait) = gate
+                    .all_here
+                    .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < gate.width)
+                    .unwrap();
+                drop(arrived);
+                if wait.timed_out() {
+                    gate.timed_out.store(true, Ordering::Relaxed);
+                }
+            }
+            _ => {}
+        }
+        hpcarbon_api::FlatIntensity::new(250.0).year_trace(region, source, year, seed)
+    }
+}
+
+/// POSTs `body` on a fresh connection; returns the status and body.
+fn post(addr: &str, body: &str) -> (u16, String) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    s.write_all(
+        format!(
+            "POST /v1/estimate HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    let mut raw = String::new();
+    s.read_to_string(&mut raw)
+        .expect("the server answered before the read timeout");
+    let status = raw
+        .split(' ')
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("bad response: {raw:?}"));
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    (status, body.to_string())
+}
+
+#[test]
+fn a_panicking_provider_costs_a_500_not_a_worker() {
+    const WORKERS: usize = 2;
+    let gate = std::sync::Arc::new(Gate {
+        width: WORKERS,
+        arrived: std::sync::Mutex::new(0),
+        all_here: std::sync::Condvar::new(),
+        timed_out: std::sync::atomic::AtomicBool::new(false),
+    });
+    let estimator = hpcarbon_api::Estimator::builder()
+        .intensity(Faulty(std::sync::Arc::clone(&gate)))
+        .build();
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 1,
+            workers: WORKERS,
+            cache_capacity: 0, // every estimate reaches a worker
+            max_body_bytes: 1 << 20,
+            read_deadline: Duration::from_secs(10),
+        },
+        estimator,
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let service = server.service();
+    let handle = server.shutdown_handle();
+    let join = std::thread::spawn(move || server.run().unwrap());
+    let body = |region: &str, seed: u64| {
+        format!(
+            r#"{{"schema_version": 1, "system": "frontier", "region": "{region}", "jobs": 8, "seed": {seed}}}"#
+        )
+    };
+
+    // One more panic than there are workers: were a panic to end its
+    // worker, the last request would find no worker left to answer it.
+    for seed in 0..=WORKERS as u64 {
+        let (status, text) = post(&addr, &body("kn", seed));
+        assert_eq!(status, 500, "{text}");
+        assert!(text.contains("\"kind\": \"internal\""), "{text}");
+    }
+    let m = service.metrics();
+    assert_eq!(m.worker_panics.load(Ordering::Relaxed), WORKERS as u64 + 1);
+    assert_eq!(m.responses_5xx.load(Ordering::Relaxed), WORKERS as u64 + 1);
+
+    // The full pool is still there: WORKERS healthy requests are built at
+    // the same time, each waiting in the provider until all have arrived.
+    let answers: Vec<(u16, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WORKERS as u64)
+            .map(|seed| {
+                let (addr, body) = (&addr, body("miso", seed));
+                s.spawn(move || post(addr, &body))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (status, text) in &answers {
+        assert_eq!(*status, 200, "{text}");
+    }
+    assert!(
+        !gate.timed_out.load(Ordering::Relaxed),
+        "fewer than {WORKERS} workers built traces at once"
+    );
+
+    // Healthy keys still reach the trace store: the third estimate of a
+    // key is a store hit.
+    for _ in 0..3 {
+        assert_eq!(post(&addr, &body("ciso", 7)).0, 200);
+    }
+    let mut s = TcpStream::connect(&addr).unwrap();
+    s.write_all(b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut metrics = String::new();
+    s.read_to_string(&mut metrics).unwrap();
+    for line in [
+        "worker_panics_total 3\n",
+        "trace_store_hits_total 1\n",
+        "trace_store_entries 1\n",
+    ] {
+        assert!(metrics.contains(line), "missing {line:?} in {metrics}");
+    }
+
+    // Shutdown (what SIGTERM requests) still drains and joins every
+    // worker.
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    let panicked = WORKERS as u64 + 1;
+    assert_eq!(summary.estimate_calls, panicked + WORKERS as u64 + 3);
+}

@@ -753,8 +753,10 @@ fn cmd_sweep(args: &[String]) -> i32 {
         grid = grid.seeds([s]);
     }
     let mut config = SweepConfig::paper_default();
-    if let Some(jobs) = flag(args, "--jobs").and_then(|s| s.parse().ok()) {
-        config.jobs_per_scenario = jobs;
+    match positive_flag(args, "--jobs") {
+        Ok(Some(n)) => config.jobs_per_scenario = n,
+        Ok(None) => {}
+        Err(c) => return c,
     }
     config.forecast = match forecast_flag(args) {
         Ok(f) => f,
@@ -1062,9 +1064,10 @@ fn cmd_trace(args: &[String]) -> i32 {
 }
 
 fn cmd_schedule(args: &[String]) -> i32 {
-    let jobs_n: usize = flag(args, "--jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
+    let jobs_n = match positive_flag(args, "--jobs") {
+        Ok(n) => n.unwrap_or(300),
+        Err(c) => return c,
+    };
     let seed: u64 = flag(args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);

@@ -252,6 +252,30 @@ fn bad_json_is_a_400_with_the_apierror_kind() {
 }
 
 #[test]
+fn an_oversized_jobs_row_is_an_error_row_and_the_server_lives() {
+    // A job count past MAX_JOBS must fail validation as a row error. The
+    // job trace it asks for (56 bytes a job) would otherwise abort the
+    // whole server on allocation, which no panic handler can catch.
+    let (addr, handle, join) = start_server(1, 64);
+    let (status, body) = post_estimate(
+        &addr,
+        r#"{"schema_version": 1, "system": "frontier", "region": "eso", "jobs": 1000000000000}"#,
+    );
+    assert_eq!(status, 200);
+    assert!(body.contains("\"error\""), "{body}");
+    assert!(body.contains("must be at most 100000"), "{body}");
+    let mut s = TcpStream::connect(&addr).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).unwrap();
+    assert_eq!(parse_response(&raw), (200, "ok\n".to_string()));
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.http_requests, 2);
+}
+
+#[test]
 fn healthz_answers_and_shutdown_reports_the_traffic() {
     let (addr, handle, join) = start_server(2, 64);
     let mut s = TcpStream::connect(&addr).unwrap();

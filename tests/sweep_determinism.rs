@@ -233,6 +233,48 @@ fn cli_rejects_a_malformed_threads_value() {
 }
 
 #[test]
+fn cli_rejects_a_malformed_jobs_value() {
+    // `--jobs` is strict like `--threads`: a value that is not a positive
+    // integer exits 2 instead of running at the default job count.
+    for (cmd, bad) in [("sweep", "four"), ("sweep", "0"), ("schedule", "four")] {
+        let dir =
+            std::env::temp_dir().join(format!("hpcarbon-jobs-{cmd}-{bad}-{}", std::process::id()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+            .args([cmd, "--quick", "--jobs", bad, "--out"])
+            .arg(&dir)
+            .output()
+            .expect("hpcarbon runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd} --jobs {bad}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let want = format!("invalid --jobs \"{bad}\" (expected a positive integer)");
+        assert!(stderr.contains(&want), "stderr was: {stderr}");
+        assert!(!dir.join("sweep.csv").exists(), "{cmd} --jobs {bad}");
+    }
+}
+
+#[test]
+fn an_oversized_jobs_count_is_an_error_row_not_an_abort() {
+    // A job count far past MAX_JOBS would be a multi-terabyte job trace.
+    // The sweep's context skips it and every row fails validation.
+    let dir = std::env::temp_dir().join(format!("hpcarbon-jobs-huge-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+        .args(["sweep", "--quick", "--threads", "1"])
+        .args(["--jobs", "1000000000000", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("hpcarbon runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let csv = std::fs::read_to_string(dir.join("sweep.csv")).unwrap();
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert_eq!(rows.len(), 16);
+    assert!(
+        rows.iter().all(|r| r.contains("must be at most 100000")),
+        "{csv}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_rejects_a_seed_range_past_u64_max() {
     // `--seeds N` sweeps the N seeds from `--seed` up. A range that runs
     // past the largest seed must exit 2 before the sweep writes a byte,
