@@ -39,7 +39,12 @@
 #     ≥ MIN_STORE_SPEEDUP (10, fixed in this script) — the trace-store
 #     contract (a row-cache miss on an already-built region-year takes
 #     its grid year from the estimator's bounded store instead of a
-#     dispatch simulation, same bytes).
+#     dispatch simulation, same bytes);
+#   * sweep/context/scenario_contexted_seasonal must beat
+#     sweep/context/scenario_contexted_cold_run by ≥ MIN_RUN_SPEEDUP (4,
+#     fixed in this script) — the run-cell contract (a contexted row whose
+#     scheduling run and seasonal-PUE year the context already holds
+#     copies their numbers instead of computing them, same bytes).
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -66,6 +71,7 @@ MIN_GRID_SPEEDUP=1.3
 MIN_PLACE_SPEEDUP=1.4
 MIN_METRIC_SPEEDUP=4
 MIN_STORE_SPEEDUP=10
+MIN_RUN_SPEEDUP=4
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -238,6 +244,22 @@ else
         fail=1
     else
         echo "OK: repeat-key misses beat novel-key misses by ${store_speedup}x (>= ${MIN_STORE_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1h: the run-cell speedup contract --------------------------------
+cold_run=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sweep/context/scenario_contexted_cold_run" { print $2 }')
+held_run=$(extract "$OUT_DIR/BENCH_sweep.json" | awk '$1 == "sweep/context/scenario_contexted_seasonal" { print $2 }')
+if [[ -z "$cold_run" || -z "$held_run" ]]; then
+    echo "FAIL: sweep cold-run/seasonal context benchmarks missing from BENCH_sweep.json"
+    fail=1
+else
+    run_speedup=$(awk -v c="$cold_run" -v h="$held_run" 'BEGIN { printf "%.1f", c / h }')
+    if awk -v s="$run_speedup" -v m="$MIN_RUN_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: run-cell speedup ${run_speedup}x < required ${MIN_RUN_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: held-run rows beat cold-run rows by ${run_speedup}x (>= ${MIN_RUN_SPEEDUP}x)"
     fi
 fi
 

@@ -11,6 +11,14 @@
 //! against them. A trace it does not hold comes from the estimator's
 //! [`crate::store`], and any other input from the providers.
 //!
+//! The same holds one layer further in. A scheduling run (layer 3) and
+//! a seasonal-PUE year (layer 4) read only a few request fields too, so
+//! the context also holds one *cell* per distinct run key and per
+//! distinct seasonal key among its requests. Cells are created empty
+//! when the context is built and filled by the first evaluation that
+//! reaches their layer; every later request with that key copies the
+//! cell's numbers instead of re-running the layer.
+//!
 //! A context lives for one batch. What lives across requests is the
 //! estimator's bounded trace store, which a single evaluation (the
 //! server's miss path) reads through an empty context. Building a
@@ -23,23 +31,30 @@
 //! it, every value it holds came from that estimator's own providers
 //! called with the arguments an evaluation would pass (providers are
 //! pure by contract — see [`crate::providers`]), and the stats are pure
-//! functions of the trace. A context can therefore never change
-//! reported bytes, only the time it takes to produce them; `crates/api`
-//! unit tests assert report equality with and without one.
+//! functions of the trace. A cell holds the numbers its layer computed
+//! from those inputs, by the expressions an evaluation without the cell
+//! runs, and its key holds every value those expressions read (compared
+//! by bits, never by `f64 ==`). Two requests that share a key therefore
+//! compute the same numbers, so copying them is exact. A context can
+//! never change reported bytes, only the time it takes to produce them;
+//! `crates/api` unit tests assert report equality with and without one,
+//! over one variant per key field.
 //!
 //! ## Memory
 //!
 //! A context holds `O(distinct keys)` data, not `O(requests)`: traces
 //! and job lists are stored behind [`Arc`]s and shared into every
 //! evaluation (clusters hold `Arc<IntensityTrace>`, simulations borrow
-//! the job slice). A million-scenario sweep over two regions, two trace
-//! sources and a few seeds holds a handful of traces total.
+//! the job slice), and a cell is a few numbers. A million-scenario sweep
+//! over two regions, two trace sources and a few seeds holds a handful
+//! of traces total; the 504-row paper grid holds 21 run cells and 14
+//! seasonal cells per seed.
 
 use crate::error::ApiError;
 use crate::estimator::Estimator;
-use crate::report::FootprintReport;
+use crate::report::{FootprintReport, OperationalSection, ShiftSection};
 use crate::request::EstimateRequest;
-use crate::types::{SystemId, TraceSource};
+use crate::types::{ForecastModel, SystemId, TraceSource};
 use hpcarbon_core::systems::HpcSystem;
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::trace::IntensityTrace;
@@ -47,7 +62,7 @@ use hpcarbon_sched::Job;
 use hpcarbon_sim::rng::SimRng;
 use hpcarbon_timeseries::stats;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies one region-year trace: `(region, source, year, seed)`,
 /// where `seed` is the request's `trace` substream seed.
@@ -128,37 +143,82 @@ impl RequestKeys {
     }
 }
 
+/// Identifies one scheduling run (layer 3) by exactly what the run
+/// reads. System, storage, upgrade, usage and PUE amplitude are absent:
+/// the run's clusters take only a region, its trace, the GPU count and
+/// the mean PUE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RunKey {
+    /// The primary region-year trace.
+    pub(crate) trace: TraceKey,
+    /// The partner region-year trace, when the run has a partner site.
+    pub(crate) partner_trace: Option<TraceKey>,
+    /// The job trace.
+    pub(crate) jobs: JobKey,
+    /// GPUs in each cluster.
+    pub(crate) cluster_gpus: u32,
+    /// `to_bits` of the resolved mean PUE, each cluster's `pue`.
+    pub(crate) pue_mean: u64,
+    /// The policy's variant and the bits of its parameter.
+    pub(crate) policy: (u8, u64),
+    /// The forecast model and the request's `forecast` substream seed.
+    pub(crate) forecast: Option<(ForecastModel, u64)>,
+}
+
+/// Identifies one seasonal-PUE year (layer 4): the node's annual carbon
+/// under a seasonal model reads only the trace, the model and the
+/// node's annual IT energy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SeasonalKey {
+    /// The primary region-year trace.
+    pub(crate) trace: TraceKey,
+    /// `to_bits` of the resolved mean and amplitude.
+    pub(crate) pue: (u64, u64),
+    /// `to_bits` of the node's annual IT energy in kWh.
+    pub(crate) it_energy: u64,
+}
+
+/// What one scheduling run reports: its operational and shift sections,
+/// or the error the run failed with.
+pub(crate) type RunOutcome = Result<(OperationalSection, ShiftSection), ApiError>;
+
 /// Inputs derived once for a batch of requests, bound to the
 /// [`Estimator`] that derived them.
 ///
 /// Only [`Estimator::context_for`] builds one, and
 /// [`EstimateContext::estimate`] evaluates through that same estimator,
 /// so a context never serves values from another estimator's providers.
-/// It is immutable: share one across any number of worker threads.
+/// Its inputs are immutable and each of its cells is written at most
+/// once, behind a [`OnceLock`]: share one across any number of worker
+/// threads. Rows that reach an empty cell together wait for one fill.
 pub struct EstimateContext<'e> {
     pub(crate) estimator: &'e Estimator,
     pub(crate) traces: BTreeMap<TraceKey, (Arc<IntensityTrace>, TraceStats)>,
     pub(crate) systems: BTreeMap<SystemId, HpcSystem>,
     pub(crate) jobs: BTreeMap<JobKey, Arc<Vec<Job>>>,
+    pub(crate) runs: BTreeMap<RunKey, OnceLock<RunOutcome>>,
+    pub(crate) seasonal: BTreeMap<SeasonalKey, OnceLock<f64>>,
 }
 
 impl<'e> EstimateContext<'e> {
     /// A context holding nothing: every trace comes from `estimator`'s
     /// trace store or intensity provider, every other input from its
-    /// providers.
+    /// providers, and every layer runs.
     pub(crate) fn new(estimator: &'e Estimator) -> EstimateContext<'e> {
         EstimateContext {
             estimator,
             traces: BTreeMap::new(),
             systems: BTreeMap::new(),
             jobs: BTreeMap::new(),
+            runs: BTreeMap::new(),
+            seasonal: BTreeMap::new(),
         }
     }
 
-    /// Validates and evaluates one request against the held inputs.
-    /// Keys the context does not hold go to the estimator's trace store
-    /// and providers, so the report equals [`Estimator::estimate`]'s,
-    /// byte for byte.
+    /// Validates and evaluates one request against the held inputs and
+    /// cells. Keys the context does not hold go to the estimator's trace
+    /// store and providers, and layers without a cell run, so the report
+    /// equals [`Estimator::estimate`]'s, byte for byte.
     ///
     /// # Errors
     /// The [`ApiError`]s of [`Estimator::estimate`].
@@ -262,7 +322,7 @@ mod tests {
         // under seed 9 and its CA partner. The file key never reaches
         // the provider.
         let reqs = [req(7), req(7), spatio(9), file];
-        let ctx = est.context_for(reqs.iter().map(RequestKeys::of));
+        let ctx = est.context_for(&reqs);
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         let reports: Vec<_> = reqs.iter().map(|r| ctx.estimate(r)).collect();
         assert_eq!(
@@ -328,7 +388,7 @@ mod tests {
         let mut file_req = req(7);
         file_req.source = TraceSource::File;
         let est = Estimator::builder().threads(1).build();
-        let ctx = est.context_for([&file_req, &req(9)].map(RequestKeys::of));
+        let ctx = est.context_for([&file_req, &req(9)]);
         assert_eq!(ctx.traces.len(), 1);
         assert!(!ctx.traces.contains_key(&RequestKeys::of(&file_req).trace));
     }

@@ -32,14 +32,16 @@
 //! An entry is exactly what the pure provider returned, so the store
 //! changes latency, never bytes.
 
-use crate::context::{EstimateContext, RequestKeys, TraceKey, TraceStats};
+use crate::context::{
+    EstimateContext, RequestKeys, RunKey, RunOutcome, SeasonalKey, TraceKey, TraceStats,
+};
 use crate::error::ApiError;
 use crate::providers::{
     CatalogEmbodied, DispatchIntensity, EmbodiedSource, GeneratedJobs, IntensityProvider,
     JobSource, PueProvider, RequestPue,
 };
-use crate::report::{FootprintReport, Verdict};
-use crate::request::{EstimateRequest, ValidRequest, MAX_JOBS};
+use crate::report::{FootprintReport, OperationalSection, ShiftSection, Verdict};
+use crate::request::{EstimateRequest, ValidRequest};
 use crate::store::{TraceStore, TraceStoreStats};
 use crate::types::{ForecastModel, PueSpec, StorageVariant, TraceSource};
 use hpcarbon_core::db::PartId;
@@ -52,15 +54,19 @@ use hpcarbon_grid::forecast::{
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::trace::IntensityTrace;
 use hpcarbon_power::pue_model::{account_with_seasonal_pue, SeasonalPue};
-use hpcarbon_sched::{shift_savings, summarize_shift_savings, Cluster, Simulation};
+use hpcarbon_sched::{shift_savings, summarize_shift_savings, Cluster, Policy, Simulation};
 use hpcarbon_sim::par::{par_map_workers, worker_count};
 use hpcarbon_sim::rng::SimRng;
-use hpcarbon_units::{CarbonIntensity, TimeSpan};
+use hpcarbon_units::{CarbonIntensity, Energy, TimeSpan};
 use hpcarbon_upgrade::savings::UpgradeScenario;
 use hpcarbon_upgrade::{Recommendation, UpgradeAdvisor};
 use hpcarbon_workloads::power::node_active_power;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// The span layer 4 accounts one reference node over.
+const YEAR: TimeSpan = TimeSpan::from_years(1.0);
 
 /// Assembles an [`Estimator`] from providers; every axis defaults to the
 /// in-repo models.
@@ -172,34 +178,49 @@ impl Estimator {
         }
     }
 
-    /// Derives the inputs behind `keys` once per distinct key, from
+    /// Derives the inputs behind `reqs` once per distinct key, from
     /// **this estimator's own providers**, and returns the context that
     /// evaluates requests through this estimator against them — the
-    /// property that makes a context transparent. Pass the keys of every
-    /// request the context will see, e.g.
-    /// `reqs.iter().map(RequestKeys::of)`; any other request still
-    /// evaluates, through the providers.
+    /// property that makes a context transparent. Pass every request the
+    /// context will see; any other request still evaluates, through the
+    /// providers.
     ///
     /// Distinct traces, one dispatch simulation each, build in parallel
     /// over the configured thread count. File-sourced keys are skipped:
-    /// the registered trace files already hold them. So are job counts
-    /// above [`MAX_JOBS`]: validation rejects their requests before
-    /// evaluation, and generating them could exhaust memory. The
-    /// estimator's trace store is neither read nor filled.
-    pub fn context_for(&self, keys: impl IntoIterator<Item = RequestKeys>) -> EstimateContext<'_> {
+    /// the registered trace files already hold them. So are requests
+    /// that fail [`EstimateRequest::validate`]: they never reach
+    /// evaluation, and generating an oversized job trace could exhaust
+    /// memory. The estimator's trace store is neither read nor filled.
+    ///
+    /// The context also gets one empty cell per distinct scheduling run
+    /// (layer 3) and per distinct seasonal-PUE year (layer 4) among the
+    /// requests. The first evaluation that reaches a cell's layer fills
+    /// it, so only the runs some row reaches are computed, each once.
+    pub fn context_for(
+        &self,
+        reqs: impl IntoIterator<Item = impl Borrow<EstimateRequest>>,
+    ) -> EstimateContext<'_> {
         let mut ctx = EstimateContext::new(self);
         let mut trace_keys = BTreeSet::new();
-        for k in keys {
+        for req in reqs {
+            let r = req.borrow();
+            if r.validate().is_err() {
+                continue;
+            }
+            let k = RequestKeys::of(r);
             let traces = std::iter::once(k.trace).chain(k.partner_trace);
             trace_keys.extend(traces.filter(|key| key.1 != TraceSource::File));
-            if k.jobs.0 <= MAX_JOBS {
-                ctx.jobs
-                    .entry(k.jobs)
-                    .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
-            }
+            ctx.jobs
+                .entry(k.jobs)
+                .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
             ctx.systems
                 .entry(k.system)
                 .or_insert_with(|| self.embodied.build_system(k.system));
+            let (run, seasonal) = cell_keys(r, &k, self.pue.resolve(r.pue));
+            ctx.runs.entry(run).or_default();
+            if let Some(seasonal) = seasonal {
+                ctx.seasonal.entry(seasonal).or_default();
+            }
         }
         let trace_keys: Vec<TraceKey> = trace_keys.into_iter().collect();
         let workers = self
@@ -231,8 +252,9 @@ impl Estimator {
     /// (the serving layer derives its cache key from it). Same pipeline,
     /// same bytes as [`Estimator::estimate`]. Both evaluate against an
     /// empty context: traces come from the estimator's trace store or
-    /// its intensity provider, every other input from the providers.
-    /// Only the store keeps anything for the next request.
+    /// its intensity provider, every other input from the providers, and
+    /// with no cells every layer runs. Only the store keeps anything for
+    /// the next request.
     ///
     /// # Errors
     /// [`ApiError`] when the (valid) combination is infeasible at
@@ -248,13 +270,14 @@ impl Estimator {
     /// configured thread count.
     ///
     /// Each call first derives the batch's shared inputs (traces,
-    /// inventories, job traces) into one [`EstimateContext`] — a pure
+    /// inventories, job traces, and the cells of its distinct scheduling
+    /// runs and seasonal-PUE years) into one [`EstimateContext`] — a pure
     /// cache, so batch bytes are unchanged by it.
     pub fn estimate_batch(
         &self,
         reqs: &[EstimateRequest],
     ) -> Vec<Result<FootprintReport, ApiError>> {
-        let ctx = self.context_for(reqs.iter().map(RequestKeys::of));
+        let ctx = self.context_for(reqs);
         let workers = self.threads.unwrap_or_else(|| worker_count(reqs.len()));
         par_map_workers(reqs, workers, |_, req| ctx.estimate(req))
     }
@@ -307,8 +330,9 @@ impl Estimator {
     /// `sweep::run_scenario` computation exactly — the sweep now delegates
     /// here, and its CSV/JSON output is a frozen contract. Every `ctx`
     /// lookup falls back to the trace store or the provider, each
-    /// holding or computing the identical value, so neither changes
-    /// bytes, only latency. `ctx` is always one this estimator built.
+    /// holding or computing the identical value, and a layer without a
+    /// cell in `ctx` runs; so neither changes bytes, only latency. `ctx`
+    /// is always one this estimator built.
     pub(crate) fn evaluate(
         &self,
         v: &ValidRequest,
@@ -319,6 +343,7 @@ impl Estimator {
         // Providers cannot smuggle an unphysical model past the gate.
         pue.validate()?;
         let keys = RequestKeys::of(r);
+        let (run_key, seasonal_key) = cell_keys(r, &keys, pue);
 
         // Layer 1: embodied composition, with the storage what-if applied.
         let built_system;
@@ -344,8 +369,78 @@ impl Estimator {
         let stats = stats.unwrap_or_else(|| TraceStats::of(&trace));
         let median = CarbonIntensity::from_g_per_kwh(stats.median_g_per_kwh);
 
-        // Layer 3: the scheduling run on a cluster powered by that grid,
-        // and its carbon savings against the run-at-arrival baseline.
+        // Layer 3: the scheduling run, once per run key the context holds.
+        let run = || self.schedule(ctx, r, &keys, pue, &trace);
+        let (operational, shift) = match ctx.runs.get(&run_key) {
+            Some(cell) => cell.get_or_init(run).clone(),
+            None => run(),
+        }?;
+
+        // Layer 4: PUE-adjusted annual accounting of one reference node,
+        // the seasonal year once per seasonal key the context holds.
+        let it_energy = node_it_energy(r);
+        let node_annual_kg = match pue {
+            PueSpec::Constant(v) => (median * Pue::new(v).apply(it_energy)).as_kg(),
+            PueSpec::Seasonal { mean, amplitude } => {
+                // validate() above guarantees SeasonalPue's invariants.
+                let account = || {
+                    let seasonal = SeasonalPue::new(mean, amplitude);
+                    account_with_seasonal_pue(&trace, &seasonal, 0, it_energy, YEAR).as_kg()
+                };
+                match seasonal_key.and_then(|k| ctx.seasonal.get(&k)) {
+                    Some(cell) => *cell.get_or_init(account),
+                    None => account(),
+                }
+            }
+        };
+
+        // Layer 5: the upgrade question at the region's median intensity.
+        let upgrade = UpgradeScenario {
+            old: r.upgrade.from,
+            new: r.upgrade.to,
+            suite: r.upgrade.suite,
+            usage: r.usage,
+            pue: Pue::new(pue.mean_value()),
+        };
+        let verdict = match UpgradeAdvisor::with_five_year_horizon().recommend(&upgrade, median) {
+            Recommendation::Upgrade { .. } => Verdict::Upgrade,
+            Recommendation::ExtendLifetime { .. } => Verdict::Extend,
+            Recommendation::KeepHardware => Verdict::Keep,
+        };
+
+        Ok(FootprintReport {
+            schema_version: crate::request::SCHEMA_VERSION,
+            request: r.clone(),
+            embodied: crate::report::EmbodiedSection {
+                total_t: embodied_t,
+                storage_delta_pct,
+            },
+            grid: crate::report::GridSection {
+                median_g_per_kwh: stats.median_g_per_kwh,
+                cov_pct: stats.cov_pct,
+            },
+            operational,
+            shift,
+            upgrade: crate::report::UpgradeSection {
+                node_annual_kg,
+                break_even_y: upgrade.break_even(median).map(|t| t.as_years()),
+                asymptotic_pct: upgrade.asymptotic_savings_percent(),
+                verdict,
+            },
+        })
+    }
+
+    /// Layer 3: the scheduling run on a cluster powered by `trace`, and
+    /// its carbon savings against the run-at-arrival baseline. It reads
+    /// exactly the fields of `r`'s [`RunKey`].
+    fn schedule(
+        &self,
+        ctx: &EstimateContext<'_>,
+        r: &EstimateRequest,
+        keys: &RequestKeys,
+        pue: PueSpec,
+        trace: &Arc<IntensityTrace>,
+    ) -> RunOutcome {
         let mut cluster = Cluster::new(r.region.info().short, trace.clone(), r.cluster_gpus);
         cluster.pue = pue.mean_value();
         let mut clusters = vec![cluster];
@@ -380,7 +475,7 @@ impl Estimator {
         let (sim, savings, oracle) = match r.forecast {
             None => (oracle_sim, oracle_savings, None),
             Some(model) => {
-                let base = SimRng::seed_from(r.seed).substream("forecast");
+                let base = forecast_stream(r);
                 let planned: Vec<Cluster> = clusters
                     .iter()
                     .enumerate()
@@ -394,65 +489,74 @@ impl Estimator {
                 (sim, savings, Some(oracle_savings))
             }
         };
-
-        // Layer 4: PUE-adjusted annual accounting of one reference node.
-        let usage = r.usage;
-        let year = TimeSpan::from_years(1.0);
-        let it_energy = node_active_power(r.upgrade.from, r.upgrade.suite) * usage.value() * year;
-        let node_annual_kg = match pue {
-            PueSpec::Constant(v) => (median * Pue::new(v).apply(it_energy)).as_kg(),
-            PueSpec::Seasonal { mean, amplitude } => {
-                // validate() above guarantees SeasonalPue's invariants.
-                let seasonal = SeasonalPue::new(mean, amplitude);
-                account_with_seasonal_pue(&trace, &seasonal, 0, it_energy, year).as_kg()
-            }
-        };
-
-        // Layer 5: the upgrade question at the region's median intensity.
-        let upgrade = UpgradeScenario {
-            old: r.upgrade.from,
-            new: r.upgrade.to,
-            suite: r.upgrade.suite,
-            usage,
-            pue: Pue::new(pue.mean_value()),
-        };
-        let verdict = match UpgradeAdvisor::with_five_year_horizon().recommend(&upgrade, median) {
-            Recommendation::Upgrade { .. } => Verdict::Upgrade,
-            Recommendation::ExtendLifetime { .. } => Verdict::Extend,
-            Recommendation::KeepHardware => Verdict::Keep,
-        };
-
-        Ok(FootprintReport {
-            schema_version: crate::request::SCHEMA_VERSION,
-            request: r.clone(),
-            embodied: crate::report::EmbodiedSection {
-                total_t: embodied_t,
-                storage_delta_pct,
-            },
-            grid: crate::report::GridSection {
-                median_g_per_kwh: stats.median_g_per_kwh,
-                cov_pct: stats.cov_pct,
-            },
-            operational: crate::report::OperationalSection {
+        Ok((
+            OperationalSection {
                 sched_kg: sim.total_carbon.as_kg(),
                 sched_kwh: sim.total_energy.as_kwh(),
                 mean_wait_h: sim.mean_wait_hours,
                 max_wait_h: sim.max_wait_hours,
             },
-            shift: crate::report::ShiftSection {
+            ShiftSection {
                 saved_kg: savings.saved_kg,
                 saved_pct: savings.saved_pct,
                 oracle_saved_kg: oracle.as_ref().map(|o| o.saved_kg),
                 oracle_saved_pct: oracle.as_ref().map(|o| o.saved_pct),
             },
-            upgrade: crate::report::UpgradeSection {
-                node_annual_kg,
-                break_even_y: upgrade.break_even(median).map(|t| t.as_years()),
-                asymptotic_pct: upgrade.asymptotic_savings_percent(),
-                verdict,
-            },
-        })
+        ))
     }
+}
+
+/// The cell keys of `r`'s scheduling run and, under a seasonal model,
+/// its seasonal-PUE year, for the keys `keys` and the resolved PUE
+/// `pue`. This is the one place the keys are written:
+/// [`Estimator::context_for`] creates cells under them and
+/// [`Estimator::evaluate`] looks them up, so each key holds exactly what
+/// its layer reads. Constant PUE is a single multiply and gets no cell.
+fn cell_keys(
+    r: &EstimateRequest,
+    keys: &RequestKeys,
+    pue: PueSpec,
+) -> (RunKey, Option<SeasonalKey>) {
+    let policy = match r.policy {
+        Policy::Fifo => (0, 0),
+        Policy::ThresholdDefer {
+            threshold_g_per_kwh,
+        } => (1, threshold_g_per_kwh.to_bits()),
+        Policy::GreenestWindow { horizon_hours } => (2, u64::from(horizon_hours)),
+        Policy::LowestIntensityRegion => (3, 0),
+        Policy::RegionAndTime { horizon_hours } => (4, u64::from(horizon_hours)),
+        Policy::TemporalShift { slack_hours } => (5, u64::from(slack_hours)),
+        Policy::SpatioTemporal { slack_hours } => (6, u64::from(slack_hours)),
+    };
+    let run = RunKey {
+        trace: keys.trace,
+        partner_trace: keys.partner_trace,
+        jobs: keys.jobs,
+        cluster_gpus: r.cluster_gpus,
+        pue_mean: pue.mean_value().to_bits(),
+        policy,
+        forecast: r.forecast.map(|m| (m, forecast_stream(r).seed())),
+    };
+    let seasonal = match pue {
+        PueSpec::Constant(_) => None,
+        PueSpec::Seasonal { mean, amplitude } => Some(SeasonalKey {
+            trace: keys.trace,
+            pue: (mean.to_bits(), amplitude.to_bits()),
+            it_energy: node_it_energy(r).as_kwh().to_bits(),
+        }),
+    };
+    (run, seasonal)
+}
+
+/// The request's `forecast` substream, which each cluster's forecast
+/// noise forks from.
+fn forecast_stream(r: &EstimateRequest) -> SimRng {
+    SimRng::seed_from(r.seed).substream("forecast")
+}
+
+/// The reference node's annual IT energy, which layer 4 prices.
+fn node_it_energy(r: &EstimateRequest) -> Energy {
+    node_active_power(r.upgrade.from, r.upgrade.suite) * r.usage.value() * YEAR
 }
 
 /// Builds the planning trace for one cluster's actual grid under
@@ -624,15 +728,246 @@ mod tests {
             }
         }
         let without: Vec<_> = reqs.iter().map(|r| est.estimate(r)).collect();
-        let ctx = est.context_for(reqs.iter().map(RequestKeys::of));
+        let ctx = est.context_for(&reqs);
         assert_eq!(ctx.traces.len(), 4); // 2 seeds × {Eso, Ciso partner}
         let with_ctx: Vec<_> = reqs.iter().map(|r| ctx.estimate(r)).collect();
         assert_eq!(with_ctx, without);
         // A context holding one request's keys answers the others
         // through the providers, with the same bytes.
-        let partial = est.context_for([RequestKeys::of(&reqs[0])]);
+        let partial = est.context_for([&reqs[0]]);
         let mixed: Vec<_> = reqs.iter().map(|r| partial.estimate(r)).collect();
         assert_eq!(mixed, without);
+
+        // The cells: each variant differs from a seasonal base in one
+        // field. Through one context, in either order, every report
+        // equals the empty-context report: a key that dropped the field
+        // would hand the second request of a pair the first one's
+        // numbers.
+        let variants = cell_key_variants();
+        let reqs: Vec<&EstimateRequest> = variants.iter().map(|(_, r)| r).collect();
+        let without: Vec<_> = reqs.iter().map(|r| est.estimate(r).unwrap()).collect();
+        // The pairs are sharp: a run-key variant's run numbers are its
+        // own, and a seasonal-key variant moves only the seasonal year.
+        let runs: Vec<_> = without.iter().map(|r| (&r.operational, &r.shift)).collect();
+        let node_kg = |i: usize| without[i].upgrade.node_annual_kg;
+        for (i, (layer, r)) in variants.iter().enumerate() {
+            let sharing = runs.iter().filter(|&&run| run == runs[i]).count();
+            match layer {
+                Some(3) => assert_eq!(sharing, 1, "{r:?} does not move its run"),
+                Some(4) => assert!(runs[i] == runs[0] && node_kg(i) != node_kg(0), "{r:?}"),
+                _ => assert_eq!(runs[i], runs[0], "{r:?} moves the run"),
+            }
+        }
+        let forward = est.context_for(reqs.iter().copied());
+        for (r, rep) in reqs.iter().zip(&without) {
+            assert_eq!(forward.estimate(r).as_ref(), Ok(rep), "{r:?}");
+        }
+        let backward = est.context_for(reqs.iter().copied());
+        for (r, rep) in reqs.iter().zip(&without).rev() {
+            assert_eq!(backward.estimate(r).as_ref(), Ok(rep), "{r:?}");
+        }
+        // Twelve runs: the base and its eleven run-key variants. Seven
+        // seasonal years: the base's, shared by every variant that keeps
+        // its trace, PUE model and node, and six of their own.
+        assert_eq!((forward.runs.len(), forward.seasonal.len()), (12, 7));
+    }
+
+    /// A seasonal base request and one variant per field a cell key
+    /// holds (or is derived from), each paired with the layer whose
+    /// numbers the field moves: 3 for a run key, 4 for a seasonal key,
+    /// `None` for a field the layers do not read.
+    fn cell_key_variants() -> Vec<(Option<u8>, EstimateRequest)> {
+        let mut base = req();
+        base.pue = PueSpec::Seasonal {
+            mean: 1.2,
+            amplitude: 0.1,
+        };
+        base.policy = Policy::ThresholdDefer {
+            threshold_g_per_kwh: 150.0,
+        };
+        let vary = |layer: Option<u8>, f: &dyn Fn(&mut EstimateRequest)| {
+            let mut r = base.clone();
+            f(&mut r);
+            (layer, r)
+        };
+        vec![
+            (None, base.clone()),
+            vary(Some(3), &|r| r.cluster_gpus = 8),
+            vary(Some(3), &|r| {
+                r.policy = Policy::ThresholdDefer {
+                    threshold_g_per_kwh: 155.0,
+                }
+            }),
+            vary(Some(3), &|r| {
+                r.policy = Policy::GreenestWindow { horizon_hours: 24 }
+            }),
+            vary(Some(3), &|r| {
+                r.policy = Policy::GreenestWindow { horizon_hours: 12 }
+            }),
+            vary(Some(3), &|r| {
+                r.pue = PueSpec::Seasonal {
+                    mean: 1.3,
+                    amplitude: 0.1,
+                }
+            }),
+            vary(None, &|r| r.pue = PueSpec::Constant(1.2)),
+            vary(Some(4), &|r| {
+                r.pue = PueSpec::Seasonal {
+                    mean: 1.2,
+                    amplitude: 0.15,
+                }
+            }),
+            vary(Some(4), &|r| {
+                r.usage = hpcarbon_units::Fraction::new(0.25).unwrap()
+            }),
+            vary(Some(4), &|r| r.upgrade.from = NodeGen::P100Node),
+            vary(None, &|r| r.upgrade.suite = Suite::Vision),
+            vary(Some(3), &|r| r.jobs = 41),
+            vary(Some(3), &|r| r.partner = Some(true)),
+            vary(Some(3), &|r| r.source = TraceSource::Synthetic),
+            vary(Some(3), &|r| r.forecast = Some(ForecastModel::Persistence)),
+            vary(Some(3), &|r| {
+                r.forecast = Some(ForecastModel::Noisy { error_pct: 20 })
+            }),
+            vary(Some(3), &|r| {
+                r.forecast = Some(ForecastModel::Noisy { error_pct: 20 });
+                r.seed = 7;
+            }),
+        ]
+    }
+
+    /// The paper grid's shape at 8 jobs: Table 2's systems × storage ×
+    /// the seven regions × {constant, seasonal} PUE × three policies ×
+    /// two upgrade paths, 504 requests.
+    fn paper_shaped_batch() -> Vec<EstimateRequest> {
+        let mut reqs = Vec::new();
+        for system in SystemId::ALL {
+            for storage in crate::types::StorageVariant::ALL {
+                for region in OperatorId::ALL {
+                    for pue in [
+                        PueSpec::Constant(1.2),
+                        PueSpec::Seasonal {
+                            mean: 1.2,
+                            amplitude: 0.1,
+                        },
+                    ] {
+                        for policy in [
+                            Policy::Fifo,
+                            Policy::GreenestWindow { horizon_hours: 24 },
+                            Policy::ThresholdDefer {
+                                threshold_g_per_kwh: 150.0,
+                            },
+                        ] {
+                            for (from, suite) in [
+                                (NodeGen::P100Node, Suite::Nlp),
+                                (NodeGen::V100Node, Suite::Vision),
+                            ] {
+                                let mut r = EstimateRequest::paper_baseline(system, region);
+                                r.storage = storage;
+                                r.pue = pue;
+                                r.policy = policy;
+                                r.upgrade.from = from;
+                                r.upgrade.suite = suite;
+                                r.jobs = 8;
+                                reqs.push(r);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        reqs
+    }
+
+    fn filled<K, V>(cells: &BTreeMap<K, std::sync::OnceLock<V>>) -> usize {
+        cells.values().filter(|c| c.get().is_some()).count()
+    }
+
+    #[test]
+    fn a_paper_batch_runs_each_distinct_schedule_and_seasonal_year_once() {
+        let reqs = paper_shaped_batch();
+        assert_eq!(reqs.len(), 504);
+        let est = Estimator::builder().threads(1).build();
+        let ctx = est.context_for(&reqs);
+        // 7 regions × 3 policies; 7 regions × 2 node energies.
+        assert_eq!((ctx.runs.len(), ctx.seasonal.len()), (21, 14));
+        assert_eq!((filled(&ctx.runs), filled(&ctx.seasonal)), (0, 0));
+        for r in &reqs {
+            assert_eq!(ctx.estimate(r), est.estimate(r), "{r:?}");
+        }
+        assert_eq!((filled(&ctx.runs), filled(&ctx.seasonal)), (21, 14));
+
+        // A provider that moves the seasonal model's mean splits every
+        // run in two: the runs read the mean, not the model.
+        struct SeasonalMean;
+        impl crate::providers::PueProvider for SeasonalMean {
+            fn resolve(&self, req: PueSpec) -> PueSpec {
+                match req {
+                    PueSpec::Seasonal { amplitude, .. } => PueSpec::Seasonal {
+                        mean: 1.25,
+                        amplitude,
+                    },
+                    constant => constant,
+                }
+            }
+        }
+        let est = Estimator::builder().pue(SeasonalMean).threads(1).build();
+        let ctx = est.context_for(&reqs);
+        assert_eq!((ctx.runs.len(), ctx.seasonal.len()), (42, 14));
+        for r in &reqs {
+            assert_eq!(ctx.estimate(r), est.estimate(r), "{r:?}");
+        }
+        assert_eq!((filled(&ctx.runs), filled(&ctx.seasonal)), (42, 14));
+    }
+
+    #[test]
+    fn concurrent_rows_on_one_run_key_share_one_fill() {
+        // Eight rows that differ only in fields the run does not read
+        // reach their one empty run cell at once.
+        let mut reqs = Vec::new();
+        for system in [SystemId::Frontier, SystemId::Lumi] {
+            for from in [NodeGen::P100Node, NodeGen::V100Node] {
+                for pue in [
+                    PueSpec::Constant(1.2),
+                    PueSpec::Seasonal {
+                        mean: 1.2,
+                        amplitude: 0.1,
+                    },
+                ] {
+                    let mut r = req();
+                    r.system = system;
+                    r.upgrade.from = from;
+                    r.pue = pue;
+                    r.policy = Policy::GreenestWindow { horizon_hours: 24 };
+                    reqs.push(r);
+                }
+            }
+        }
+        let est = Estimator::builder().threads(1).build();
+        let ctx = est.context_for(&reqs);
+        assert_eq!(ctx.runs.len(), 1);
+        let barrier = std::sync::Barrier::new(reqs.len());
+        let reports: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = reqs
+                .iter()
+                .map(|r| {
+                    let (ctx, barrier) = (&ctx, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        ctx.estimate(r)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(filled(&ctx.runs), 1);
+        for (r, rep) in reqs.iter().zip(&reports) {
+            assert_eq!(*rep, est.estimate(r));
+            assert_eq!(
+                rep.as_ref().unwrap().operational,
+                reports[0].as_ref().unwrap().operational
+            );
+        }
     }
 
     #[test]
@@ -676,13 +1011,17 @@ mod tests {
         let est = Estimator::builder().threads(1).build();
         let mut huge = req();
         huge.jobs = 1_000_000_000_000;
-        let out = est.estimate_batch(&[req(), req(), huge]);
+        let out = est.estimate_batch(&[req(), req(), huge.clone()]);
         assert!(out[0].is_ok() && out[1].is_ok());
         assert!(matches!(
             out[2],
             Err(ApiError::InvalidRequest { field: "jobs", .. })
         ));
         assert_eq!(est.trace_store_stats(), TraceStoreStats::default());
+        // A request that fails validation leaves no trace in a context.
+        let ctx = est.context_for([&huge]);
+        assert!(ctx.traces.is_empty() && ctx.jobs.is_empty() && ctx.systems.is_empty());
+        assert!(ctx.runs.is_empty() && ctx.seasonal.is_empty());
     }
 
     #[test]

@@ -7,10 +7,16 @@
 //! through a pre-built context must beat the uncontexted `run_scenario`
 //! path by ≥ `MIN_SWEEP_SPEEDUP` (2×, fixed in the script), because the
 //! context derives trace simulation, job-trace generation, and catalog
-//! assembly once per run instead of once per row.
-//! `scenario_contexted_seasonal` is the same row under seasonal PUE, the
-//! paper grid's other PUE model, whose hourly accounting the
-//! constant-PUE rows never reach. On a multi-core host
+//! assembly once per run instead of once per row, and holds each
+//! distinct scheduling run and seasonal-PUE year in a cell that the
+//! first row to reach it fills. `scenario_contexted` is the steady-state
+//! sweep row, whose run cell is held. `scenario_contexted_seasonal` is
+//! the same row under seasonal PUE, the paper grid's other PUE model: it
+//! shares the row's run and its seasonal year is held too.
+//! `scenario_contexted_cold_run` is that seasonal row at another mean
+//! PUE, whose run and year the context does not hold, so it pays for
+//! both on every iteration. It must cost ≥ `MIN_RUN_SPEEDUP` (4×, fixed
+//! in the script) `scenario_contexted_seasonal`. On a multi-core host
 //! `streaming/parallel` additionally beats `streaming/serial_1_thread`
 //! roughly by the core count; on a single core the two collapse to the
 //! same time, never worse.
@@ -58,28 +64,7 @@ fn context(c: &mut Criterion) {
     let cfg = SweepConfig::fast();
     let mut g = c.benchmark_group("sweep/context");
     g.sample_size(10);
-    // One-time cost of deriving every shared input (intensity traces,
-    // job traces, catalogs) the grid's rows touch, as `Sweep::run` does.
-    let est = Estimator::builder().threads(1).build();
-    let build = || -> EstimateContext<'_> {
-        est.context_for(
-            (0..grid.len()).map(|id| RequestKeys::of(&grid.scenario_at(id).to_request(&cfg))),
-        )
-    };
-    g.bench_function("build", |b| b.iter(|| black_box(build())));
-    // Per-row cost with vs. without the context — the ≥2x speedup the
-    // bench gate enforces.
-    let ctx = build();
     let sc = grid.scenario_at(0);
-    g.bench_function("scenario_uncontexted", |b| {
-        b.iter(|| black_box(run_scenario(&sc, &cfg).unwrap()))
-    });
-    g.bench_function("scenario_contexted", |b| {
-        b.iter(|| black_box(ctx.estimate(&sc.to_request(&cfg)).unwrap()))
-    });
-    // The same row under the paper grid's seasonal PUE, which prices the
-    // node's year hour by hour (`account_with_seasonal_pue`). The
-    // context holds the same trace: PUE is not part of any key.
     let seasonal = Scenario {
         pue: PueSpec::Seasonal {
             mean: 1.2,
@@ -87,8 +72,49 @@ fn context(c: &mut Criterion) {
         },
         ..sc
     };
+    // One-time cost of deriving every shared input (intensity traces,
+    // job traces, catalogs, empty run and seasonal cells) that the grid's
+    // rows and the seasonal row touch, as `Sweep::run` does.
+    let est = Estimator::builder().threads(1).build();
+    let build = || -> EstimateContext<'_> {
+        est.context_for(
+            (0..grid.len())
+                .map(|id| grid.scenario_at(id).to_request(&cfg))
+                .chain([seasonal.to_request(&cfg)]),
+        )
+    };
+    g.bench_function("build", |b| b.iter(|| black_box(build())));
+    // Per-row cost with vs. without the context — the ≥2x speedup the
+    // bench gate enforces. The first contexted iteration fills the row's
+    // run cell; every later one copies it, as a sweep's later rows do.
+    let ctx = build();
+    g.bench_function("scenario_uncontexted", |b| {
+        b.iter(|| black_box(run_scenario(&sc, &cfg).unwrap()))
+    });
+    g.bench_function("scenario_contexted", |b| {
+        b.iter(|| black_box(ctx.estimate(&sc.to_request(&cfg)).unwrap()))
+    });
+    // The same row under the paper grid's seasonal PUE, which prices the
+    // node's year hour by hour (`account_with_seasonal_pue`). Its run is
+    // the row's (a run reads the mean PUE, 1.2 for both) and the context
+    // holds its seasonal year.
     g.bench_function("scenario_contexted_seasonal", |b| {
         b.iter(|| black_box(ctx.estimate(&seasonal.to_request(&cfg)).unwrap()))
+    });
+    // The seasonal row at mean 1.25: the context holds its traces, job
+    // trace and system but neither its run key nor its seasonal key, so
+    // every iteration schedules and prices its year, the cost of a row
+    // whose cells no earlier row filled — the ≥4x the bench gate
+    // enforces.
+    let cold = Scenario {
+        pue: PueSpec::Seasonal {
+            mean: 1.25,
+            amplitude: 0.1,
+        },
+        ..sc
+    };
+    g.bench_function("scenario_contexted_cold_run", |b| {
+        b.iter(|| black_box(ctx.estimate(&cold.to_request(&cfg)).unwrap()))
     });
     g.finish();
 }

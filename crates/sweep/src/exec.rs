@@ -20,11 +20,14 @@
 //! assert_eq!(report.errors, 0);
 //! ```
 //!
-//! `run` builds one estimator and, from the keys of the shard's own
-//! rows ([`RequestKeys::of`]), one [`hpcarbon_api::EstimateContext`]: each
-//! trace, catalog and job list the rows touch is derived once, the
-//! distinct traces in parallel over the run's workers, before any row
-//! starts. Then it evaluates the shard's id range:
+//! `run` builds one estimator and, from the requests of the shard's own
+//! rows, one [`hpcarbon_api::EstimateContext`]: each trace, catalog and
+//! job list the rows touch is derived once, the distinct traces in
+//! parallel over the run's workers, before any row starts. The context
+//! also holds one empty cell per distinct scheduling run and seasonal-PUE
+//! year among those rows; the first row to reach one fills it and every
+//! later row copies it, so the paper grid's 420 feasible rows make 21
+//! scheduling runs, not 420. Then it evaluates the shard's id range:
 //!
 //! - **workers** claim scenario ids from an atomic cursor, decode them
 //!   with [`ScenarioGrid::scenario_at`] (no grid materialization), and
@@ -52,7 +55,7 @@ use crate::sink::{RowSink, SinkDigest};
 use crate::summary::SummaryAccumulator;
 use crate::table::{summary_markdown, MetricSummary, SweepRow};
 use hpcarbon_api::providers::EmbodiedSource;
-use hpcarbon_api::{Estimator, EstimatorBuilder, ForecastModel, RequestKeys};
+use hpcarbon_api::{Estimator, EstimatorBuilder, ForecastModel};
 use hpcarbon_sim::par::worker_count;
 use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::BinaryHeap;
@@ -275,6 +278,14 @@ impl<'a> Sweep<'a> {
     /// [`SweepError::Shard`] for a malformed shard spec;
     /// [`SweepError::Sink`] when a sink fails (the stream aborts and
     /// that sink's output is incomplete).
+    ///
+    /// # Panics
+    /// When a row's evaluation panics (a provider or embodied source that
+    /// panics, say) or a sink panics, the run stops every worker and
+    /// panics on the caller once they have exited. The sinks are left
+    /// unfinished, their output incomplete. The `hpcarbon sweep` CLI then
+    /// exits 101 with partial files and no shard manifest, so a `--shard`
+    /// run of that shard starts over instead of resuming.
     pub fn run(mut self) -> Result<SweepReport, SweepError> {
         let shard = match self.shard {
             Some((index, count)) => {
@@ -298,7 +309,7 @@ impl<'a> Sweep<'a> {
         let ctx = estimator.context_for(
             range
                 .clone()
-                .map(|id| RequestKeys::of(&grid.scenario_at(id).to_request(&config))),
+                .map(|id| grid.scenario_at(id).to_request(&config)),
         );
         let row_at = |id: usize| {
             let scenario = grid.scenario_at(id);
@@ -437,7 +448,11 @@ impl ReorderBuffer {
 ///   a full channel always progress;
 /// - on abort (sink error) the flag is raised under the gate lock and
 ///   the receiver is dropped, releasing workers from both the gate and
-///   the channel.
+///   the channel;
+/// - a worker or merge that panics raises the same flag as it unwinds
+///   ([`AbortOnUnwind`]), so the other workers leave the gate, the
+///   channel disconnects once they have, the merge ends, and
+///   `std::thread::scope` panics on the caller.
 fn stream(
     row_at: &(impl Fn(usize) -> SweepRow + Sync),
     range: Range<usize>,
@@ -455,6 +470,12 @@ fn stream(
     let abort = AtomicBool::new(false);
     let (tx, rx) = sync_channel::<Pending>(window);
 
+    let stop = AbortOnUnwind {
+        forwarded: &forwarded,
+        gate: &gate,
+        abort: &abort,
+    };
+
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -463,30 +484,35 @@ fn stream(
             let gate = &gate;
             let abort = &abort;
             let range = range.clone();
-            scope.spawn(move || loop {
-                let id = cursor.fetch_add(1, Ordering::Relaxed);
-                if id >= range.end {
-                    break;
-                }
-                {
-                    // The gate guards a plain u64 watermark that is
-                    // written in one store, so recovering a poisoned
-                    // lock can never observe torn state.
-                    let mut fwd = forwarded.lock().unwrap_or_else(PoisonError::into_inner);
-                    while !abort.load(Ordering::Relaxed) && id - start >= *fwd + window {
-                        fwd = gate.wait(fwd).unwrap_or_else(PoisonError::into_inner);
-                    }
-                    if abort.load(Ordering::Relaxed) {
+            let unwind = stop.clone();
+            scope.spawn(move || {
+                let _unwind = unwind;
+                loop {
+                    let id = cursor.fetch_add(1, Ordering::Relaxed);
+                    if id >= range.end {
                         break;
                     }
-                }
-                if tx.send(Pending(id, row_at(id))).is_err() {
-                    break; // receiver gone: the run was aborted
+                    {
+                        // The gate guards a plain u64 watermark that is
+                        // written in one store, so recovering a poisoned
+                        // lock can never observe torn state.
+                        let mut fwd = forwarded.lock().unwrap_or_else(PoisonError::into_inner);
+                        while !abort.load(Ordering::Relaxed) && id - start >= *fwd + window {
+                            fwd = gate.wait(fwd).unwrap_or_else(PoisonError::into_inner);
+                        }
+                        if abort.load(Ordering::Relaxed) {
+                            break;
+                        }
+                    }
+                    if tx.send(Pending(id, row_at(id))).is_err() {
+                        break; // receiver gone: the run was aborted
+                    }
                 }
             });
         }
         drop(tx);
 
+        let _unwind = stop.clone();
         let mut merge = ReorderBuffer::new(start);
         let mut failure: Option<io::Error> = None;
         'merge: while merge.expected() < range.end {
@@ -511,21 +537,52 @@ fn stream(
                 gate.notify_all();
             }
         }
-        // Tear down: raise the abort flag under the gate lock (so no
-        // worker re-checks it between testing and waiting) and drop the
-        // receiver to unblock senders. On the success path every worker
-        // has already exited via cursor exhaustion.
-        {
-            let _fwd = forwarded.lock().unwrap_or_else(PoisonError::into_inner);
-            abort.store(true, Ordering::Relaxed);
-        }
-        gate.notify_all();
+        // Tear down: raise the abort flag and drop the receiver to
+        // unblock senders. On the success path every worker has already
+        // exited via cursor exhaustion.
+        stop.raise();
         drop(rx);
         match failure {
             Some(e) => Err(e),
             None => Ok(()),
         }
     })
+}
+
+/// The reorder gate's abort switch. [`AbortOnUnwind::raise`] sets the
+/// abort flag under the gate lock, so no worker re-checks it between
+/// testing and waiting, and wakes every gated worker. Held by each worker
+/// and by the merge, it also raises the flag when its holder unwinds:
+/// without that, a panicking row leaves the merge waiting for a row that
+/// never comes while the other workers wait at the gate, still holding
+/// their senders, so the channel never disconnects.
+#[derive(Clone)]
+struct AbortOnUnwind<'a> {
+    forwarded: &'a Mutex<usize>,
+    gate: &'a Condvar,
+    abort: &'a AtomicBool,
+}
+
+impl AbortOnUnwind<'_> {
+    /// Stops every worker at its next gate check.
+    fn raise(&self) {
+        {
+            let _fwd = self
+                .forwarded
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.abort.store(true, Ordering::Relaxed);
+        }
+        self.gate.notify_all();
+    }
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.raise();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -665,6 +722,73 @@ mod tests {
             SweepError::Sink(e) => assert!(e.to_string().contains("quota")),
             other => panic!("expected sink error, got {other}"),
         }
+    }
+
+    /// Runs `sweep` on a thread of its own and waits at most a minute
+    /// for it to panic: a sweep with a panicking row or sink must abort,
+    /// and a hang fails this test instead of blocking the suite.
+    fn panics_within_a_minute(sweep: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sweep));
+            let _ = tx.send(outcome.is_err());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(panicked) => assert!(panicked, "the sweep returned instead of panicking"),
+            Err(_) => panic!("the sweep was still running after 60 s"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_row_aborts_the_sweep_instead_of_hanging() {
+        // The first all-flash row (id 84) asks the embodied source for
+        // the replacement SSD, and the source panics on that first call
+        // only. The other worker runs on to the reorder window's edge
+        // and waits at the gate.
+        struct PanicsOnce(AtomicBool);
+        impl EmbodiedSource for PanicsOnce {
+            fn build_system(&self, system: crate::SystemId) -> hpcarbon_core::systems::HpcSystem {
+                system.build()
+            }
+            fn part_spec(&self, part: hpcarbon_core::db::PartId) -> hpcarbon_core::db::PartSpec {
+                assert!(
+                    self.0.swap(true, Ordering::Relaxed),
+                    "injected part_spec fault"
+                );
+                part.spec()
+            }
+        }
+        panics_within_a_minute(|| {
+            let grid = ScenarioGrid::paper_default().storage(crate::StorageVariant::ALL);
+            let mut csv = CsvSink::new(Vec::new());
+            let _ = Sweep::over(&grid)
+                .config(SweepConfig::fast())
+                .threads(2)
+                .embodied(Arc::new(PanicsOnce(AtomicBool::new(false))))
+                .sink(&mut csv)
+                .run();
+        });
+    }
+
+    #[test]
+    fn a_panicking_sink_aborts_the_sweep_instead_of_hanging() {
+        struct PanicsAfter(usize);
+        impl RowSink for PanicsAfter {
+            fn row(&mut self, _: &SweepRow) -> io::Result<()> {
+                assert!(self.0 > 0, "injected sink fault");
+                self.0 -= 1;
+                Ok(())
+            }
+        }
+        panics_within_a_minute(|| {
+            let grid = ScenarioGrid::paper_default();
+            let mut sink = PanicsAfter(3);
+            let _ = Sweep::over(&grid)
+                .config(SweepConfig::fast())
+                .threads(2)
+                .sink(&mut sink)
+                .run();
+        });
     }
 
     #[test]

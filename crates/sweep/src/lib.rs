@@ -16,10 +16,13 @@
 //!   delegating to [`hpcarbon_api::Estimator`];
 //! - [`Sweep`] is the executor: it derives the shared inputs its rows
 //!   need (intensity traces, catalogs, job traces) once per run through
-//!   [`hpcarbon_api::Estimator::context_for`], workers fan scenario ids
-//!   out, an order-restoring merge forwards rows **in grid order** to
-//!   pluggable [`RowSink`]s, and a bounded reorder window keeps memory
-//!   at O(threads), independent of grid size ([`exec`], [`sink`]);
+//!   [`hpcarbon_api::Estimator::context_for`], whose cells also hold each
+//!   distinct scheduling run and seasonal-PUE year once the first row
+//!   has computed it; workers fan scenario ids out, an order-restoring
+//!   merge forwards rows **in grid order** to pluggable [`RowSink`]s, a
+//!   bounded reorder window keeps memory at O(threads), independent of
+//!   grid size, and a row or sink that panics aborts the run with that
+//!   panic ([`exec`], [`sink`]);
 //! - [`CsvSink`] / [`JsonSink`] stream the frozen CSV/JSON documents,
 //!   [`SummaryAccumulator`] folds summary statistics and a top-k ranking
 //!   online ([`summary`]), and the returned [`SweepReport`] carries the

@@ -292,20 +292,39 @@ fn cmd_estimate(args: &[String]) -> i32 {
     0
 }
 
-/// Parses a typed positive-integer flag; `Ok(None)` when absent. Unlike
-/// the lenient legacy numeric flags, a bad value exits 2: falling back
-/// silently would, say, sweep a `--threads 1` reference run at full width.
-fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
-    match flag(args, name) {
-        None => Ok(None),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => {
-                eprintln!("invalid {name} \"{raw}\" (expected a positive integer)");
-                Err(2)
-            }
-        },
+/// Parses `--flag value` as a `T` that `accept` admits; `Ok(None)` when
+/// the flag is absent. Every numeric flag goes through here, so a value
+/// that does not parse or is out of range prints `invalid {name}
+/// "{raw}" (expected {expected})` and exits 2: falling back to the
+/// default silently would, say, sweep seed 2021 when `--seed 2O21` was
+/// asked for, or a `--threads 1` reference run at full width.
+fn checked_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    expected: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<Option<T>, i32> {
+    let Some(raw) = flag(args, name) else {
+        return Ok(None);
+    };
+    match raw.parse::<T>() {
+        Ok(v) if accept(&v) => Ok(Some(v)),
+        _ => {
+            eprintln!("invalid {name} \"{raw}\" (expected {expected})");
+            Err(2)
+        }
     }
+}
+
+/// [`checked_flag`] for an unsigned integer of any width: every value
+/// that parses is valid.
+fn unsigned_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, i32> {
+    checked_flag(args, name, "a non-negative integer", |_| true)
+}
+
+/// [`checked_flag`] for a positive integer.
+fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
+    checked_flag(args, name, "a positive integer", |&n| n >= 1)
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
@@ -321,15 +340,11 @@ fn cmd_serve(args: &[String]) -> i32 {
         Ok(None) => {}
         Err(c) => return c,
     }
-    if let Some(raw) = flag(args, "--cache") {
-        // 0 is meaningful here: it disables the cache.
-        match raw.parse::<usize>() {
-            Ok(n) => config.cache_capacity = n,
-            Err(_) => {
-                eprintln!("invalid --cache \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        }
+    // 0 is meaningful here: it disables the cache.
+    match unsigned_flag(args, "--cache") {
+        Ok(Some(n)) => config.cache_capacity = n,
+        Ok(None) => {}
+        Err(c) => return c,
     }
     match positive_flag(args, "--max-body") {
         Ok(Some(n)) => config.max_body_bytes = n,
@@ -408,27 +423,13 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     };
     // 0 is meaningful (fail fast on the first refused connect), so this
     // is not a positive_flag.
-    let connect_retries: u32 = match flag(args, "--connect-retries") {
-        None => 2,
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid --connect-retries \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        },
+    let connect_retries: u32 = match unsigned_flag(args, "--connect-retries") {
+        Ok(n) => n.unwrap_or(2),
+        Err(c) => return c,
     };
-    // A typo'd seed must not silently run the default workload — the
-    // whole point of --seed is a reproducible request sequence.
-    let seed: u64 = match flag(args, "--seed") {
-        None => 2021,
-        Some(raw) => match raw.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("invalid --seed \"{raw}\" (expected a non-negative integer)");
-                return 2;
-            }
-        },
+    let seed: u64 = match unsigned_flag(args, "--seed") {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
     };
 
     // The workload: one file repeated (a single entry, cycled by the
@@ -526,9 +527,10 @@ fn cmd_loadgen(args: &[String]) -> i32 {
 }
 
 fn cmd_figures(args: &[String]) -> i32 {
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2021);
+    let seed: u64 = match unsigned_flag(args, "--seed") {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
+    };
     let out = flag(args, "--out").unwrap_or_else(|| "out/paper".into());
     let dir = std::path::Path::new(&out);
     for a in sustainable_hpc::report::render_all(seed) {
@@ -585,9 +587,10 @@ fn cmd_systems() -> i32 {
 }
 
 fn cmd_regions(args: &[String]) -> i32 {
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2021);
+    let seed: u64 = match unsigned_flag(args, "--seed") {
+        Ok(s) => s.unwrap_or(2021),
+        Err(c) => return c,
+    };
     let traces = simulate_all_regions(2021, seed);
     println!(
         "{:<6} {:>8} {:>8} {:>8} {:>7}",
@@ -640,10 +643,18 @@ fn cmd_advisor(args: &[String]) -> i32 {
             }
         },
     };
-    let usage = flag(args, "--usage")
-        .and_then(|s| s.parse::<f64>().ok())
-        .and_then(Fraction::new)
-        .unwrap_or_else(|| UsageLevel::Medium.fraction());
+    let in_unit = |&u: &f64| Fraction::new(u).is_some();
+    let usage = match checked_flag(args, "--usage", "a fraction in [0, 1]", in_unit) {
+        Ok(u) => u
+            .and_then(Fraction::new)
+            .unwrap_or(UsageLevel::Medium.fraction()),
+        Err(c) => return c,
+    };
+    let physical = |&g: &f64| g.is_finite() && g >= 0.0;
+    let intensity = match checked_flag(args, "--intensity", "a finite number ≥ 0", physical) {
+        Ok(g) => g.unwrap_or(200.0),
+        Err(c) => return c,
+    };
 
     // Build the request once; --region routes it at a simulated region's
     // grid, --intensity (the default, 200 g/kWh) pins a flat grid via a
@@ -667,17 +678,12 @@ fn cmd_advisor(args: &[String]) -> i32 {
                 format!("{} median", op.info().short),
             )
         }
-        None => {
-            let g = flag(args, "--intensity")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(200.0);
-            (
-                Estimator::builder()
-                    .intensity(FlatIntensity::new(g))
-                    .build(),
-                format!("flat {g:.0} gCO2/kWh"),
-            )
-        }
+        None => (
+            Estimator::builder()
+                .intensity(FlatIntensity::new(intensity))
+                .build(),
+            format!("flat {intensity:.0} gCO2/kWh"),
+        ),
     };
     let report = match estimator.estimate(&req) {
         Ok(r) => r,
@@ -738,8 +744,15 @@ fn cmd_sweep(args: &[String]) -> i32 {
     } else {
         ScenarioGrid::paper_default()
     };
-    let seed = flag(args, "--seed").and_then(|s| s.parse::<u64>().ok());
-    if let Some(n) = flag(args, "--seeds").and_then(|s| s.parse::<u64>().ok()) {
+    let seed = match unsigned_flag::<u64>(args, "--seed") {
+        Ok(s) => s,
+        Err(c) => return c,
+    };
+    let seeds = match unsigned_flag::<u64>(args, "--seeds") {
+        Ok(n) => n,
+        Err(c) => return c,
+    };
+    if let Some(n) = seeds {
         // N consecutive seeds starting at --seed (default 0): the knob
         // that scales any grid to 10^5+ rows for sharded runs.
         let base = seed.unwrap_or(0);
@@ -793,9 +806,10 @@ fn cmd_sweep(args: &[String]) -> i32 {
         Ok(t) => t,
         Err(c) => return c,
     };
-    let top: usize = flag(args, "--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let top: usize = match unsigned_flag(args, "--top") {
+        Ok(k) => k.unwrap_or(5),
+        Err(c) => return c,
+    };
     let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
     let dir = std::path::Path::new(&out);
     let catalog = match catalog_flag(args) {
@@ -1068,12 +1082,14 @@ fn cmd_schedule(args: &[String]) -> i32 {
         Ok(n) => n.unwrap_or(300),
         Err(c) => return c,
     };
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
-    let slack: u32 = flag(args, "--slack")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24);
+    let seed: u64 = match unsigned_flag(args, "--seed") {
+        Ok(s) => s.unwrap_or(7),
+        Err(c) => return c,
+    };
+    let slack: u32 = match unsigned_flag(args, "--slack") {
+        Ok(h) => h.unwrap_or(24),
+        Err(c) => return c,
+    };
     let source = if args.iter().any(|a| a == "--synthetic") {
         TraceSource::Synthetic
     } else {

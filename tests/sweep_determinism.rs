@@ -253,6 +253,50 @@ fn cli_rejects_a_malformed_jobs_value() {
 }
 
 #[test]
+fn cli_rejects_every_malformed_numeric_flag() {
+    // Every numeric flag is strict: a value that does not parse, or is
+    // out of range, exits 2 before any output exists instead of running
+    // at the flag's default. `sweep --seed` is the flag each benchmark
+    // sweep passes.
+    const INT: &str = "a non-negative integer";
+    let advisor: &[&str] = &["advisor", "--from", "v100", "--to", "a100"];
+    let loadgen: &[&str] = &["loadgen", "--addr", "127.0.0.1:9", "--wait", "1"];
+    let cases: [(&[&str], &str, &str, &str); 13] = [
+        (&["sweep"], "--seed", "abc", INT),
+        (&["sweep"], "--seeds", "x", INT),
+        (&["sweep", "--quick"], "--top", "four", INT),
+        (&["schedule", "--jobs", "5"], "--slack", "abc", INT),
+        (&["schedule", "--jobs", "5"], "--seed", "zz", INT),
+        (&["regions"], "--seed", "q", INT),
+        (&["figures"], "--seed", "x", INT),
+        (advisor, "--usage", "7", "a fraction in [0, 1]"),
+        (advisor, "--usage", "abc", "a fraction in [0, 1]"),
+        (advisor, "--intensity", "abc", "a finite number ≥ 0"),
+        (advisor, "--intensity", "-1", "a finite number ≥ 0"),
+        (loadgen, "--connect-retries", "x", INT),
+        (loadgen, "--seed", "x", INT),
+    ];
+    for (i, (cmd, name, bad, expected)) in cases.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("hpcarbon-flag-{i}-{}", std::process::id()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+            .args(cmd)
+            .args([name, bad, "--out"])
+            .arg(&dir)
+            .output()
+            .expect("hpcarbon runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd:?} {name} {bad}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let want = format!("invalid {name} \"{bad}\" (expected {expected})");
+        assert!(stderr.contains(&want), "stderr was: {stderr}");
+        assert!(
+            !dir.exists(),
+            "{cmd:?} {name} {bad} wrote {}",
+            dir.display()
+        );
+    }
+}
+
+#[test]
 fn an_oversized_jobs_count_is_an_error_row_not_an_abort() {
     // A job count far past MAX_JOBS would be a multi-terabyte job trace.
     // The sweep's context skips it and every row fails validation.
