@@ -73,8 +73,6 @@ const YEAR: TimeSpan = TimeSpan::from_years(1.0);
 pub struct EstimatorBuilder {
     intensity: Box<dyn IntensityProvider>,
     embodied: Box<dyn EmbodiedSource>,
-    pue: Box<dyn PueProvider>,
-    jobs: Box<dyn JobSource>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
 }
@@ -89,18 +87,6 @@ impl EstimatorBuilder {
     /// Swaps the embodied-inventory source.
     pub fn embodied(mut self, p: impl EmbodiedSource + 'static) -> EstimatorBuilder {
         self.embodied = Box::new(p);
-        self
-    }
-
-    /// Swaps the PUE provider.
-    pub fn pue(mut self, p: impl PueProvider + 'static) -> EstimatorBuilder {
-        self.pue = Box::new(p);
-        self
-    }
-
-    /// Swaps the job source.
-    pub fn jobs(mut self, p: impl JobSource + 'static) -> EstimatorBuilder {
-        self.jobs = Box::new(p);
         self
     }
 
@@ -133,8 +119,6 @@ impl EstimatorBuilder {
         Estimator {
             intensity: self.intensity,
             embodied: self.embodied,
-            pue: self.pue,
-            jobs: self.jobs,
             threads: self.threads,
             trace_files: self.trace_files,
             store: TraceStore::default(),
@@ -157,8 +141,6 @@ impl EstimatorBuilder {
 pub struct Estimator {
     intensity: Box<dyn IntensityProvider>,
     embodied: Box<dyn EmbodiedSource>,
-    pue: Box<dyn PueProvider>,
-    jobs: Box<dyn JobSource>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
     store: TraceStore,
@@ -166,13 +148,12 @@ pub struct Estimator {
 
 impl Estimator {
     /// Starts a builder with the default providers ([`DispatchIntensity`],
-    /// [`CatalogEmbodied`], [`RequestPue`], [`GeneratedJobs`]).
+    /// [`CatalogEmbodied`]). PUE and job traces always come from
+    /// [`RequestPue`] and [`GeneratedJobs`].
     pub fn builder() -> EstimatorBuilder {
         EstimatorBuilder {
             intensity: Box::new(DispatchIntensity),
             embodied: Box::new(CatalogEmbodied),
-            pue: Box::new(RequestPue),
-            jobs: Box::new(GeneratedJobs),
             threads: None,
             trace_files: BTreeMap::new(),
         }
@@ -212,11 +193,11 @@ impl Estimator {
             trace_keys.extend(traces.filter(|key| key.1 != TraceSource::File));
             ctx.jobs
                 .entry(k.jobs)
-                .or_insert_with(|| self.jobs.job_trace(k.jobs.0, k.jobs.1));
+                .or_insert_with(|| GeneratedJobs.job_trace(k.jobs.0, k.jobs.1));
             ctx.systems
                 .entry(k.system)
                 .or_insert_with(|| self.embodied.build_system(k.system));
-            let (run, seasonal) = cell_keys(r, &k, self.pue.resolve(r.pue));
+            let (run, seasonal) = cell_keys(r, &k, RequestPue.resolve(r.pue));
             ctx.runs.entry(run).or_default();
             if let Some(seasonal) = seasonal {
                 ctx.seasonal.entry(seasonal).or_default();
@@ -339,8 +320,8 @@ impl Estimator {
         ctx: &EstimateContext<'_>,
     ) -> Result<FootprintReport, ApiError> {
         let r = v.request();
-        let pue = self.pue.resolve(r.pue);
-        // Providers cannot smuggle an unphysical model past the gate.
+        let pue = RequestPue.resolve(r.pue);
+        // The resolved model passes the same gate as a request's.
         pue.validate()?;
         let keys = RequestKeys::of(r);
         let (run_key, seasonal_key) = cell_keys(r, &keys, pue);
@@ -460,7 +441,7 @@ impl Estimator {
         }
         let jobs = match ctx.jobs.get(&keys.jobs) {
             Some(jobs) => Arc::clone(jobs),
-            None => self.jobs.job_trace(keys.jobs.0, keys.jobs.1),
+            None => GeneratedJobs.job_trace(keys.jobs.0, keys.jobs.1),
         };
         // The oracle run: policies plan on the actual trace — perfect
         // future knowledge, the numbers the paper reports.
@@ -590,7 +571,7 @@ mod tests {
     use crate::store;
     use crate::types::{SystemId, UpgradePath};
     use hpcarbon_grid::regions::OperatorId;
-    use hpcarbon_sched::{Job, Policy};
+    use hpcarbon_sched::Policy;
     use hpcarbon_workloads::benchmarks::Suite;
     use hpcarbon_workloads::nodes::NodeGen;
 
@@ -896,28 +877,6 @@ mod tests {
             assert_eq!(ctx.estimate(r), est.estimate(r), "{r:?}");
         }
         assert_eq!((filled(&ctx.runs), filled(&ctx.seasonal)), (21, 14));
-
-        // A provider that moves the seasonal model's mean splits every
-        // run in two: the runs read the mean, not the model.
-        struct SeasonalMean;
-        impl crate::providers::PueProvider for SeasonalMean {
-            fn resolve(&self, req: PueSpec) -> PueSpec {
-                match req {
-                    PueSpec::Seasonal { amplitude, .. } => PueSpec::Seasonal {
-                        mean: 1.25,
-                        amplitude,
-                    },
-                    constant => constant,
-                }
-            }
-        }
-        let est = Estimator::builder().pue(SeasonalMean).threads(1).build();
-        let ctx = est.context_for(&reqs);
-        assert_eq!((ctx.runs.len(), ctx.seasonal.len()), (42, 14));
-        for r in &reqs {
-            assert_eq!(ctx.estimate(r), est.estimate(r), "{r:?}");
-        }
-        assert_eq!((filled(&ctx.runs), filled(&ctx.seasonal)), (42, 14));
     }
 
     #[test]
@@ -1117,38 +1076,5 @@ mod tests {
         let out = est.estimate_batch(&[r.clone(), miss]);
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
-    }
-
-    #[test]
-    fn custom_job_source_plugs_in() {
-        struct NoJobs;
-        impl crate::providers::JobSource for NoJobs {
-            fn job_trace(&self, _count: usize, _seed: u64) -> std::sync::Arc<Vec<Job>> {
-                std::sync::Arc::new(Vec::new())
-            }
-        }
-        let rep = Estimator::builder()
-            .jobs(NoJobs)
-            .build()
-            .estimate(&req())
-            .unwrap();
-        assert_eq!(rep.operational.sched_kg, 0.0);
-        assert_eq!(rep.operational.sched_kwh, 0.0);
-    }
-
-    #[test]
-    fn pue_provider_overrides_are_revalidated() {
-        struct BrokenPue;
-        impl crate::providers::PueProvider for BrokenPue {
-            fn resolve(&self, _req: PueSpec) -> PueSpec {
-                PueSpec::Constant(0.5)
-            }
-        }
-        let e = Estimator::builder()
-            .pue(BrokenPue)
-            .build()
-            .estimate(&req())
-            .unwrap_err();
-        assert!(matches!(e, ApiError::InvalidPue(_)));
     }
 }

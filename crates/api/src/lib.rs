@@ -10,8 +10,8 @@
 //! 1. build an [`EstimateRequest`] (in code, or from JSON with the strict
 //!    schema-versioned decoder);
 //! 2. assemble an [`Estimator`] with [`Estimator::builder`], swapping in
-//!    custom [`IntensityProvider`] / [`EmbodiedSource`] / [`PueProvider`]
-//!    implementations where the defaults don't fit;
+//!    custom [`IntensityProvider`] / [`EmbodiedSource`] implementations
+//!    where the defaults don't fit;
 //! 3. call [`Estimator::estimate`] (or [`Estimator::estimate_batch`] for
 //!    parallel fan-out) and read the [`FootprintReport`].
 //!

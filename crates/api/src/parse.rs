@@ -113,11 +113,6 @@ pub fn forecast_model(field: &'static str, s: &str) -> Result<ForecastModel, Par
     }
 }
 
-/// The canonical lowercase JSON value of a forecast model.
-pub fn forecast_name(f: ForecastModel) -> String {
-    f.label()
-}
-
 /// Parses a node-generation name (`p100`, `v100`, `a100`).
 pub fn node_gen(field: &'static str, s: &str) -> Result<NodeGen, ParseError> {
     match s.to_ascii_lowercase().as_str() {
@@ -179,7 +174,7 @@ mod tests {
         // The noisy entry in FORECAST_VALUES is a template, so the
         // forecast vocabulary round-trips through concrete labels.
         for s in ["oracle", "persistence", "day-ahead", "noisy:15"] {
-            assert_eq!(forecast_name(forecast_model("forecast", s).unwrap()), s);
+            assert_eq!(forecast_model("forecast", s).unwrap().label(), s);
         }
     }
 

@@ -1,8 +1,10 @@
 //! Pluggable data sources behind the estimator.
 //!
 //! Every axis a [`crate::FootprintReport`] depends on is a trait with a
-//! default implementation wrapping the in-repo models, so a deployment
-//! can swap in its own data without forking the pipeline:
+//! default implementation wrapping the in-repo models. The estimator's
+//! builder swaps the intensity and embodied providers, so a deployment
+//! can bring its own grid and inventory data without forking the
+//! pipeline; PUE and job traces always come from the defaults:
 //!
 //! - [`IntensityProvider`] — where region-year carbon-intensity traces
 //!   come from ([`DispatchIntensity`] wraps the calibrated dispatch
@@ -11,7 +13,7 @@
 //! - [`EmbodiedSource`] — where system inventories come from
 //!   ([`CatalogEmbodied`] wraps the Table 1/2 part catalog);
 //! - [`PueProvider`] — which PUE model applies ([`RequestPue`] honors
-//!   the request; a site-specific provider can override it);
+//!   the request);
 //! - [`JobSource`] — where scheduling job traces come from
 //!   ([`GeneratedJobs`] wraps the seeded workload generator).
 //!

@@ -176,7 +176,7 @@ mod tests {
     fn flat(seed: u64) -> Arc<IntensityTrace> {
         Arc::new(IntensityTrace::new(
             OperatorId::Eso,
-            HourlySeries::constant(2021, seed as f64),
+            HourlySeries::new(2021, vec![seed as f64; 8760]),
         ))
     }
 

@@ -176,7 +176,7 @@ fn read_keep_alive_response(r: &mut BufReader<TcpStream>) -> usize {
 /// parse + hot-response hit + flush + read. This is the serve-path p50 a
 /// loadgen client observes once the cache is warm.
 fn event_loop_roundtrip(c: &mut Criterion) {
-    let server = Server::bind(
+    let server = Server::bind_with(
         "127.0.0.1:0",
         ServerConfig {
             shards: 1,
@@ -184,6 +184,7 @@ fn event_loop_roundtrip(c: &mut Criterion) {
             cache_capacity: 64,
             ..ServerConfig::default()
         },
+        Estimator::builder().build(),
     )
     .expect("bind an ephemeral port");
     let addr = server.local_addr().unwrap();

@@ -4,9 +4,7 @@
 //! The contract (enforced by `ci/bench_gate.sh`): `argmin_indexed` beats
 //! `argmin_naive` by ≥10× — the naive scan touches `slack × w` values
 //! per query where the index touches `slack` prefix differences, so the
-//! ratio approaches `w` (24 here). The fixed sparse table collapses the
-//! remaining `O(slack)` to an `O(1)` lookup for repeated same-width
-//! queries.
+//! ratio approaches `w` (24 here).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_grid::{simulate_year, OperatorId};
@@ -29,7 +27,6 @@ fn year_values() -> Vec<f64> {
 fn argmin(c: &mut Criterion) {
     let values = year_values();
     let idx = WindowIndex::new(&values);
-    let fixed = idx.fixed(W);
     let mut g = c.benchmark_group("window_index");
     g.bench_function("argmin_naive", |b| {
         b.iter(|| {
@@ -45,16 +42,6 @@ fn argmin(c: &mut Criterion) {
             let mut acc = 0u32;
             for start in STARTS {
                 acc = acc.wrapping_add(idx.greenest_shift(start, SLACK, W));
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("argmin_fixed_table", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for start in STARTS {
-                let hi = (start + SLACK).min(8759);
-                acc = acc.wrapping_add(fixed.argmin_in(start, hi));
             }
             black_box(acc)
         })
@@ -89,13 +76,9 @@ fn window_mean(c: &mut Criterion) {
 
 fn build(c: &mut Criterion) {
     let values = year_values();
-    let idx = WindowIndex::new(&values);
     let mut g = c.benchmark_group("window_index");
     g.bench_function("build_prefix_8760", |b| {
         b.iter(|| black_box(WindowIndex::new(&values)))
-    });
-    g.bench_function("build_sparse_table_8760", |b| {
-        b.iter(|| black_box(idx.fixed(W)))
     });
     g.finish();
 }

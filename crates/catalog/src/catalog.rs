@@ -9,14 +9,13 @@ use crate::intern::intern;
 use crate::parse::RawEntity;
 use crate::vocab;
 use hpcarbon_core::db::EmbodiedInputs;
-use hpcarbon_core::db::{PartId, PartSpec, ProcessNode};
+use hpcarbon_core::db::{PartId, PartSpec};
 use hpcarbon_core::embodied::FabDensities;
 use hpcarbon_core::systems::HpcSystem;
-use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_units::{
     Bandwidth, CarbonAreaDensity, CarbonPerCapacity, ComputeRate, DataCapacity, Power, SiliconArea,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A loaded, fully validated catalog: every entity resolved into the
 /// same in-memory types the built-in tables produce.
@@ -27,7 +26,6 @@ use std::path::{Path, PathBuf};
 /// [`crate::CatalogSource`] for the memoized provider form.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    root: PathBuf,
     parts: Vec<PartEntity>,
     nodes: Vec<ProcessNodeEntity>,
     systems: Vec<SystemEntity>,
@@ -203,13 +201,12 @@ impl Catalog {
         if !errors.is_empty() {
             return Err(CatalogErrors(errors));
         }
-        Ok(Catalog::resolve(root, parts, nodes, systems, regions))
+        Ok(Catalog::resolve(parts, nodes, systems, regions))
     }
 
     /// Resolves validated raw entities into model types. Only reachable
     /// with zero diagnostics, so every cross-reference is present.
     fn resolve(
-        root: &Path,
         parts: Vec<RawPart>,
         nodes: Vec<RawNode>,
         systems: Vec<RawSystem>,
@@ -314,17 +311,11 @@ impl Catalog {
         region_entities.sort_by_key(|r| slug_rank(&vocab::REGION_SLUGS, r.id));
 
         Catalog {
-            root: root.to_path_buf(),
             parts: part_entities,
             nodes: node_entities,
             systems: system_entities,
             regions: region_entities,
         }
-    }
-
-    /// The directory this catalog was loaded from.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// The resolved spec of `part` (every valid catalog defines all 13).
@@ -342,11 +333,6 @@ impl Catalog {
         &self.parts
     }
 
-    /// The process-node entity of `node`.
-    pub fn node(&self, node: ProcessNode) -> Option<&ProcessNodeEntity> {
-        self.nodes.iter().find(|n| n.node == node)
-    }
-
     /// All process-node entities, newest lithography last.
     pub fn nodes(&self) -> &[ProcessNodeEntity] {
         &self.nodes
@@ -360,11 +346,6 @@ impl Catalog {
     /// All system entities, sorted by id.
     pub fn systems(&self) -> &[SystemEntity] {
         &self.systems
-    }
-
-    /// The region entity of `operator`.
-    pub fn region(&self, operator: OperatorId) -> Option<&RegionEntity> {
-        self.regions.iter().find(|r| r.id == operator)
     }
 
     /// All region entities, in Table 3 order.

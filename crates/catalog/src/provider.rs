@@ -71,16 +71,6 @@ impl CatalogSource {
             .insert(key, Arc::clone(&loaded));
         Ok(CatalogSource { catalog: loaded })
     }
-
-    /// Wraps an already loaded catalog (no memoization involved).
-    pub fn from_catalog(catalog: Arc<Catalog>) -> CatalogSource {
-        CatalogSource { catalog }
-    }
-
-    /// The underlying catalog.
-    pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
-    }
 }
 
 impl EmbodiedSource for CatalogSource {
@@ -115,7 +105,7 @@ mod tests {
         export_builtin(&dir).unwrap();
         let a = CatalogSource::load(&dir).unwrap();
         let b = CatalogSource::load(&dir).unwrap();
-        assert!(Arc::ptr_eq(a.catalog(), b.catalog()));
+        assert!(Arc::ptr_eq(&a.catalog, &b.catalog));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,19 +20,6 @@ pub enum Vendor {
     Seagate,
 }
 
-impl Vendor {
-    /// Display name.
-    pub fn label(self) -> &'static str {
-        match self {
-            Vendor::Nvidia => "NVIDIA",
-            Vendor::Amd => "AMD",
-            Vendor::Intel => "Intel",
-            Vendor::SkHynix => "SK Hynix",
-            Vendor::Seagate => "Seagate",
-        }
-    }
-}
-
 /// The embodied-model inputs of a part: Eq. 3 inputs for processors,
 /// Eq. 4 inputs for memory/storage.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -221,7 +221,7 @@ mod tests {
         // (1000 + 200 + 300) g/cm2 * 8 cm2 / 0.875 = 13_714.3 g
         let m = processor_manufacturing(
             densities(1000.0, 200.0, 300.0),
-            SiliconArea::from_cm2(8.0),
+            SiliconArea::from_mm2(800.0),
             default_fab_yield(),
         );
         assert!((m.as_g() - 12_000.0 / 0.875).abs() < 1e-6);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn eq3_lower_yield_means_more_carbon() {
         let d = densities(1000.0, 200.0, 300.0);
-        let a = SiliconArea::from_cm2(5.0);
+        let a = SiliconArea::from_mm2(500.0);
         let good = processor_manufacturing(d, a, Fraction::new_unchecked(0.95));
         let bad = processor_manufacturing(d, a, Fraction::new_unchecked(0.5));
         assert!(bad > good);
@@ -242,7 +242,7 @@ mod tests {
     fn eq3_rejects_zero_yield() {
         let _ = processor_manufacturing(
             densities(1.0, 1.0, 1.0),
-            SiliconArea::from_cm2(1.0),
+            SiliconArea::from_mm2(100.0),
             Fraction::ZERO,
         );
     }
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn ratio_packaging() {
-        let mfg = CarbonMass::from_kg(20.0);
+        let mfg = CarbonMass::from_g(20_000.0);
         let p = packaging_from_ratio(mfg, 0.02);
         assert!((p.as_kg() - 0.4).abs() < 1e-12);
     }
@@ -289,13 +289,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "packaging ratio")]
     fn ratio_rejects_negative() {
-        let _ = packaging_from_ratio(CarbonMass::from_kg(1.0), -0.1);
+        let _ = packaging_from_ratio(CarbonMass::from_g(1000.0), -0.1);
     }
 
     #[test]
     fn breakdown_total_and_shares() {
         let b =
-            EmbodiedBreakdown::from_parts(CarbonMass::from_kg(4.16), PackagingSpec::IcCount(20));
+            EmbodiedBreakdown::from_parts(CarbonMass::from_g(4160.0), PackagingSpec::IcCount(20));
         assert!((b.total().as_kg() - 7.16).abs() < 1e-9);
         // DRAM calibration: packaging ~42% of embodied (Fig. 3).
         assert!((b.packaging_share().value() - 0.419).abs() < 0.01);
@@ -305,12 +305,12 @@ mod tests {
     #[test]
     fn breakdown_sum_and_scale() {
         let a = EmbodiedBreakdown {
-            manufacturing: CarbonMass::from_kg(1.0),
-            packaging: CarbonMass::from_kg(0.5),
+            manufacturing: CarbonMass::from_g(1000.0),
+            packaging: CarbonMass::from_g(500.0),
         };
         let b = EmbodiedBreakdown {
-            manufacturing: CarbonMass::from_kg(2.0),
-            packaging: CarbonMass::from_kg(0.25),
+            manufacturing: CarbonMass::from_g(2000.0),
+            packaging: CarbonMass::from_g(250.0),
         };
         let s = EmbodiedBreakdown::sum([a, b]);
         assert_eq!(s.manufacturing.as_kg(), 3.0);

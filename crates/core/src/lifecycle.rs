@@ -1,220 +1,25 @@
-//! Life-cycle totals — Eq. 1 of the paper and amortization helpers.
+//! Life-cycle total — Eq. 1 of the paper.
 //!
-//! `C_total = C_em + C_op`. The interesting structure is in how `C_op`
-//! accumulates over the service life while `C_em` is paid up front: the
-//! paper's RQ7/RQ8 upgrade analysis (implemented in `hpcarbon-upgrade`)
-//! builds on the primitives here.
+//! `C_total = C_em + C_op`. Embodied carbon is paid up front while
+//! operational carbon accrues over the service life; the paper's RQ7/RQ8
+//! upgrade analysis (implemented in `hpcarbon-upgrade`) weighs the two.
+//! Like the paper, embodied carbon counts production only: transport and
+//! end-of-life stages are not modeled.
 
-use crate::operational::{operational_carbon, Pue};
-use hpcarbon_units::{CarbonIntensity, CarbonMass, Energy, Power, TimeSpan};
+use hpcarbon_units::CarbonMass;
 
 /// Eq. 1: total carbon footprint.
 pub fn total_carbon(embodied: CarbonMass, operational: CarbonMass) -> CarbonMass {
     embodied + operational
 }
 
-/// A deployed asset's life-cycle carbon position: embodied carbon paid at
-/// deployment plus operational carbon accrued at a given average IT power.
-#[derive(Debug, Clone, Copy)]
-pub struct LifecyclePosition {
-    /// One-time embodied carbon.
-    pub embodied: CarbonMass,
-    /// Average IT power while deployed (already accounting for usage).
-    pub avg_it_power: Power,
-    /// Facility PUE.
-    pub pue: Pue,
-}
-
-impl LifecyclePosition {
-    /// Operational carbon accrued after `elapsed` at constant `intensity`.
-    pub fn operational_after(&self, elapsed: TimeSpan, intensity: CarbonIntensity) -> CarbonMass {
-        operational_carbon(self.avg_it_power * elapsed, self.pue, intensity)
-    }
-
-    /// Eq. 1 total after `elapsed` at constant `intensity`.
-    pub fn total_after(&self, elapsed: TimeSpan, intensity: CarbonIntensity) -> CarbonMass {
-        total_carbon(self.embodied, self.operational_after(elapsed, intensity))
-    }
-
-    /// Time until operational carbon equals embodied carbon — i.e. the
-    /// point where the life-cycle footprint is half operational. At low
-    /// grid intensity this stretches to years, which is the paper's core
-    /// argument for why embodied carbon will dominate "greener" facilities.
-    pub fn embodied_parity_time(&self, intensity: CarbonIntensity) -> Option<TimeSpan> {
-        let hourly = self.operational_after(TimeSpan::from_hours(1.0), intensity);
-        if hourly.as_g() <= 0.0 {
-            return None; // never catches up (zero power or zero intensity)
-        }
-        Some(TimeSpan::from_hours(self.embodied / hourly))
-    }
-
-    /// Annual operational energy (facility level, after PUE).
-    pub fn annual_facility_energy(&self) -> Energy {
-        self.pue
-            .apply(self.avg_it_power * TimeSpan::from_years(1.0))
-    }
-}
-
-/// Full cradle-to-grave embodied stages.
-///
-/// The paper models production only, noting that "the transportation and
-/// recycling of the component have been reported to be not dominant" and
-/// "tend to be consistent across different generations". This type makes
-/// the excluded stages explicit as documented fractions of production
-/// carbon (industry LCAs put sea/air freight at ~1–4% and end-of-life
-/// processing at ~1–5% for IT hardware), so sensitivity analyses can
-/// verify the paper's exclusion is benign.
-#[derive(Debug, Clone, Copy)]
-pub struct LifecycleStages {
-    /// Production (manufacturing + packaging) carbon — the paper's C_em.
-    pub production: CarbonMass,
-    /// Transportation as a fraction of production.
-    pub transport_fraction: f64,
-    /// End-of-life (recycling/disposal) as a fraction of production.
-    pub recycling_fraction: f64,
-}
-
-impl LifecycleStages {
-    /// The paper's accounting: production only.
-    pub fn production_only(production: CarbonMass) -> LifecycleStages {
-        LifecycleStages {
-            production,
-            transport_fraction: 0.0,
-            recycling_fraction: 0.0,
-        }
-    }
-
-    /// A representative full accounting: 2.5% transport + 3% end-of-life.
-    pub fn with_typical_overheads(production: CarbonMass) -> LifecycleStages {
-        LifecycleStages {
-            production,
-            transport_fraction: 0.025,
-            recycling_fraction: 0.03,
-        }
-    }
-
-    /// Transportation carbon.
-    pub fn transport(&self) -> CarbonMass {
-        self.production * self.transport_fraction
-    }
-
-    /// End-of-life carbon.
-    pub fn recycling(&self) -> CarbonMass {
-        self.production * self.recycling_fraction
-    }
-
-    /// Cradle-to-grave embodied total.
-    pub fn total(&self) -> CarbonMass {
-        self.production + self.transport() + self.recycling()
-    }
-
-    /// Relative error of the paper's production-only accounting against
-    /// this full accounting (the exclusion's bias).
-    pub fn production_only_bias(&self) -> f64 {
-        1.0 - self.production / self.total()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn position() -> LifecyclePosition {
-        LifecyclePosition {
-            embodied: CarbonMass::from_kg(100.0),
-            avg_it_power: Power::from_kw(1.0),
-            pue: Pue::new(1.0),
-        }
-    }
-
     #[test]
     fn eq1_is_a_sum() {
-        let t = total_carbon(CarbonMass::from_kg(10.0), CarbonMass::from_kg(5.0));
+        let t = total_carbon(CarbonMass::from_g(10_000.0), CarbonMass::from_g(5_000.0));
         assert_eq!(t.as_kg(), 15.0);
-    }
-
-    #[test]
-    fn operational_accrues_linearly() {
-        let p = position();
-        let i = CarbonIntensity::from_g_per_kwh(100.0);
-        let one = p.operational_after(TimeSpan::from_years(1.0), i);
-        let two = p.operational_after(TimeSpan::from_years(2.0), i);
-        assert!((two.as_g() / one.as_g() - 2.0).abs() < 1e-12);
-        // 1 kW × 8760 h × 100 g/kWh = 876 kg.
-        assert!((one.as_kg() - 876.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parity_time_scales_inversely_with_intensity() {
-        let p = position();
-        let fast = p
-            .embodied_parity_time(CarbonIntensity::from_g_per_kwh(400.0))
-            .unwrap();
-        let slow = p
-            .embodied_parity_time(CarbonIntensity::from_g_per_kwh(20.0))
-            .unwrap();
-        assert!((slow.as_hours() / fast.as_hours() - 20.0).abs() < 1e-9);
-        // At 400 g/kWh: 100 kg / (0.4 kg/h) = 250 h.
-        assert!((fast.as_hours() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parity_never_reached_at_zero_intensity() {
-        let p = position();
-        assert!(p
-            .embodied_parity_time(CarbonIntensity::from_g_per_kwh(0.0))
-            .is_none());
-    }
-
-    #[test]
-    fn total_after_includes_embodied() {
-        let p = position();
-        let i = CarbonIntensity::from_g_per_kwh(100.0);
-        let t = p.total_after(TimeSpan::from_years(1.0), i);
-        assert!((t.as_kg() - 976.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn annual_energy_accounts_for_pue() {
-        let p = LifecyclePosition {
-            pue: Pue::new(1.5),
-            ..position()
-        };
-        assert!((p.annual_facility_energy().as_mwh() - 13.14).abs() < 1e-9);
-    }
-
-    #[test]
-    fn production_only_stages_match_paper_accounting() {
-        let s = LifecycleStages::production_only(CarbonMass::from_kg(100.0));
-        assert_eq!(s.total().as_kg(), 100.0);
-        assert_eq!(s.transport().as_g(), 0.0);
-        assert_eq!(s.production_only_bias(), 0.0);
-    }
-
-    #[test]
-    fn typical_overheads_are_not_dominant() {
-        // Validates the paper's exclusion: the bias from ignoring
-        // transport + recycling stays in the low single digits.
-        let s = LifecycleStages::with_typical_overheads(CarbonMass::from_kg(100.0));
-        assert!((s.total().as_kg() - 105.5).abs() < 1e-9);
-        assert!((s.transport().as_kg() - 2.5).abs() < 1e-9);
-        assert!((s.recycling().as_kg() - 3.0).abs() < 1e-9);
-        let bias = s.production_only_bias();
-        assert!((0.04..0.06).contains(&bias), "bias {bias}");
-    }
-
-    #[test]
-    fn stage_totals_compose() {
-        let s = LifecycleStages {
-            production: CarbonMass::from_kg(40.0),
-            transport_fraction: 0.1,
-            recycling_fraction: 0.05,
-        };
-        assert!(
-            (s.total() - (s.production + s.transport() + s.recycling()))
-                .as_g()
-                .abs()
-                < 1e-9
-        );
     }
 }

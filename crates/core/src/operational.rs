@@ -4,7 +4,7 @@
 //! energy and the HPC system power-usage-effectiveness (PUE), which we set
 //! to a constant across all systems we characterize".
 
-use hpcarbon_units::{CarbonIntensity, CarbonMass, Energy, Power, TimeSpan};
+use hpcarbon_units::{CarbonIntensity, CarbonMass, Energy};
 
 /// Power-usage-effectiveness: facility energy divided by IT energy.
 ///
@@ -43,11 +43,6 @@ impl Pue {
     pub fn apply(self, it_energy: Energy) -> Energy {
         it_energy * self.0
     }
-
-    /// Facility-level power for a given IT power draw.
-    pub fn apply_power(self, it_power: Power) -> Power {
-        it_power * self.0
-    }
 }
 
 impl Default for Pue {
@@ -59,17 +54,6 @@ impl Default for Pue {
 /// Eq. 6: operational carbon from IT energy, PUE and grid intensity.
 pub fn operational_carbon(it_energy: Energy, pue: Pue, intensity: CarbonIntensity) -> CarbonMass {
     intensity * pue.apply(it_energy)
-}
-
-/// Convenience: operational carbon of a constant power draw over a period
-/// at constant intensity.
-pub fn operational_carbon_const_power(
-    it_power: Power,
-    duration: TimeSpan,
-    pue: Pue,
-    intensity: CarbonIntensity,
-) -> CarbonMass {
-    operational_carbon(it_power * duration, pue, intensity)
 }
 
 #[cfg(test)]
@@ -100,19 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn const_power_form() {
-        // 1 kW for one year at 20 g/kWh (hydro), PUE 1.2:
-        // 8760 kWh × 1.2 × 20 g = 210.24 kg.
-        let c = operational_carbon_const_power(
-            Power::from_kw(1.0),
-            TimeSpan::from_years(1.0),
-            Pue::DEFAULT,
-            CarbonIntensity::from_g_per_kwh(20.0),
-        );
-        assert!((c.as_kg() - 210.24).abs() < 1e-9);
-    }
-
-    #[test]
     fn higher_intensity_higher_carbon() {
         let e = Energy::from_kwh(10.0);
         let lo = operational_carbon(e, Pue::DEFAULT, CarbonIntensity::from_g_per_kwh(20.0));
@@ -120,11 +91,5 @@ mod tests {
         // Coal vs hydro: 40× difference ("renewable … emit more than 20×
         // less CO2 than … coal").
         assert!((hi / lo - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_pue() {
-        let p = Pue::new(1.5).apply_power(Power::from_kw(2.0));
-        assert_eq!(p.as_kw(), 3.0);
     }
 }

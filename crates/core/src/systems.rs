@@ -299,7 +299,7 @@ mod tests {
             p.count_of(PartId::Ssd3_2tb) as f64 * PartId::Ssd3_2tb.spec().capacity.unwrap().as_pb();
         assert!((pm_ssd - 35.0).abs() < 0.5, "Perlmutter SSD {pm_ssd} PB");
         // Sanity on the unit helper itself.
-        assert_eq!(DataCapacity::from_pb(1.0).as_tb(), 1000.0);
+        assert_eq!(DataCapacity::from_tb(1000.0).as_pb(), 1.0);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! Fig. 5's discussion contrasts Frontier's HDD-heavy Orion with
 //! Perlmutter's all-flash file system. This module makes such architecture
 //! questions answerable quantitatively: take a system, apply a
-//! transformation (swap the HDD tier for flash at equal capacity, resize
-//! memory, change the GPU count per node), and compare embodied
-//! compositions before and after.
+//! transformation (swap the HDD tier for flash at equal capacity) and
+//! compare embodied compositions before and after.
 
 use crate::db::{PartId, PartSpec};
-use crate::embodied::ComponentClass;
 use crate::systems::HpcSystem;
 use hpcarbon_units::CarbonMass;
 
@@ -25,8 +23,6 @@ pub enum WhatIfError {
     MissingCapacity(PartId),
     /// The system holds no units of the source part.
     NoSourceUnits(PartId),
-    /// The scale factor is negative, NaN or infinite.
-    InvalidFactor(f64),
 }
 
 impl std::fmt::Display for WhatIfError {
@@ -36,7 +32,6 @@ impl std::fmt::Display for WhatIfError {
                 write!(f, "part {p:?} declares no capacity")
             }
             WhatIfError::NoSourceUnits(p) => write!(f, "system holds no {p:?}"),
-            WhatIfError::InvalidFactor(x) => write!(f, "scale factor {x} is not finite and >= 0"),
         }
     }
 }
@@ -114,47 +109,10 @@ pub fn swap_storage_tier(
     })
 }
 
-/// Scales the count of every part of `class` by `factor` (rounding to the
-/// nearest unit) — e.g. "what if we doubled memory per node?".
-///
-/// # Errors
-/// If `factor` is negative or not finite.
-pub fn scale_class(
-    base: &HpcSystem,
-    class: ComponentClass,
-    factor: f64,
-) -> Result<WhatIf, WhatIfError> {
-    if !(factor >= 0.0 && factor.is_finite()) {
-        return Err(WhatIfError::InvalidFactor(factor));
-    }
-    let inventory: Vec<(PartSpec, u64)> = base
-        .inventory
-        .iter()
-        .map(|(p, c)| {
-            if p.class == class {
-                (*p, (*c as f64 * factor).round() as u64)
-            } else {
-                (*p, *c)
-            }
-        })
-        .collect();
-    let system = HpcSystem {
-        name: base.name,
-        location: base.location,
-        cores: base.cores,
-        year: base.year,
-        inventory,
-    };
-    Ok(WhatIf {
-        before: base.embodied_total(),
-        after: system.embodied_total(),
-        system,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embodied::ComponentClass;
 
     #[test]
     fn all_flash_frontier_costs_embodied_carbon() {
@@ -198,52 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn doubling_dram_raises_its_share() {
-        let p = HpcSystem::perlmutter();
-        let before_share = p
-            .composition_shares()
-            .into_iter()
-            .find(|(c, _)| *c == ComponentClass::Dram)
-            .unwrap()
-            .1;
-        let w = scale_class(&p, ComponentClass::Dram, 2.0).unwrap();
-        let after_share = w
-            .system
-            .composition_shares()
-            .into_iter()
-            .find(|(c, _)| *c == ComponentClass::Dram)
-            .unwrap()
-            .1;
-        assert!(after_share > before_share);
-        assert!(w.delta().as_t() > 100.0);
-        // The paper's RQ4 implication: memory expansion carries a hidden
-        // carbon cost comparable to compute purchases.
-    }
-
-    #[test]
-    fn zero_scale_removes_the_class() {
-        let l = HpcSystem::lumi();
-        let w = scale_class(&l, ComponentClass::Hdd, 0.0).unwrap();
-        let hdd = w
-            .system
-            .composition_shares()
-            .into_iter()
-            .find(|(c, _)| *c == ComponentClass::Hdd)
-            .unwrap()
-            .1;
-        assert_eq!(hdd.value(), 0.0);
-        assert!(w.after < w.before);
-    }
-
-    #[test]
-    fn identity_scale_changes_nothing() {
-        let f = HpcSystem::frontier();
-        let w = scale_class(&f, ComponentClass::Gpu, 1.0).unwrap();
-        assert!((w.delta().as_g()).abs() < 1e-9);
-        assert!(w.relative_change().abs() < 1e-12);
-    }
-
-    #[test]
     fn swap_requires_presence() {
         let p = HpcSystem::perlmutter(); // all-flash, no HDD
         let e = swap_storage_tier(&p, PartId::Hdd16tb, PartId::Ssd3_2tb.spec()).unwrap_err();
@@ -256,14 +168,5 @@ mod tests {
         let f = HpcSystem::frontier();
         let e = swap_storage_tier(&f, PartId::Hdd16tb, PartId::CpuEpyc7763.spec()).unwrap_err();
         assert_eq!(e, WhatIfError::MissingCapacity(PartId::CpuEpyc7763));
-    }
-
-    #[test]
-    fn scale_rejects_non_finite_factors() {
-        let f = HpcSystem::frontier();
-        for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            let e = scale_class(&f, ComponentClass::Gpu, bad).unwrap_err();
-            assert!(matches!(e, WhatIfError::InvalidFactor(_)), "{bad}");
-        }
     }
 }

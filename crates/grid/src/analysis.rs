@@ -279,97 +279,3 @@ mod tests {
         assert!(s[0].cov_percent.abs() < 1e-9);
     }
 }
-
-/// Per-season summary of a trace — Fig. 7's caption notes that "season
-/// variations also naturally exist"; this quantifies them.
-#[derive(Debug, Clone)]
-pub struct SeasonalSummary {
-    /// Season.
-    pub season: hpcarbon_timeseries::datetime::Season,
-    /// Intensity distribution within the season.
-    pub boxplot: BoxplotStats,
-}
-
-/// Splits a trace by meteorological season (local dates in the operator's
-/// zone) and summarizes each.
-pub fn seasonal_summary(trace: &IntensityTrace) -> Vec<SeasonalSummary> {
-    use hpcarbon_timeseries::datetime::Season;
-    let tz = trace.operator().info().tz;
-    let mut buckets: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for (stamp, v) in trace.series().iter() {
-        let season = tz.from_utc(stamp).date().season();
-        // Season::ALL lists the seasons in declaration order.
-        buckets[season as usize].push(v);
-    }
-    Season::ALL
-        .iter()
-        .zip(buckets)
-        .map(|(season, values)| SeasonalSummary {
-            season: *season,
-            // lint: allow(panic-in-library) -- a year-long hourly trace puts ≥ 2000 samples in every season bucket, so compute never sees an empty slice
-            boxplot: BoxplotStats::compute(&values).expect("every season has hours"),
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod seasonal_tests {
-    use super::*;
-    use crate::sim::simulate_year;
-    use hpcarbon_timeseries::datetime::Season;
-
-    #[test]
-    fn four_seasons_cover_the_year() {
-        let t = simulate_year(OperatorId::Eso, 2021, 5);
-        let s = seasonal_summary(&t);
-        assert_eq!(s.len(), 4);
-        let seasons: Vec<Season> = s.iter().map(|x| x.season).collect();
-        assert_eq!(seasons, Season::ALL.to_vec());
-        for x in &s {
-            assert!(x.boxplot.median > 0.0);
-        }
-    }
-
-    #[test]
-    fn eso_winters_are_dirtier_despite_winter_wind() {
-        // GB reality (and the model): the winter demand peak outweighs the
-        // winter wind boost, so winter medians sit above summer medians.
-        let t = simulate_year(OperatorId::Eso, 2021, 5);
-        let s = seasonal_summary(&t);
-        let median = |season: Season| {
-            s.iter()
-                .find(|x| x.season == season)
-                .expect("present")
-                .boxplot
-                .median
-        };
-        assert!(
-            median(Season::Winter) > median(Season::Summer),
-            "winter {} vs summer {}",
-            median(Season::Winter),
-            median(Season::Summer)
-        );
-    }
-
-    #[test]
-    fn ciso_is_seasonally_flat_by_comparison() {
-        // CAISO's summer AC demand offsets its stronger summer solar: the
-        // seasonal medians stay within a narrow band.
-        let t = simulate_year(OperatorId::Ciso, 2021, 5);
-        let s = seasonal_summary(&t);
-        let meds: Vec<f64> = s.iter().map(|x| x.boxplot.median).collect();
-        let max = meds.iter().copied().fold(f64::MIN, f64::max);
-        let min = meds.iter().copied().fold(f64::MAX, f64::min);
-        assert!(max / min < 1.15, "{meds:?}");
-    }
-
-    #[test]
-    fn seasonal_spread_is_material_for_wind_heavy_grids() {
-        let t = simulate_year(OperatorId::Eso, 2021, 5);
-        let s = seasonal_summary(&t);
-        let meds: Vec<f64> = s.iter().map(|x| x.boxplot.median).collect();
-        let max = meds.iter().copied().fold(f64::MIN, f64::max);
-        let min = meds.iter().copied().fold(f64::MAX, f64::min);
-        assert!(max / min > 1.08, "{meds:?}");
-    }
-}

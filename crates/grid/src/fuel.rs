@@ -62,26 +62,6 @@ impl Fuel {
         };
         CarbonIntensity::from_g_per_kwh(g)
     }
-
-    /// True for fuels the paper calls "sustainable sources" (< 50 g/kWh).
-    pub fn is_low_carbon(self) -> bool {
-        self.emission_factor().as_g_per_kwh() < 50.0
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Fuel::Coal => "coal",
-            Fuel::Gas => "gas",
-            Fuel::Oil => "oil",
-            Fuel::Nuclear => "nuclear",
-            Fuel::Hydro => "hydro",
-            Fuel::Wind => "wind",
-            Fuel::Solar => "solar",
-            Fuel::Biomass => "biomass",
-            Fuel::Imports => "imports",
-        }
-    }
 }
 
 /// A generation snapshot: GW produced per fuel in one hour.
@@ -112,16 +92,6 @@ impl GenerationMix {
         self.gw.iter().sum()
     }
 
-    /// Share of total generation from `fuel` (0 when nothing generates).
-    pub fn share(&self, fuel: Fuel) -> f64 {
-        let t = self.total();
-        if t > 0.0 {
-            self.get(fuel) / t
-        } else {
-            0.0
-        }
-    }
-
     /// Emissions-weighted average intensity of the mix, with a custom
     /// factor for imports.
     pub fn intensity(&self, import_factor: CarbonIntensity) -> CarbonIntensity {
@@ -139,15 +109,6 @@ impl GenerationMix {
             grams += self.get(fuel) * factor.as_g_per_kwh();
         }
         CarbonIntensity::from_g_per_kwh(grams / total)
-    }
-
-    /// Scales every fuel's output by `k` (used for renewable curtailment).
-    pub fn scaled(&self, k: f64) -> GenerationMix {
-        let mut out = *self;
-        for v in &mut out.gw {
-            *v *= k;
-        }
-        out
     }
 
     /// A fuel's slot: [`Fuel::ALL`] lists the fuels in declaration order,
@@ -181,14 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn low_carbon_classification() {
-        assert!(Fuel::Nuclear.is_low_carbon());
-        assert!(Fuel::Wind.is_low_carbon());
-        assert!(!Fuel::Gas.is_low_carbon());
-        assert!(!Fuel::Biomass.is_low_carbon());
-    }
-
-    #[test]
     fn mix_accumulates_and_shares() {
         let mut m = GenerationMix::new();
         m.add(Fuel::Gas, 6.0);
@@ -196,8 +149,8 @@ mod tests {
         m.add(Fuel::Nuclear, 1.0);
         m.add(Fuel::Gas, 0.0);
         assert_eq!(m.total(), 10.0);
-        assert_eq!(m.share(Fuel::Gas), 0.6);
-        assert_eq!(m.share(Fuel::Coal), 0.0);
+        assert_eq!(m.get(Fuel::Gas), 6.0);
+        assert_eq!(m.get(Fuel::Coal), 0.0);
     }
 
     #[test]
@@ -226,14 +179,5 @@ mod tests {
             m.intensity(Fuel::Imports.emission_factor()).as_g_per_kwh(),
             0.0
         );
-    }
-
-    #[test]
-    fn scaling() {
-        let mut m = GenerationMix::new();
-        m.add(Fuel::Solar, 4.0);
-        let half = m.scaled(0.5);
-        assert_eq!(half.get(Fuel::Solar), 2.0);
-        assert_eq!(half.total(), 2.0);
     }
 }

@@ -488,7 +488,11 @@ mod mix_tests {
                 totals.add(fuel, mix.get(fuel));
             }
         }
-        Fuel::ALL.iter().map(|f| (*f, totals.share(*f))).collect()
+        let total = totals.total();
+        Fuel::ALL
+            .iter()
+            .map(|f| (*f, totals.get(*f) / total))
+            .collect()
     }
 
     fn share(shares: &[(Fuel, f64)], fuel: Fuel) -> f64 {

@@ -214,9 +214,17 @@ mod tests {
         // Fossil-margin regions must be cleaner overnight than at the
         // evening peak, on average.
         let t = synthesize_year(OperatorId::Ercot, 2021, 5);
-        let prof = t.hourly_profile(OperatorId::Ercot.params().tz);
-        let night = (prof[2] + prof[3] + prof[4]) / 3.0;
-        let evening = (prof[18] + prof[19] + prof[20]) / 3.0;
+        let offset = i32::from(OperatorId::Ercot.params().tz.offset_hours());
+        // The year's mean over the 3-hour windows starting at one local
+        // hour of each day.
+        let local_mean = |local_hour: i32| {
+            let first = (local_hour - offset).rem_euclid(24) as u32;
+            (0..365)
+                .map(|day| t.mean_over(first + 24 * day, 3).as_g_per_kwh())
+                .sum::<f64>()
+                / 365.0
+        };
+        let (night, evening) = (local_mean(2), local_mean(18));
         assert!(evening > night, "evening {evening} vs night {night}");
     }
 

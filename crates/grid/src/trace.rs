@@ -1,7 +1,6 @@
 //! A year of hourly carbon intensity bound to an operator.
 
 use crate::regions::OperatorId;
-use hpcarbon_timeseries::datetime::{HourStamp, TimeZone};
 use hpcarbon_timeseries::series::HourlySeries;
 use hpcarbon_timeseries::stats::{cov_percent, BoxplotStats};
 use hpcarbon_timeseries::window::WindowIndex;
@@ -41,11 +40,6 @@ impl IntensityTrace {
         &self.series
     }
 
-    /// Intensity at a UTC hour stamp.
-    pub fn at(&self, stamp: HourStamp) -> CarbonIntensity {
-        CarbonIntensity::from_g_per_kwh(self.series.at_stamp(stamp))
-    }
-
     /// Intensity at a UTC hour-of-year index.
     pub fn at_index(&self, index: u32) -> CarbonIntensity {
         CarbonIntensity::from_g_per_kwh(self.series.at(index))
@@ -65,11 +59,6 @@ impl IntensityTrace {
     /// Fig. 6(b)'s coefficient of variation (%).
     pub fn cov_percent(&self) -> f64 {
         cov_percent(self.series.values())
-    }
-
-    /// Mean intensity profile by local hour of day in `tz`.
-    pub fn hourly_profile(&self, tz: TimeZone) -> [f64; 24] {
-        self.series.hourly_profile(tz)
     }
 
     /// The prefix-sum window index over this trace.
@@ -105,7 +94,6 @@ impl IntensityTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcarbon_timeseries::datetime::CivilDate;
 
     fn ramp_trace() -> IntensityTrace {
         // Intensity equal to hour-of-day: low at night, high in the evening.
@@ -117,9 +105,8 @@ mod tests {
     fn accessors() {
         let t = ramp_trace();
         assert_eq!(t.operator(), OperatorId::Eso);
-        let stamp = HourStamp::new(CivilDate::new(2021, 5, 1).unwrap(), 7).unwrap();
-        assert_eq!(t.at(stamp).as_g_per_kwh(), 170.0);
         assert_eq!(t.at_index(0).as_g_per_kwh(), 100.0);
+        assert_eq!(t.at_index(7).as_g_per_kwh(), 170.0);
     }
 
     #[test]

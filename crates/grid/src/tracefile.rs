@@ -75,15 +75,6 @@ impl GapPolicy {
             _ => None,
         }
     }
-
-    /// The canonical label.
-    pub fn label(self) -> &'static str {
-        match self {
-            GapPolicy::Reject => "reject",
-            GapPolicy::Interpolate => "interpolate",
-            GapPolicy::Hold => "hold",
-        }
-    }
 }
 
 /// One trace-file diagnostic, in the catalog error idiom.

@@ -9,7 +9,7 @@
 
 use hpcarbon_core::operational::Pue;
 use hpcarbon_grid::trace::IntensityTrace;
-use hpcarbon_timeseries::datetime::{days_in_year, HourStamp};
+use hpcarbon_timeseries::datetime::days_in_year;
 use hpcarbon_units::{CarbonMass, Energy, TimeSpan};
 
 /// A PUE that varies sinusoidally over the year around its mean, peaking
@@ -37,26 +37,10 @@ impl SeasonalPue {
         SeasonalPue { mean, amplitude }
     }
 
-    /// A typical efficient facility: 1.2 mean, ±0.1 seasonal swing.
-    pub fn typical() -> SeasonalPue {
-        SeasonalPue::new(1.2, 0.1)
-    }
-
-    /// The annual mean.
-    pub fn mean(&self) -> Pue {
-        Pue::new(self.mean)
-    }
-
     /// PUE on a given day of the year (1-based) in a year of `days`.
     pub fn at_day(&self, day_of_year: u32, days: u32) -> Pue {
         let phase = std::f64::consts::TAU * (f64::from(day_of_year) - 200.0) / f64::from(days);
         Pue::new(self.mean + self.amplitude * phase.cos())
-    }
-
-    /// PUE at an hour stamp.
-    pub fn at(&self, stamp: HourStamp) -> Pue {
-        let year = stamp.date().year();
-        self.at_day(stamp.date().day_of_year(), days_in_year(year))
     }
 }
 
@@ -70,10 +54,10 @@ impl SeasonalPue {
 ///
 /// PUE only changes once a day, so it is evaluated once per day of the
 /// trace's year and the hourly loop is plain arithmetic. Hour-of-year
-/// `i` lies on day `i / 24 + 1`, the day [`SeasonalPue::at`] reads off
-/// the hour's civil date, and the hours are summed in order, so the
-/// result is bit-identical to pricing each hour through
-/// [`SeasonalPue::at`].
+/// `i` lies on day `i / 24 + 1`, the day of year of the hour's civil
+/// date, and the hours are summed in order, so the result is
+/// bit-identical to pricing each hour through [`SeasonalPue::at_day`] of
+/// its civil date.
 ///
 /// # Panics
 /// - If `duration` is zero, negative or NaN: there is no run to account.
@@ -119,7 +103,7 @@ pub fn account_with_seasonal_pue(
 mod tests {
     use super::*;
     use hpcarbon_grid::regions::OperatorId;
-    use hpcarbon_timeseries::datetime::hours_in_year;
+    use hpcarbon_timeseries::datetime::{hours_in_year, HourStamp};
     use hpcarbon_timeseries::series::HourlySeries;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -144,8 +128,8 @@ mod tests {
         while t < hours {
             let dt = (t.floor() + 1.0).min(hours) - t;
             let idx = (start_hour + t.floor() as u32) % len;
-            let stamp = HourStamp::from_hour_of_year(year, idx);
-            let pue_now = pue.at(stamp).value();
+            let date = HourStamp::from_hour_of_year(year, idx).date();
+            let pue_now = pue.at_day(date.day_of_year(), days_in_year(year)).value();
             grams += rate_kwh_per_h * dt * pue_now * trace.at_index(idx).as_g_per_kwh();
             t += dt;
         }
@@ -193,7 +177,7 @@ mod tests {
         // u32::MAX = 490_293 × 8760 + 615, so a 2 h run reads hours 615
         // and 616 — not hour 0, where `u32::MAX + 1` would wrap to.
         let trace = varied_trace(2021, 7);
-        let p = SeasonalPue::typical();
+        let p = SeasonalPue::new(1.2, 0.1);
         let two_hours = |start| {
             account_with_seasonal_pue(
                 &trace,
@@ -212,10 +196,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and positive")]
     fn rejects_an_infinite_duration() {
-        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 250.0));
+        let trace =
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![250.0; 8760]));
         let _ = account_with_seasonal_pue(
             &trace,
-            &SeasonalPue::typical(),
+            &SeasonalPue::new(1.2, 0.1),
             0,
             Energy::from_kwh(1.0),
             TimeSpan::from_hours(f64::INFINITY),
@@ -225,10 +210,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and positive")]
     fn rejects_a_zero_duration() {
-        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 250.0));
+        let trace =
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![250.0; 8760]));
         let _ = account_with_seasonal_pue(
             &trace,
-            &SeasonalPue::typical(),
+            &SeasonalPue::new(1.2, 0.1),
             0,
             Energy::from_kwh(1.0),
             TimeSpan::from_hours(0.0),
@@ -237,12 +223,11 @@ mod tests {
 
     #[test]
     fn summer_exceeds_winter() {
-        let p = SeasonalPue::typical();
+        let p = SeasonalPue::new(1.2, 0.1);
         let summer = p.at_day(200, 365).value();
         let winter = p.at_day(17, 365).value();
         assert!(summer > 1.28 && summer <= 1.3001, "{summer}");
         assert!((1.0999..1.12).contains(&winter), "{winter}");
-        assert!((p.mean().value() - 1.2).abs() < 1e-12);
     }
 
     #[test]
@@ -260,7 +245,8 @@ mod tests {
 
     #[test]
     fn zero_amplitude_matches_constant_pue() {
-        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 250.0));
+        let trace =
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![250.0; 8760]));
         let p = SeasonalPue::new(1.2, 0.0);
         let c = account_with_seasonal_pue(
             &trace,
@@ -275,8 +261,9 @@ mod tests {
 
     #[test]
     fn summer_runs_cost_more_than_winter_runs() {
-        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 300.0));
-        let p = SeasonalPue::typical();
+        let trace =
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![300.0; 8760]));
+        let p = SeasonalPue::new(1.2, 0.1);
         let winter = account_with_seasonal_pue(
             &trace,
             &p,
@@ -301,7 +288,8 @@ mod tests {
 
     #[test]
     fn fractional_duration_accounting() {
-        let trace = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 100.0));
+        let trace =
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![100.0; 8760]));
         let p = SeasonalPue::new(1.0, 0.0);
         let c = account_with_seasonal_pue(
             &trace,

@@ -246,30 +246,6 @@ pub struct ShiftingRow {
     pub oracle_saved_pct: Option<f64>,
 }
 
-impl ShiftingRow {
-    /// A forecast-free row (the historical constructor shape): realized
-    /// and oracle savings coincide, so no oracle columns are carried.
-    pub fn new(
-        policy: impl Into<String>,
-        carbon_kg: f64,
-        saved_kg: f64,
-        saved_pct: f64,
-        mean_wait_h: f64,
-        max_wait_h: f64,
-    ) -> ShiftingRow {
-        ShiftingRow {
-            policy: policy.into(),
-            carbon_kg,
-            saved_kg,
-            saved_pct,
-            mean_wait_h,
-            max_wait_h,
-            oracle_saved_kg: None,
-            oracle_saved_pct: None,
-        }
-    }
-}
-
 /// Renders the shifting comparison as an aligned Markdown table — the
 /// terminal view of "what does each policy buy, and what does it cost in
 /// queue time" used by `hpcarbon schedule` and the shifting example.
@@ -373,11 +349,32 @@ mod tests {
         assert_eq!(month_name(11), "November");
     }
 
+    fn fifo_row() -> ShiftingRow {
+        ShiftingRow {
+            policy: "FIFO (carbon-unaware)".into(),
+            carbon_kg: 1200.0,
+            saved_kg: 0.0,
+            saved_pct: 0.0,
+            mean_wait_h: 0.0,
+            max_wait_h: 0.0,
+            oracle_saved_kg: None,
+            oracle_saved_pct: None,
+        }
+    }
+
     #[test]
     fn shifting_comparison_renders_every_row() {
         let rows = vec![
-            ShiftingRow::new("FIFO (carbon-unaware)", 1200.0, 0.0, 0.0, 0.0, 0.0),
-            ShiftingRow::new("temporal shift", 800.0, 400.0, 33.3, 6.2, 24.0),
+            fifo_row(),
+            ShiftingRow {
+                policy: "temporal shift".into(),
+                carbon_kg: 800.0,
+                saved_kg: 400.0,
+                saved_pct: 33.3,
+                mean_wait_h: 6.2,
+                max_wait_h: 24.0,
+                ..fifo_row()
+            },
         ];
         let t = shifting_comparison(&rows);
         assert!(t.contains("temporal shift"));
@@ -389,13 +386,17 @@ mod tests {
 
     #[test]
     fn shifting_comparison_grows_oracle_columns_under_a_forecast() {
-        let mut realized = ShiftingRow::new("temporal shift", 820.0, 380.0, 31.6, 6.4, 24.0);
-        realized.oracle_saved_kg = Some(400.0);
-        realized.oracle_saved_pct = Some(33.3);
-        let rows = vec![
-            ShiftingRow::new("FIFO (carbon-unaware)", 1200.0, 0.0, 0.0, 0.0, 0.0),
-            realized,
-        ];
+        let realized = ShiftingRow {
+            policy: "temporal shift".into(),
+            carbon_kg: 820.0,
+            saved_kg: 380.0,
+            saved_pct: 31.6,
+            mean_wait_h: 6.4,
+            max_wait_h: 24.0,
+            oracle_saved_kg: Some(400.0),
+            oracle_saved_pct: Some(33.3),
+        };
+        let rows = vec![fifo_row(), realized];
         let t = shifting_comparison(&rows);
         assert!(t.contains("oracle kg") && t.contains("oracle %"));
         assert!(t.contains("400.0") && t.contains("380.0"));

@@ -204,7 +204,7 @@ mod tests {
             ..Cluster::new("t", step_trace(), 8)
         };
         // 1 kW for 2 h starting at hour 11: one hour at 100, one at 300.
-        let m = c.carbon_for(11.0, TimeSpan::from_hours(2.0), Power::from_kw(1.0));
+        let m = c.carbon_for(11.0, TimeSpan::from_hours(2.0), Power::from_w(1000.0));
         assert!((m.as_g() - 400.0).abs() < 1e-9);
     }
 
@@ -215,7 +215,7 @@ mod tests {
             ..Cluster::new("t", step_trace(), 8)
         };
         // 1 kW from 11.5 to 12.5: 0.5 h at 100 + 0.5 h at 300 = 200 g.
-        let m = c.carbon_for(11.5, TimeSpan::from_hours(1.0), Power::from_kw(1.0));
+        let m = c.carbon_for(11.5, TimeSpan::from_hours(1.0), Power::from_w(1000.0));
         assert!((m.as_g() - 200.0).abs() < 1e-9);
     }
 
@@ -230,7 +230,7 @@ mod tests {
             ..Cluster::new("t", step_trace(), 8)
         };
         let d = TimeSpan::from_hours(3.0);
-        let p = Power::from_kw(2.0);
+        let p = Power::from_w(2000.0);
         assert!(
             (lossy.carbon_for(0.0, d, p).as_g() / base.carbon_for(0.0, d, p).as_g() - 1.5).abs()
                 < 1e-9
@@ -269,7 +269,7 @@ mod tests {
         };
         // Starting at the last hour of the year and running 2 h wraps to
         // hour 0 (intensity 300 then 100).
-        let m = c.carbon_for(8759.0, TimeSpan::from_hours(2.0), Power::from_kw(1.0));
+        let m = c.carbon_for(8759.0, TimeSpan::from_hours(2.0), Power::from_w(1000.0));
         assert!((m.as_g() - 400.0).abs() < 1e-9);
     }
 
@@ -297,7 +297,7 @@ mod tests {
         let m = Cluster { pue: 1.0, ..c }.carbon_for(
             12.0,
             TimeSpan::from_hours(1.0),
-            Power::from_kw(1.0),
+            Power::from_w(1000.0),
         );
         assert!((m.as_g() - 300.0).abs() < 1e-9);
     }
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "forecast must cover the same year")]
     fn rejects_mismatched_forecast() {
-        let leap = IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2020, 100.0));
+        let leap = IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2020, vec![100.0; 8784]));
         let _ = Cluster::new("t", step_trace(), 8).with_forecast(leap);
     }
 }

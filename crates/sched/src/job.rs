@@ -30,11 +30,6 @@ impl Job {
     pub fn power(&self) -> Power {
         self.power_per_gpu * f64::from(self.gpus)
     }
-
-    /// GPU-hours consumed.
-    pub fn gpu_hours(&self) -> f64 {
-        f64::from(self.gpus) * self.runtime_hours
-    }
 }
 
 /// Seeded generator of job traces with the canonical HPC shape:
@@ -172,6 +167,5 @@ mod tests {
             max_defer_hours: 0.0,
         };
         assert_eq!(j.power().as_kw(), 1.2);
-        assert_eq!(j.gpu_hours(), 8.0);
     }
 }

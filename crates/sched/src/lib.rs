@@ -7,6 +7,9 @@
 //! > carbon-intensity-aware job schedulers to exploit these opportunities
 //! > across geographically distributed HPC centers." (§4, Implication)
 //!
+//! The same implication also suggests carbon budgets; they are not built
+//! here, because no CLI or API path offers them:
+//!
 //! > "Similar to core-hour accounting and budgeting, HPC users should also
 //! > be provided a carbon budget as a part of their allocation, and they
 //! > could be prioritized to reduce their queue wait time if the carbon
@@ -26,11 +29,8 @@
 //! - [`sim`]: a discrete-event simulation joining the above, accounting
 //!   every job's operational carbon against the hourly trace (Eq. 6 per
 //!   hour);
-//! - [`budget`]: per-user carbon budgets with queue-priority incentives;
-//! - [`metrics`]: wait-time distributions, per-user statistics, Jain
-//!   fairness, and per-job shifted-vs-baseline carbon savings — the
-//!   operator's view of what a policy costs in queue time and buys in
-//!   carbon.
+//! - [`metrics`]: per-job shifted-vs-baseline carbon savings — what a
+//!   policy buys in carbon.
 //!
 //! # Example
 //!
@@ -40,12 +40,13 @@
 //!
 //! let trace = simulate_year(OperatorId::Eso, 2021, 7);
 //! let jobs = JobTraceGenerator::default_rates().generate(200, 99);
-//! let fifo = Simulation::single_region(Cluster::new("gb", trace.clone(), 64), Policy::Fifo, &jobs).run();
-//! let aware = Simulation::single_region(
-//!     Cluster::new("gb", trace, 64),
-//!     Policy::GreenestWindow { horizon_hours: 24 },
-//!     &jobs,
-//! ).run();
+//! let run = |policy| {
+//!     Simulation::multi_region(vec![Cluster::new("gb", trace.clone(), 64)], policy, &jobs)
+//!         .try_run()
+//!         .expect("every job fits the cluster")
+//! };
+//! let fifo = run(Policy::Fifo);
+//! let aware = run(Policy::GreenestWindow { horizon_hours: 24 });
 //! // Carbon-aware deferral emits less carbon for the same jobs.
 //! assert!(aware.total_carbon.as_kg() < fifo.total_carbon.as_kg());
 //! ```
@@ -53,16 +54,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod cluster;
 pub mod job;
 pub mod metrics;
 pub mod policy;
 pub mod sim;
 
-pub use budget::CarbonBudgetLedger;
 pub use cluster::Cluster;
 pub use job::{Job, JobTraceGenerator};
 pub use metrics::{shift_savings, summarize_shift_savings, JobShiftSavings, ShiftSavingsSummary};
 pub use policy::Policy;
-pub use sim::{QueueDiscipline, SimError, SimOutcome, Simulation};
+pub use sim::{SimError, SimOutcome, Simulation};

@@ -309,7 +309,7 @@ mod tests {
     }
 
     fn flat_cluster(level: f64) -> Cluster {
-        let t = IntensityTrace::new(OperatorId::Ciso, HourlySeries::constant(2021, level));
+        let t = IntensityTrace::new(OperatorId::Ciso, HourlySeries::new(2021, vec![level; 8760]));
         Cluster::new("b", t, 16)
     }
 

@@ -1,6 +1,5 @@
 //! The scheduling simulation: discrete events over clusters and a policy.
 
-use crate::budget::CarbonBudgetLedger;
 use crate::cluster::Cluster;
 use crate::job::Job;
 use crate::policy::Policy;
@@ -99,44 +98,13 @@ pub struct SimOutcome {
     pub mean_wait_hours: f64,
     /// Maximum queue wait, hours.
     pub max_wait_hours: f64,
-    /// Per-user carbon ledger (filled when budgets are enabled).
-    pub ledger: Option<CarbonBudgetLedger>,
-}
-
-impl SimOutcome {
-    /// Mean carbon per job, grams.
-    pub fn mean_carbon_g(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return 0.0;
-        }
-        self.total_carbon.as_g() / self.jobs.len() as f64
-    }
-}
-
-/// How a region's capacity queue admits jobs when the head does not fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// Strict FIFO: a blocked head blocks everything behind it. Trivially
-    /// fair, wastes capacity.
-    StrictFifo,
-    /// First-fit: any queued job that fits may start (aggressive backfill;
-    /// can starve wide jobs indefinitely).
-    FirstFit,
-    /// EASY backfill: the head gets a reservation at the earliest time
-    /// enough GPUs free up; later jobs may jump ahead only if they finish
-    /// before that reservation — bounded delay for wide jobs, high
-    /// utilization.
-    EasyBackfill,
 }
 
 struct RegionState {
     free_gpus: u32,
     /// Jobs eligible to run, waiting for capacity (job indices, in
-    /// eligibility order; budget priority reorders at pop time).
+    /// eligibility order).
     queue: Vec<usize>,
-    /// Running jobs as (end_time_hours, gpus, job_index) — the EASY
-    /// reservation calculation walks this sorted by end time.
-    running: Vec<(f64, u32, usize)>,
 }
 
 /// A configured simulation.
@@ -144,22 +112,9 @@ pub struct Simulation<'a> {
     clusters: Vec<Cluster>,
     policy: Policy,
     jobs: &'a [Job],
-    ledger: Option<CarbonBudgetLedger>,
-    discipline: QueueDiscipline,
 }
 
 impl<'a> Simulation<'a> {
-    /// Single-cluster setup.
-    pub fn single_region(cluster: Cluster, policy: Policy, jobs: &'a [Job]) -> Simulation<'a> {
-        Simulation {
-            clusters: vec![cluster],
-            policy,
-            jobs,
-            ledger: None,
-            discipline: QueueDiscipline::FirstFit,
-        }
-    }
-
     /// Multi-cluster setup. Jobs arrive round-robin across clusters (the
     /// user's home site); multi-region policies may move them.
     pub fn multi_region(clusters: Vec<Cluster>, policy: Policy, jobs: &'a [Job]) -> Simulation<'a> {
@@ -168,37 +123,6 @@ impl<'a> Simulation<'a> {
             clusters,
             policy,
             jobs,
-            ledger: None,
-            discipline: QueueDiscipline::FirstFit,
-        }
-    }
-
-    /// Enables per-user carbon budgets: users with more remaining budget
-    /// are popped from capacity queues first (the paper's queue-priority
-    /// incentive).
-    pub fn with_budgets(mut self, ledger: CarbonBudgetLedger) -> Simulation<'a> {
-        self.ledger = Some(ledger);
-        self
-    }
-
-    /// Selects the capacity-queue discipline (default: first-fit).
-    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Simulation<'a> {
-        self.discipline = discipline;
-        self
-    }
-
-    /// Runs the simulation to completion.
-    ///
-    /// # Panics
-    /// On either error [`Simulation::try_run`] returns (a job larger
-    /// than every cluster, or a shifting slack of a full trace year or
-    /// more), and wherever `try_run` panics (a NaN or negative arrival, a
-    /// runtime that is not positive).
-    pub fn run(self) -> SimOutcome {
-        match self.try_run() {
-            Ok(out) => out,
-            // lint: allow(panic-in-library) -- documented "# Panics" convenience wrapper; try_run is the typed-error form
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -228,13 +152,11 @@ impl<'a> Simulation<'a> {
             clusters,
             policy,
             jobs,
-            ledger,
-            discipline,
         } = self;
         check_arrivals(jobs);
         check_feasible(&clusters, policy, jobs)?;
         let order = arrival_order(jobs);
-        let mut run = Run::new(&clusters, policy, jobs, ledger, discipline);
+        let mut run = Run::new(&clusters, policy, jobs);
         let mut next = 0;
         loop {
             let arrival = order.get(next).map(|&i| (jobs[i].arrival_hours, i));
@@ -312,34 +234,23 @@ struct Run<'s> {
     clusters: &'s [Cluster],
     policy: Policy,
     jobs: &'s [Job],
-    ledger: Option<CarbonBudgetLedger>,
-    discipline: QueueDiscipline,
     q: EventQueue<Event>,
     regions: Vec<RegionState>,
     outcomes: Vec<Option<JobOutcome>>,
 }
 
 impl<'s> Run<'s> {
-    fn new(
-        clusters: &'s [Cluster],
-        policy: Policy,
-        jobs: &'s [Job],
-        ledger: Option<CarbonBudgetLedger>,
-        discipline: QueueDiscipline,
-    ) -> Run<'s> {
+    fn new(clusters: &'s [Cluster], policy: Policy, jobs: &'s [Job]) -> Run<'s> {
         Run {
             clusters,
             policy,
             jobs,
-            ledger,
-            discipline,
             q: EventQueue::new(),
             regions: clusters
                 .iter()
                 .map(|c| RegionState {
                     free_gpus: c.capacity_gpus,
                     queue: Vec::new(),
-                    running: Vec::new(),
                 })
                 .collect(),
             outcomes: vec![None; jobs.len()],
@@ -373,64 +284,27 @@ impl<'s> Run<'s> {
             }
             Event::Finish(i, cluster) => {
                 self.regions[cluster].free_gpus += jobs[i].gpus;
-                self.regions[cluster].running.retain(|(_, _, j)| *j != i);
-                if let (Some(ledger), Some(outcome)) =
-                    (self.ledger.as_mut(), self.outcomes[i].as_ref())
-                {
-                    ledger.charge(jobs[i].user, outcome.carbon);
-                }
                 self.try_start(cluster, now);
             }
         }
     }
 
-    /// Starts as many queued jobs as the discipline and capacity allow on
-    /// `cluster`.
+    /// Starts queued jobs on `cluster` first-fit: while some queued job
+    /// fits the free GPUs, the earliest-queued such job starts.
     fn try_start(&mut self, cluster: usize, now: f64) {
         let jobs = self.jobs;
         loop {
             let region = &mut self.regions[cluster];
-            if region.queue.is_empty() {
+            let Some(pick) = region
+                .queue
+                .iter()
+                .position(|&j| jobs[j].gpus <= region.free_gpus)
+            else {
                 return;
-            }
-            // Budget priority reorders the whole queue before admission;
-            // otherwise the queue stays in eligibility order.
-            if let Some(ledger) = &self.ledger {
-                region.queue.sort_by(|a, b| {
-                    // Remaining fractions are finite by construction, so
-                    // `total_cmp` orders them identically without the panic.
-                    ledger
-                        .remaining_fraction(jobs[*b].user)
-                        .total_cmp(&ledger.remaining_fraction(jobs[*a].user))
-                        .then(a.cmp(b))
-                });
-            }
-
-            let head = region.queue[0];
-            let pick = if jobs[head].gpus <= region.free_gpus {
-                Some(0)
-            } else {
-                match self.discipline {
-                    QueueDiscipline::StrictFifo => None,
-                    QueueDiscipline::FirstFit => (1..region.queue.len())
-                        .find(|qi| jobs[region.queue[*qi]].gpus <= region.free_gpus),
-                    QueueDiscipline::EasyBackfill => {
-                        let reservation = easy_reservation(region, &jobs[head], now);
-                        (1..region.queue.len()).find(|qi| {
-                            let j = &jobs[region.queue[*qi]];
-                            j.gpus <= region.free_gpus
-                                && now + j.runtime_hours <= reservation + 1e-9
-                        })
-                    }
-                }
             };
-            let Some(pick) = pick else { return };
             let job_idx = region.queue.remove(pick);
             let job = &jobs[job_idx];
             region.free_gpus -= job.gpus;
-            region
-                .running
-                .push((now + job.runtime_hours, job.gpus, job_idx));
             let duration = TimeSpan::from_hours(job.runtime_hours);
             let carbon = self.clusters[cluster].carbon_for(now, duration, job.power());
             let energy = self.clusters[cluster].energy_for(duration, job.power());
@@ -467,32 +341,8 @@ impl<'s> Run<'s> {
             total_energy,
             mean_wait_hours: mean_wait,
             max_wait_hours: max_wait,
-            ledger: self.ledger,
         }
     }
-}
-
-/// The EASY reservation: the earliest time enough GPUs free up for the
-/// queue head, assuming running jobs finish on schedule.
-fn easy_reservation(region: &RegionState, head: &Job, now: f64) -> f64 {
-    let mut ends: Vec<(f64, u32)> = region
-        .running
-        .iter()
-        .map(|(end, gpus, _)| (*end, *gpus))
-        .collect();
-    // End times are finite sums of finite starts and runtimes, so
-    // `total_cmp` orders them identically without the panic arm.
-    ends.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut free = region.free_gpus;
-    for (end, gpus) in ends {
-        free += gpus;
-        if free >= head.gpus {
-            return end.max(now);
-        }
-    }
-    // Unreachable when the guard in run() holds (the head fits the
-    // cluster), but stay safe.
-    f64::INFINITY
 }
 
 #[cfg(test)]
@@ -519,7 +369,9 @@ mod tests {
     #[test]
     fn fifo_runs_everything_with_zero_policy_delay() {
         let js = jobs(100, 1);
-        let out = Simulation::single_region(diurnal_cluster(512), Policy::Fifo, &js).run();
+        let out = Simulation::multi_region(vec![diurnal_cluster(512)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
         assert_eq!(out.jobs.len(), 100);
         // Enormous capacity: every job starts on arrival.
         assert!(out.mean_wait_hours < 1e-9, "{}", out.mean_wait_hours);
@@ -529,8 +381,12 @@ mod tests {
     #[test]
     fn capacity_pressure_creates_waits() {
         let js = jobs(200, 2);
-        let big = Simulation::single_region(diurnal_cluster(512), Policy::Fifo, &js).run();
-        let small = Simulation::single_region(diurnal_cluster(8), Policy::Fifo, &js).run();
+        let big = Simulation::multi_region(vec![diurnal_cluster(512)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
+        let small = Simulation::multi_region(vec![diurnal_cluster(8)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
         assert!(small.mean_wait_hours > big.mean_wait_hours);
         // Same jobs, same region: energy identical regardless of capacity.
         assert!((small.total_energy.as_kwh() - big.total_energy.as_kwh()).abs() < 1e-6);
@@ -539,13 +395,16 @@ mod tests {
     #[test]
     fn greenest_window_cuts_carbon_at_bounded_wait() {
         let js = jobs(300, 3);
-        let fifo = Simulation::single_region(diurnal_cluster(512), Policy::Fifo, &js).run();
-        let aware = Simulation::single_region(
-            diurnal_cluster(512),
+        let fifo = Simulation::multi_region(vec![diurnal_cluster(512)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
+        let aware = Simulation::multi_region(
+            vec![diurnal_cluster(512)],
             Policy::GreenestWindow { horizon_hours: 24 },
             &js,
         )
-        .run();
+        .try_run()
+        .expect("feasible");
         assert!(
             aware.total_carbon.as_kg() < fifo.total_carbon.as_kg() * 0.8,
             "aware {} vs fifo {}",
@@ -560,15 +419,18 @@ mod tests {
     #[test]
     fn threshold_defer_cuts_carbon() {
         let js = jobs(300, 4);
-        let fifo = Simulation::single_region(diurnal_cluster(512), Policy::Fifo, &js).run();
-        let aware = Simulation::single_region(
-            diurnal_cluster(512),
+        let fifo = Simulation::multi_region(vec![diurnal_cluster(512)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
+        let aware = Simulation::multi_region(
+            vec![diurnal_cluster(512)],
             Policy::ThresholdDefer {
                 threshold_g_per_kwh: 100.0,
             },
             &js,
         )
-        .run();
+        .try_run()
+        .expect("feasible");
         assert!(aware.total_carbon < fifo.total_carbon);
         assert!(aware.mean_wait_hours > fifo.mean_wait_hours);
     }
@@ -577,19 +439,23 @@ mod tests {
     fn cross_region_dispatch_prefers_clean_regions() {
         let dirty = Cluster::new(
             "dirty",
-            IntensityTrace::new(OperatorId::Miso, HourlySeries::constant(2021, 500.0)),
+            IntensityTrace::new(OperatorId::Miso, HourlySeries::new(2021, vec![500.0; 8760])),
             256,
         );
         let clean = Cluster::new(
             "clean",
-            IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 100.0)),
+            IntensityTrace::new(OperatorId::Eso, HourlySeries::new(2021, vec![100.0; 8760])),
             256,
         );
         let js = jobs(200, 5);
         let single =
-            Simulation::multi_region(vec![dirty.clone(), clean.clone()], Policy::Fifo, &js).run();
+            Simulation::multi_region(vec![dirty.clone(), clean.clone()], Policy::Fifo, &js)
+                .try_run()
+                .expect("feasible");
         let multi =
-            Simulation::multi_region(vec![dirty, clean], Policy::LowestIntensityRegion, &js).run();
+            Simulation::multi_region(vec![dirty, clean], Policy::LowestIntensityRegion, &js)
+                .try_run()
+                .expect("feasible");
         assert!(multi.total_carbon.as_kg() < single.total_carbon.as_kg());
         // All jobs land on the clean cluster.
         assert!(multi.jobs.iter().all(|j| j.cluster == 1));
@@ -598,18 +464,20 @@ mod tests {
     #[test]
     fn outcomes_are_deterministic() {
         let js = jobs(150, 6);
-        let a = Simulation::single_region(
-            diurnal_cluster(32),
+        let a = Simulation::multi_region(
+            vec![diurnal_cluster(32)],
             Policy::GreenestWindow { horizon_hours: 12 },
             &js,
         )
-        .run();
-        let b = Simulation::single_region(
-            diurnal_cluster(32),
+        .try_run()
+        .expect("feasible");
+        let b = Simulation::multi_region(
+            vec![diurnal_cluster(32)],
             Policy::GreenestWindow { horizon_hours: 12 },
             &js,
         )
-        .run();
+        .try_run()
+        .expect("feasible");
         assert_eq!(a.total_carbon.as_g(), b.total_carbon.as_g());
         assert_eq!(a.mean_wait_hours, b.mean_wait_hours);
     }
@@ -626,7 +494,9 @@ mod tests {
             power_per_gpu: Power::from_w(250.0),
             max_defer_hours: 0.0,
         }];
-        let out = Simulation::single_region(c.clone(), Policy::Fifo, &js).run();
+        let out = Simulation::multi_region(vec![c.clone()], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
         let expected = c.carbon_for(2.0, TimeSpan::from_hours(3.0), Power::from_w(500.0));
         assert!((out.total_carbon.as_g() - expected.as_g()).abs() < 1e-9);
     }
@@ -634,13 +504,16 @@ mod tests {
     #[test]
     fn temporal_shift_cuts_carbon_via_release_events() {
         let js = jobs(300, 3);
-        let fifo = Simulation::single_region(diurnal_cluster(512), Policy::Fifo, &js).run();
-        let shifted = Simulation::single_region(
-            diurnal_cluster(512),
+        let fifo = Simulation::multi_region(vec![diurnal_cluster(512)], Policy::Fifo, &js)
+            .try_run()
+            .expect("feasible");
+        let shifted = Simulation::multi_region(
+            vec![diurnal_cluster(512)],
             Policy::TemporalShift { slack_hours: 24 },
             &js,
         )
-        .run();
+        .try_run()
+        .expect("feasible");
         assert!(
             shifted.total_carbon.as_kg() < fifo.total_carbon.as_kg() * 0.8,
             "shifted {} vs fifo {}",
@@ -656,13 +529,14 @@ mod tests {
     fn spatio_temporal_beats_single_axis_policies() {
         let dirty_flat = Cluster::new(
             "flat",
-            IntensityTrace::new(OperatorId::Miso, HourlySeries::constant(2021, 300.0)),
+            IntensityTrace::new(OperatorId::Miso, HourlySeries::new(2021, vec![300.0; 8760])),
             512,
         );
         let js = jobs(200, 9);
         let run = |policy| {
             Simulation::multi_region(vec![dirty_flat.clone(), diurnal_cluster(512)], policy, &js)
-                .run()
+                .try_run()
+                .expect("feasible")
                 .total_carbon
                 .as_kg()
         };
@@ -677,12 +551,13 @@ mod tests {
     fn shifting_outcomes_are_deterministic() {
         let js = jobs(150, 8);
         let run = || {
-            Simulation::single_region(
-                diurnal_cluster(32),
+            Simulation::multi_region(
+                vec![diurnal_cluster(32)],
                 Policy::SpatioTemporal { slack_hours: 18 },
                 &js,
             )
-            .run()
+            .try_run()
+            .expect("feasible")
         };
         let (a, b) = (run(), run());
         assert_eq!(a.total_carbon.as_g(), b.total_carbon.as_g());
@@ -692,8 +567,8 @@ mod tests {
     #[test]
     fn oversized_slack_fails_soft() {
         let js = jobs(10, 1);
-        let err = Simulation::single_region(
-            diurnal_cluster(512),
+        let err = Simulation::multi_region(
+            vec![diurnal_cluster(512)],
             Policy::TemporalShift { slack_hours: 8760 },
             &js,
         )
@@ -708,8 +583,8 @@ mod tests {
         );
         assert!(err.to_string().contains("trace horizon"));
         // One hour less is fine.
-        assert!(Simulation::single_region(
-            diurnal_cluster(512),
+        assert!(Simulation::multi_region(
+            vec![diurnal_cluster(512)],
             Policy::TemporalShift { slack_hours: 8759 },
             &js,
         )
@@ -728,25 +603,10 @@ mod tests {
             power_per_gpu: Power::from_w(250.0),
             max_defer_hours: 0.0,
         }];
-        let err = Simulation::single_region(diurnal_cluster(8), Policy::Fifo, &js)
+        let err = Simulation::multi_region(vec![diurnal_cluster(8)], Policy::Fifo, &js)
             .try_run()
             .unwrap_err();
         assert_eq!(err, SimError::OversizedJob { job: 7, gpus: 64 });
-    }
-
-    #[test]
-    #[should_panic(expected = "no cluster is large enough")]
-    fn oversized_job_is_rejected_up_front() {
-        let js = vec![Job {
-            id: 0,
-            user: 0,
-            arrival_hours: 0.0,
-            runtime_hours: 1.0,
-            gpus: 64,
-            power_per_gpu: Power::from_w(250.0),
-            max_defer_hours: 0.0,
-        }];
-        let _ = Simulation::single_region(diurnal_cluster(8), Policy::Fifo, &js).run();
     }
 }
 
@@ -767,10 +627,8 @@ mod cursor_tests {
             clusters,
             policy,
             jobs,
-            ledger,
-            discipline,
         } = sim;
-        let mut run = Run::new(&clusters, policy, jobs, ledger, discipline);
+        let mut run = Run::new(&clusters, policy, jobs);
         for (i, job) in jobs.iter().enumerate() {
             run.q.schedule_at(job.arrival_hours, Event::Arrive(i));
         }
@@ -853,7 +711,6 @@ mod cursor_tests {
                 o.total_energy.as_kwh().to_bits(),
                 o.mean_wait_hours.to_bits(),
                 o.max_wait_hours.to_bits(),
-                o.ledger.as_ref().map(|l| l.total_spent().as_g().to_bits()),
             )
         };
         assert_eq!(bits(a), bits(b), "{what}: totals");
@@ -872,40 +729,16 @@ mod cursor_tests {
             Policy::TemporalShift { slack_hours: 24 },
             Policy::SpatioTemporal { slack_hours: 24 },
         ];
-        let disciplines = [
-            QueueDiscipline::StrictFifo,
-            QueueDiscipline::FirstFit,
-            QueueDiscipline::EasyBackfill,
-        ];
         let pool = clusters(2);
         for seed in [3, 11] {
             for (set, jobs) in job_sets(seed).iter().enumerate() {
                 for n in [1, 2] {
                     for policy in policies {
-                        for discipline in disciplines {
-                            for budgets in [false, true] {
-                                let sim = || {
-                                    let sim =
-                                        Simulation::multi_region(pool[..n].to_vec(), policy, jobs)
-                                            .with_discipline(discipline);
-                                    if budgets {
-                                        sim.with_budgets(CarbonBudgetLedger::uniform(
-                                            16,
-                                            CarbonMass::from_kg(5.0),
-                                        ))
-                                    } else {
-                                        sim
-                                    }
-                                };
-                                let what = format!(
-                                    "seed {seed} set {set} clusters {n} {policy:?} \
-                                     {discipline:?} budgets {budgets}"
-                                );
-                                let cursor = sim().try_run().expect("feasible");
-                                let heap = try_run_heap_only(sim()).expect("feasible");
-                                assert_same(&cursor, &heap, &what);
-                            }
-                        }
+                        let sim = || Simulation::multi_region(pool[..n].to_vec(), policy, jobs);
+                        let what = format!("seed {seed} set {set} clusters {n} {policy:?}");
+                        let cursor = sim().try_run().expect("feasible");
+                        let heap = try_run_heap_only(sim()).expect("feasible");
+                        assert_same(&cursor, &heap, &what);
                     }
                 }
             }
@@ -952,149 +785,5 @@ mod cursor_tests {
     fn zero_runtime_panics() {
         let jobs = [one_job(1.0, 0.0, 1)];
         let _ = Simulation::multi_region(clusters(1), Policy::Fifo, &jobs).try_run();
-    }
-}
-
-#[cfg(test)]
-mod discipline_tests {
-    use super::*;
-    use hpcarbon_grid::regions::OperatorId;
-    use hpcarbon_grid::trace::IntensityTrace;
-    use hpcarbon_timeseries::series::HourlySeries;
-    use hpcarbon_units::Power;
-
-    fn cluster(capacity: u32) -> Cluster {
-        Cluster::new(
-            "c",
-            IntensityTrace::new(OperatorId::Eso, HourlySeries::constant(2021, 200.0)),
-            capacity,
-        )
-    }
-
-    /// A wide job arrives just after a stream of narrow jobs begins; more
-    /// narrow jobs keep arriving forever after.
-    fn starvation_trace() -> Vec<Job> {
-        let mut jobs = Vec::new();
-        // Two 4-GPU jobs occupy the whole 8-GPU cluster from t=0, renewed
-        // in staggered fashion so 4 GPUs free up periodically.
-        for k in 0..60 {
-            jobs.push(Job {
-                id: jobs.len(),
-                user: 0,
-                arrival_hours: k as f64 * 1.0,
-                runtime_hours: 2.0,
-                gpus: 4,
-                power_per_gpu: Power::from_w(300.0),
-                max_defer_hours: 0.0,
-            });
-        }
-        // The wide job arrives at t=0.5 and needs the whole cluster.
-        jobs.push(Job {
-            id: jobs.len(),
-            user: 1,
-            arrival_hours: 0.5,
-            runtime_hours: 4.0,
-            gpus: 8,
-            power_per_gpu: Power::from_w(300.0),
-            max_defer_hours: 0.0,
-        });
-        jobs.sort_by(|a, b| a.arrival_hours.partial_cmp(&b.arrival_hours).unwrap());
-        let mut jobs: Vec<Job> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut j)| {
-                j.id = i;
-                j
-            })
-            .collect();
-        jobs.sort_by_key(|j| j.id);
-        jobs
-    }
-
-    fn wide_job_wait(discipline: QueueDiscipline) -> f64 {
-        let jobs = starvation_trace();
-        let wide_id = jobs
-            .iter()
-            .find(|j| j.gpus == 8)
-            .expect("wide job present")
-            .id;
-        let out = Simulation::single_region(cluster(8), Policy::Fifo, &jobs)
-            .with_discipline(discipline)
-            .run();
-        out.jobs[wide_id].wait_hours
-    }
-
-    #[test]
-    fn first_fit_starves_the_wide_job() {
-        // Narrow jobs keep slipping in front: the wide job waits until the
-        // narrow stream dries up.
-        let ff = wide_job_wait(QueueDiscipline::FirstFit);
-        let easy = wide_job_wait(QueueDiscipline::EasyBackfill);
-        assert!(
-            ff > easy + 4.0,
-            "first-fit {ff} should starve vs EASY {easy}"
-        );
-    }
-
-    #[test]
-    fn strict_fifo_bounds_the_wide_job_too() {
-        let fifo = wide_job_wait(QueueDiscipline::StrictFifo);
-        let ff = wide_job_wait(QueueDiscipline::FirstFit);
-        assert!(fifo < ff);
-    }
-
-    #[test]
-    fn all_disciplines_complete_all_jobs_with_equal_energy() {
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(120, 11);
-        let mut energies = Vec::new();
-        for d in [
-            QueueDiscipline::StrictFifo,
-            QueueDiscipline::FirstFit,
-            QueueDiscipline::EasyBackfill,
-        ] {
-            let out = Simulation::single_region(cluster(16), Policy::Fifo, &jobs)
-                .with_discipline(d)
-                .run();
-            assert_eq!(out.jobs.len(), jobs.len(), "{d:?}");
-            energies.push(out.total_energy.as_kwh());
-        }
-        for w in energies.windows(2) {
-            assert!((w[0] - w[1]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn strict_fifo_preserves_start_order() {
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(80, 13);
-        let out = Simulation::single_region(cluster(12), Policy::Fifo, &jobs)
-            .with_discipline(QueueDiscipline::StrictFifo)
-            .run();
-        // Under strict FIFO with a single region and no deferral, start
-        // times are non-decreasing in arrival order.
-        let mut last = 0.0;
-        for o in &out.jobs {
-            assert!(o.start_hours + 1e-9 >= last);
-            last = o.start_hours;
-        }
-    }
-
-    #[test]
-    fn easy_utilization_beats_strict_fifo() {
-        // EASY finishes the same workload sooner than strict FIFO on a
-        // congested cluster (it fills holes the blocked head leaves).
-        let jobs = crate::job::JobTraceGenerator::default_rates().generate(150, 17);
-        let makespan = |d: QueueDiscipline| {
-            let out = Simulation::single_region(cluster(12), Policy::Fifo, &jobs)
-                .with_discipline(d)
-                .run();
-            out.jobs
-                .iter()
-                .zip(&jobs)
-                .map(|(o, j)| o.start_hours + j.runtime_hours)
-                .fold(0.0f64, f64::max)
-        };
-        let fifo = makespan(QueueDiscipline::StrictFifo);
-        let easy = makespan(QueueDiscipline::EasyBackfill);
-        assert!(easy <= fifo + 1e-9, "easy {easy} vs fifo {fifo}");
     }
 }

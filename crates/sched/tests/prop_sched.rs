@@ -41,7 +41,7 @@ fn diurnal_trace(seed: u64) -> IntensityTrace {
 }
 
 fn flat_trace(level: f64) -> IntensityTrace {
-    IntensityTrace::new(OperatorId::Ciso, HourlySeries::constant(2021, level))
+    IntensityTrace::new(OperatorId::Ciso, HourlySeries::new(2021, vec![level; 8760]))
 }
 
 proptest! {
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn completeness_and_sanity(policy in any_policy(), seed in 0u64..100, n in 10usize..120) {
         let jobs = JobTraceGenerator::default_rates().generate(n, seed);
-        let out = Simulation::multi_region(test_clusters(seed), policy, &jobs).run();
+        let out = Simulation::multi_region(test_clusters(seed), policy, &jobs).try_run().expect("feasible");
         prop_assert_eq!(out.jobs.len(), n);
         for (job, o) in jobs.iter().zip(&out.jobs) {
             prop_assert_eq!(o.id, job.id);
@@ -68,8 +68,8 @@ proptest! {
     #[test]
     fn energy_conservation(p1 in any_policy(), p2 in any_policy(), seed in 0u64..50) {
         let jobs = JobTraceGenerator::default_rates().generate(60, seed);
-        let a = Simulation::multi_region(test_clusters(seed), p1, &jobs).run();
-        let b = Simulation::multi_region(test_clusters(seed), p2, &jobs).run();
+        let a = Simulation::multi_region(test_clusters(seed), p1, &jobs).try_run().expect("feasible");
+        let b = Simulation::multi_region(test_clusters(seed), p2, &jobs).try_run().expect("feasible");
         prop_assert!((a.total_energy.as_kwh() - b.total_energy.as_kwh()).abs() < 1e-6);
     }
 
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn carbon_bounds(policy in any_policy(), seed in 0u64..50) {
         let jobs = JobTraceGenerator::default_rates().generate(60, seed);
-        let out = Simulation::multi_region(test_clusters(seed), policy, &jobs).run();
+        let out = Simulation::multi_region(test_clusters(seed), policy, &jobs).try_run().expect("feasible");
         // Bounds from the union of both clusters' intensity ranges.
         let lo = 50.0f64.min(250.0);
         let hi = 350.0f64.max(250.0);
@@ -90,8 +90,8 @@ proptest! {
     #[test]
     fn deterministic(policy in any_policy(), seed in 0u64..50) {
         let jobs = JobTraceGenerator::default_rates().generate(40, seed);
-        let a = Simulation::multi_region(test_clusters(seed), policy, &jobs).run();
-        let b = Simulation::multi_region(test_clusters(seed), policy, &jobs).run();
+        let a = Simulation::multi_region(test_clusters(seed), policy, &jobs).try_run().expect("feasible");
+        let b = Simulation::multi_region(test_clusters(seed), policy, &jobs).try_run().expect("feasible");
         prop_assert_eq!(a.total_carbon.as_g(), b.total_carbon.as_g());
         prop_assert_eq!(a.mean_wait_hours, b.mean_wait_hours);
     }
@@ -102,13 +102,13 @@ proptest! {
     fn greenest_window_never_hurts_on_flat_trace(seed in 0u64..30) {
         let flat = vec![Cluster::new("flat", flat_trace(300.0), 128)];
         let jobs = JobTraceGenerator::default_rates().generate(50, seed);
-        let fifo = Simulation::multi_region(flat.clone(), Policy::Fifo, &jobs).run();
+        let fifo = Simulation::multi_region(flat.clone(), Policy::Fifo, &jobs).try_run().expect("feasible");
         let aware = Simulation::multi_region(
             flat,
             Policy::GreenestWindow { horizon_hours: 24 },
             &jobs,
         )
-        .run();
+        .try_run().expect("feasible");
         // Flat trace: deferral buys nothing but costs nothing in carbon.
         prop_assert!((aware.total_carbon.as_g() - fifo.total_carbon.as_g()).abs() < 1e-6);
     }
@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn single_job_carbon_exact(
         runtime in 0.1..100.0f64,
-        kw in 0.05..10.0f64,
+        watts in 50.0..10_000.0f64,
         arrival in 0.0..5000.0f64,
     ) {
         let c = Cluster::new("x", diurnal_trace(3), 16);
@@ -128,14 +128,14 @@ proptest! {
             arrival_hours: arrival,
             runtime_hours: runtime,
             gpus: 1,
-            power_per_gpu: Power::from_kw(kw),
+            power_per_gpu: Power::from_w(watts),
             max_defer_hours: 0.0,
         }];
-        let out = Simulation::single_region(c.clone(), Policy::Fifo, &jobs).run();
+        let out = Simulation::multi_region(vec![c.clone()], Policy::Fifo, &jobs).try_run().expect("feasible");
         let expect = c.carbon_for(
             arrival,
             hpcarbon_units::TimeSpan::from_hours(runtime),
-            Power::from_kw(kw),
+            Power::from_w(watts),
         );
         prop_assert!((out.total_carbon.as_g() - expect.as_g()).abs() < 1e-6);
     }

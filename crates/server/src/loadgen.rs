@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn loadgen_roundtrips_against_a_live_server() {
-        let server = Server::bind(
+        let server = Server::bind_with(
             "127.0.0.1:0",
             ServerConfig {
                 workers: 2,
@@ -404,6 +404,7 @@ mod tests {
                 max_body_bytes: 1 << 20,
                 ..ServerConfig::default()
             },
+            hpcarbon_api::Estimator::builder().build(),
         )
         .unwrap();
         let addr = server.local_addr().unwrap().to_string();

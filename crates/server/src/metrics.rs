@@ -108,18 +108,6 @@ impl Metrics {
         &self.shards.get().expect("init_shards not called")[i]
     }
 
-    /// Sum of per-shard open-connection gauges (0 when no event loop).
-    pub fn open_connections(&self) -> u64 {
-        self.shards
-            .get()
-            .map(|s| {
-                s.iter()
-                    .map(|st| st.open_connections.load(Ordering::Relaxed))
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
     /// Records one estimate call's wall-clock latency.
     pub fn observe_latency_us(&self, us: u64) {
         let idx = LATENCY_BUCKETS_US
@@ -260,7 +248,6 @@ mod tests {
     #[test]
     fn shard_stats_render_labeled_lines() {
         let m = Metrics::new();
-        assert_eq!(m.open_connections(), 0, "no shards yet");
         assert!(
             !m.render(0, TraceStoreStats::default()).contains("shard_"),
             "no shard lines yet"
@@ -270,7 +257,6 @@ mod tests {
         m.shard(1).open_connections.store(4, Ordering::Relaxed);
         m.shard(1).readiness_events.fetch_add(9, Ordering::Relaxed);
         m.shard(0).wakeups.fetch_add(2, Ordering::Relaxed);
-        assert_eq!(m.open_connections(), 7);
         let text = m.render(0, TraceStoreStats::default());
         for line in [
             "shard_open_connections{shard=\"0\"} 3",
@@ -283,6 +269,8 @@ mod tests {
         }
         // Re-initialization is a no-op (first caller wins).
         m.init_shards(5);
-        assert_eq!(m.open_connections(), 7);
+        let again = m.render(0, TraceStoreStats::default());
+        assert!(again.contains("shard_open_connections{shard=\"1\"} 4"));
+        assert!(!again.contains("shard=\"2\""));
     }
 }

@@ -94,11 +94,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// What a server did over its lifetime, returned by [`Server::run`].
@@ -124,16 +119,11 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:8080`, or port 0 for an ephemeral
-    /// port) and prepares the service. Nothing is served until
-    /// [`Server::run`].
-    pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
-        Server::bind_with(addr, config, hpcarbon_api::Estimator::builder().build())
-    }
-
-    /// [`Server::bind`] with an explicit estimator — the `hpcarbon
-    /// serve --catalog DIR` path plugs a catalog-backed embodied source
-    /// in here. The estimator must be a pure function of each request
-    /// (the provider contract), or response caching would be unsound.
+    /// port) and prepares the service around `estimator`. Nothing is
+    /// served until [`Server::run`]. The `hpcarbon serve --catalog DIR`
+    /// path plugs a catalog-backed embodied source in here. The estimator
+    /// must be a pure function of each request (the provider contract),
+    /// or response caching would be unsound.
     pub fn bind_with(
         addr: &str,
         config: ServerConfig,
@@ -158,12 +148,6 @@ impl Server {
     /// A handle that stops this server from any thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle(Arc::clone(&self.shutdown))
-    }
-
-    /// The shared service (metrics and cache introspection for tests and
-    /// the CLI's post-shutdown summary).
-    pub fn service(&self) -> Arc<EstimateService> {
-        Arc::clone(&self.service)
     }
 
     /// Serves until shutdown is requested, then drains and returns the
@@ -322,7 +306,8 @@ mod tests {
         ShutdownHandle,
         std::thread::JoinHandle<ServeSummary>,
     ) {
-        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let estimator = hpcarbon_api::Estimator::builder().build();
+        let server = Server::bind_with("127.0.0.1:0", config, estimator).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = server.shutdown_handle();
         let join = std::thread::spawn(move || server.run().unwrap());
@@ -360,7 +345,6 @@ mod tests {
         handle.shutdown();
         let summary = join.join().unwrap();
         assert_eq!(summary.http_requests, 0);
-        assert!(handle.is_shutdown());
     }
 
     #[test]

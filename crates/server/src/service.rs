@@ -109,16 +109,6 @@ impl EstimateService {
         &self.metrics
     }
 
-    /// Current number of cached reports.
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Current number of hot rendered responses.
-    pub fn hot_entries(&self) -> usize {
-        self.hot.len()
-    }
-
     /// The event loop's fast path: answers a `POST /v1/estimate` body
     /// straight from the hot-response cache, doing **all** the metric
     /// accounting the slow path would ([`handle`](Self::handle) must NOT
@@ -353,7 +343,7 @@ mod tests {
         let b = svc.handle(&post(&r.to_json()));
         assert_ne!(a.body, b.body);
         assert_eq!(svc.metrics().cache_misses.load(Ordering::Relaxed), 2);
-        assert_eq!(svc.cache_entries(), 2);
+        assert_eq!(svc.cache.len(), 2);
     }
 
     #[test]
@@ -389,7 +379,7 @@ mod tests {
         assert_eq!(svc.metrics().report_errors.load(Ordering::Relaxed), 1);
         assert_eq!(svc.metrics().reports_ok.load(Ordering::Relaxed), 1);
         // Only the feasible row was cached.
-        assert_eq!(svc.cache_entries(), 1);
+        assert_eq!(svc.cache.len(), 1);
     }
 
     #[test]
@@ -399,7 +389,7 @@ mod tests {
         assert!(svc.try_hot(body.as_bytes()).is_none(), "cold cache");
         assert!(svc.try_hot(&[0xff, 0xfe]).is_none(), "non-UTF-8 body");
         let first = svc.handle(&post(&body));
-        assert_eq!(svc.hot_entries(), 1);
+        assert_eq!(svc.hot.len(), 1);
         let hot = svc.try_hot(body.as_bytes()).expect("now hot");
         assert_eq!(*hot.body, first.body, "hot bytes identical");
         assert_eq!(hot.rows, 1);
@@ -421,7 +411,7 @@ mod tests {
         let svc = EstimateService::default();
         // Document-level 400: nothing cached.
         svc.handle(&post("{not json"));
-        assert_eq!(svc.hot_entries(), 0);
+        assert_eq!(svc.hot.len(), 0);
         // A batch with an error row stays uncached too (error rows are
         // kept out of both caches).
         let body = format!(
@@ -429,7 +419,7 @@ mod tests {
             request_json()
         );
         assert_eq!(svc.handle(&post(&body)).status, 200);
-        assert_eq!(svc.hot_entries(), 0);
+        assert_eq!(svc.hot.len(), 0);
         assert!(svc.try_hot(body.as_bytes()).is_none());
     }
 
@@ -454,7 +444,7 @@ mod tests {
         assert!(text.contains("\"kind\": \"internal\""), "{text}");
         assert_eq!(svc.metrics().worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(svc.metrics().responses_5xx.load(Ordering::Relaxed), 1);
-        assert_eq!((svc.cache_entries(), svc.hot_entries()), (0, 0));
+        assert_eq!((svc.cache.len(), svc.hot.len()), (0, 0));
         // The service keeps answering.
         assert_eq!(svc.handle(&get("/healthz")).status, 200);
         let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();

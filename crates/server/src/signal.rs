@@ -9,9 +9,8 @@
 //! loop notices the flag within one poll tick and starts its graceful
 //! drain.
 //!
-//! On non-Unix targets installation is a no-op and the flag can only be
-//! raised programmatically ([`request_termination`], also what tests
-//! use).
+//! On non-Unix targets installation is a no-op and the flag is never
+//! raised.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -57,16 +56,9 @@ pub fn install_handlers() {
     imp::install();
 }
 
-/// True once SIGTERM/SIGINT was delivered (or termination was requested
-/// programmatically).
+/// True once SIGTERM/SIGINT was delivered.
 pub fn termination_requested() -> bool {
     TERMINATE.load(Ordering::Relaxed)
-}
-
-/// Raises the termination flag without a signal — the programmatic
-/// equivalent used by tests and embedders.
-pub fn request_termination() {
-    TERMINATE.store(true, Ordering::Relaxed);
 }
 
 #[cfg(all(test, unix))]

@@ -61,23 +61,9 @@ impl<T> Slab<T> {
         Some(value)
     }
 
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True when no slot is occupied.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Iterates over `(index, &mut value)` for every occupied slot (the
-    /// deadline sweep).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|v| (i, v)))
     }
 
     /// Indices of every occupied slot, collected (for sweeps that need
@@ -107,13 +93,13 @@ mod tests {
         let a = slab.insert("a");
         let b = slab.insert("b");
         assert_ne!(a, b);
-        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.len, 2);
         assert_eq!(slab.get(a), Some(&"a"));
         *slab.get_mut(b).unwrap() = "B";
         assert_eq!(slab.remove(b), Some("B"));
         assert_eq!(slab.get(b), None);
         assert_eq!(slab.remove(b), None, "double remove is a no-op");
-        assert_eq!(slab.len(), 1);
+        assert_eq!(slab.len, 1);
     }
 
     #[test]
@@ -137,8 +123,6 @@ mod tests {
         let b = slab.insert(20);
         let c = slab.insert(30);
         slab.remove(b);
-        let seen: Vec<(usize, i32)> = slab.iter_mut().map(|(i, v)| (i, *v)).collect();
-        assert_eq!(seen, vec![(a, 10), (c, 30)]);
         assert_eq!(slab.occupied(), vec![a, c]);
         assert!(!slab.is_empty());
     }

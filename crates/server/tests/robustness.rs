@@ -5,9 +5,11 @@
 //! a client that vanishes while its request is still estimating. In both
 //! cases the contract is the same — the bad connection is torn down
 //! (counted in `conn_resets_total`), its slab slot is reclaimed (the
-//! `open_connections` gauge returns to zero), and *other* connections on
-//! the same shard keep being served throughout. Linux-only: the blocking
-//! fallback has neither shards nor the reset counter.
+//! `shard_open_connections` gauges drop back to the scrape's own
+//! connection), and *other* connections on the same shard keep being
+//! served throughout. Every check reads `/metrics`, as an operator does.
+//! Linux-only: the blocking fallback has neither shards nor the reset
+//! counter.
 #![cfg(target_os = "linux")]
 
 use hpcarbon_server::{Server, ServerConfig};
@@ -20,16 +22,44 @@ fn start(
     config: ServerConfig,
 ) -> (
     String,
-    std::sync::Arc<hpcarbon_server::EstimateService>,
     hpcarbon_server::ShutdownHandle,
     std::thread::JoinHandle<hpcarbon_server::ServeSummary>,
 ) {
-    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let estimator = hpcarbon_api::Estimator::builder().build();
+    let server = Server::bind_with("127.0.0.1:0", config, estimator).unwrap();
     let addr = server.local_addr().unwrap().to_string();
-    let service = server.service();
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run().unwrap());
-    (addr, service, handle, join)
+    (addr, handle, join)
+}
+
+/// The `/metrics` document, fetched on a fresh connection.
+fn scrape(addr: &str) -> String {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut out = String::new();
+    s.read_to_string(&mut out).unwrap();
+    out
+}
+
+/// The sum of every sample of metric `name`, labeled samples included.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .filter(|line| line.split([' ', '{']).next() == Some(name))
+        .filter_map(|line| line.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// `conn_resets_total`, and the connections open besides the scrape's
+/// own (which is registered while `/metrics` renders).
+fn resets_and_open(addr: &str) -> (u64, u64) {
+    let text = scrape(addr);
+    let open = metric(&text, "shard_open_connections")
+        .checked_sub(1)
+        .expect("the scrape's own connection is counted");
+    (metric(&text, "conn_resets_total"), open)
 }
 
 /// One healthz round trip on a fresh connection; panics on any failure.
@@ -59,7 +89,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn slow_loris_is_dropped_without_stalling_shard_peers() {
     // One shard, so the loris and the healthy client share an event loop;
     // a short deadline keeps the test fast.
-    let (addr, service, handle, join) = start(ServerConfig {
+    let (addr, handle, join) = start(ServerConfig {
         shards: 1,
         workers: 1,
         cache_capacity: 0,
@@ -98,16 +128,12 @@ fn slow_loris_is_dropped_without_stalling_shard_peers() {
 
     // The drop was counted, the slot reclaimed, and the shard is healthy.
     assert!(
-        wait_until(Duration::from_secs(5), || {
-            service.metrics().conn_resets.load(Ordering::Relaxed) >= 1
-        }),
+        wait_until(Duration::from_secs(5), || resets_and_open(&addr).0 >= 1),
         "the reset was never counted"
     );
     healthz_ok(&addr);
     assert!(
-        wait_until(Duration::from_secs(5), || {
-            service.metrics().open_connections() == 0
-        }),
+        wait_until(Duration::from_secs(5), || resets_and_open(&addr).1 == 0),
         "the loris slot was not reclaimed"
     );
 
@@ -123,7 +149,7 @@ fn stalled_pipelined_tail_does_not_outlive_the_deadline() {
     // connection sits mid-request with no deadline after the completion
     // returns — unexpirable by any sweep, holding its slot forever and
     // wedging graceful drain.
-    let (addr, service, handle, join) = start(ServerConfig {
+    let (addr, handle, join) = start(ServerConfig {
         shards: 1,
         workers: 1,
         cache_capacity: 0, // force the estimate through the workers
@@ -159,12 +185,11 @@ fn stalled_pipelined_tail_does_not_outlive_the_deadline() {
 
     assert!(
         wait_until(Duration::from_secs(5), || {
-            service.metrics().conn_resets.load(Ordering::Relaxed) >= 1
-                && service.metrics().open_connections() == 0
+            let (resets, open) = resets_and_open(&addr);
+            resets >= 1 && open == 0
         }),
-        "stalled tail was not counted as a reset / slot not reclaimed: resets={}, open={}",
-        service.metrics().conn_resets.load(Ordering::Relaxed),
-        service.metrics().open_connections(),
+        "stalled tail was not counted as a reset / slot not reclaimed: (resets, open) = {:?}",
+        resets_and_open(&addr),
     );
     healthz_ok(&addr);
 
@@ -178,7 +203,7 @@ fn half_closed_client_still_receives_its_response() {
     // reading. The resulting EPOLLRDHUP lands while the estimate is at
     // the workers; teardown must be deferred until the response flushes
     // instead of resetting the connection unanswered.
-    let (addr, service, handle, join) = start(ServerConfig {
+    let (addr, handle, join) = start(ServerConfig {
         shards: 1,
         workers: 1,
         cache_capacity: 0, // force the estimate through the workers
@@ -220,9 +245,7 @@ fn half_closed_client_still_receives_its_response() {
     );
 
     assert!(
-        wait_until(Duration::from_secs(5), || {
-            service.metrics().open_connections() == 0
-        }),
+        wait_until(Duration::from_secs(5), || resets_and_open(&addr).1 == 0),
         "half-closed slot was not reclaimed"
     );
     healthz_ok(&addr);
@@ -233,7 +256,7 @@ fn half_closed_client_still_receives_its_response() {
 
 #[test]
 fn client_disconnect_mid_estimate_reclaims_the_slot() {
-    let (addr, service, handle, join) = start(ServerConfig {
+    let (addr, handle, join) = start(ServerConfig {
         shards: 1,
         workers: 1,
         cache_capacity: 0, // force every estimate through the workers
@@ -267,12 +290,11 @@ fn client_disconnect_mid_estimate_reclaims_the_slot() {
     // orphaned completion is discarded instead of answering anyone else.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            service.metrics().conn_resets.load(Ordering::Relaxed) >= 1
-                && service.metrics().open_connections() == 0
+            let (resets, open) = resets_and_open(&addr);
+            resets >= 1 && open == 0
         }),
-        "disconnect mid-estimate was not cleaned up: resets={}, open={}",
-        service.metrics().conn_resets.load(Ordering::Relaxed),
-        service.metrics().open_connections(),
+        "disconnect mid-estimate was not cleaned up: (resets, open) = {:?}",
+        resets_and_open(&addr),
     );
     healthz_ok(&addr);
 
@@ -376,7 +398,6 @@ fn a_panicking_provider_costs_a_500_not_a_worker() {
     )
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
-    let service = server.service();
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run().unwrap());
     let body = |region: &str, seed: u64| {
@@ -392,9 +413,9 @@ fn a_panicking_provider_costs_a_500_not_a_worker() {
         assert_eq!(status, 500, "{text}");
         assert!(text.contains("\"kind\": \"internal\""), "{text}");
     }
-    let m = service.metrics();
-    assert_eq!(m.worker_panics.load(Ordering::Relaxed), WORKERS as u64 + 1);
-    assert_eq!(m.responses_5xx.load(Ordering::Relaxed), WORKERS as u64 + 1);
+    let text = scrape(&addr);
+    assert_eq!(metric(&text, "worker_panics_total"), WORKERS as u64 + 1);
+    assert_eq!(metric(&text, "responses_5xx_total"), WORKERS as u64 + 1);
 
     // The full pool is still there: WORKERS healthy requests are built at
     // the same time, each waiting in the provider until all have arrived.
@@ -420,11 +441,7 @@ fn a_panicking_provider_costs_a_500_not_a_worker() {
     for _ in 0..3 {
         assert_eq!(post(&addr, &body("ciso", 7)).0, 200);
     }
-    let mut s = TcpStream::connect(&addr).unwrap();
-    s.write_all(b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let mut metrics = String::new();
-    s.read_to_string(&mut metrics).unwrap();
+    let metrics = scrape(&addr);
     for line in [
         "worker_panics_total 3\n",
         "trace_store_hits_total 1\n",

@@ -49,7 +49,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     seq: u64,
-    processed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -65,28 +64,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: 0.0,
             seq: 0,
-            processed: 0,
         }
-    }
-
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -109,18 +87,11 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` after a delay relative to the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Advances the clock to `time` without popping an event. A caller
     /// that merges its own time-ordered stream (such as a sorted list of
     /// arrivals) with the queue calls this for each event it takes from
     /// that stream, so `schedule_at`'s past check holds against the
-    /// merged clock. The caller's event does not count in
-    /// [`EventQueue::processed`].
+    /// merged clock.
     ///
     /// # Panics
     /// If `time` is NaN, earlier than the current time, or later than the
@@ -143,28 +114,12 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
         self.now = s.time;
-        self.processed += 1;
         Some((s.time, s.event))
     }
 
     /// Peeks at the next event time without advancing the clock.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// Runs the simulation until the queue is empty or `handler` returns
-    /// `false` (stop request). `handler` may schedule further events.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Self, SimTime, E) -> bool,
-    {
-        while let Some(s) = self.heap.pop() {
-            self.now = s.time;
-            self.processed += 1;
-            if !handler(self, s.time, s.event) {
-                break;
-            }
-        }
     }
 }
 
@@ -196,9 +151,14 @@ mod tests {
     fn clock_advances() {
         let mut q = EventQueue::new();
         q.schedule_at(5.0, ());
-        assert_eq!(q.now(), 0.0);
+        // The clock starts at zero...
+        q.advance_to(0.0);
         q.pop();
-        assert_eq!(q.now(), 5.0);
+        // ...and the pop moves it to 5, so an earlier event is refused.
+        let earlier = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.schedule_at(4.0, ());
+        }));
+        assert!(earlier.is_err());
     }
 
     #[test]
@@ -211,56 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10.0, "first");
-        q.pop();
-        q.schedule_in(2.5, "second");
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, 12.5);
-        assert_eq!(e, "second");
-    }
-
-    #[test]
-    fn run_with_cascading_events() {
-        // A handler that re-schedules a follow-up for the first 4 events.
-        let mut q = EventQueue::new();
-        q.schedule_at(1.0, 0u32);
-        let mut seen = Vec::new();
-        q.run(|q, t, gen| {
-            seen.push((t, gen));
-            if gen < 4 {
-                q.schedule_in(1.0, gen + 1);
-            }
-            true
-        });
-        assert_eq!(seen.len(), 5);
-        assert_eq!(seen.last(), Some(&(5.0, 4)));
-        assert_eq!(q.processed(), 5);
-    }
-
-    #[test]
-    fn run_stops_on_false() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(i as f64, i);
-        }
-        let mut count = 0;
-        q.run(|_, _, i| {
-            count += 1;
-            i < 3
-        });
-        // Events 0,1,2 return true; event 3 returns false and stops the run.
-        assert_eq!(count, 4);
-    }
-
-    #[test]
     fn advance_to_moves_the_clock_without_popping() {
         let mut q = EventQueue::new();
         q.schedule_at(4.0, "pending");
         q.advance_to(2.5);
-        assert_eq!(q.now(), 2.5);
-        assert_eq!(q.processed(), 0);
         // A tie with the pending event is allowed; it still pops.
         q.advance_to(4.0);
         assert_eq!(q.pop(), Some((4.0, "pending")));
@@ -302,7 +216,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(7.0, ());
         assert_eq!(q.peek_time(), Some(7.0));
-        assert_eq!(q.now(), 0.0);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((7.0, ())));
     }
 }

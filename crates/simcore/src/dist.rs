@@ -1,6 +1,6 @@
 //! Sampling distributions built on the uniform source.
 //!
-//! Implemented from first principles (Box–Muller, inversion, Knuth,
+//! Implemented from first principles (Box–Muller, inversion,
 //! Walker's alias method) because the offline dependency set excludes
 //! `rand_distr`. Each distribution validates its parameters at construction
 //! and is immutable afterwards, so a single instance can be shared across
@@ -40,24 +40,6 @@ impl Normal {
             return Err(ParamError("normal: negative std dev"));
         }
         Ok(Normal { mean, std_dev })
-    }
-
-    /// The standard normal N(0, 1).
-    pub fn standard() -> Self {
-        Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
-    /// Mean parameter.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard-deviation parameter.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
     }
 
     /// Draws one sample.
@@ -105,11 +87,6 @@ impl LogNormal {
         Self::new(median.ln(), sigma)
     }
 
-    /// Theoretical mean `exp(mu + sigma^2/2)`.
-    pub fn mean(&self) -> f64 {
-        (self.norm.mean() + 0.5 * self.norm.std_dev().powi(2)).exp()
-    }
-
     /// Draws one sample (always positive).
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         self.norm.sample(rng).exp()
@@ -132,51 +109,10 @@ impl Exponential {
         Ok(Exponential { rate })
     }
 
-    /// Mean `1/rate`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         // 1 - U avoids ln(0).
         -(1.0 - rng.uniform()).ln() / self.rate
-    }
-}
-
-/// Poisson distribution. Knuth's product method for small means; for
-/// `lambda > 30` a normal approximation with continuity correction is used
-/// (adequate for workload counts, and branch-free in the hot path).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// `lambda` must be finite and positive.
-    pub fn new(lambda: f64) -> Result<Self, ParamError> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(ParamError("poisson: lambda must be positive"));
-        }
-        Ok(Poisson { lambda })
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        if self.lambda > 30.0 {
-            let x = self.lambda + self.lambda.sqrt() * standard_normal(rng);
-            return x.round().max(0.0) as u64;
-        }
-        let l = (-self.lambda).exp();
-        let mut k: u64 = 0;
-        let mut p = 1.0;
-        loop {
-            p *= rng.uniform();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
     }
 }
 
@@ -235,16 +171,6 @@ impl WeightedIndex {
             prob[i] = 1.0;
         }
         Ok(WeightedIndex { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True when there are no categories (cannot happen post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 
     /// Draws a category index.
@@ -307,26 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_lambda_moments() {
-        let mut rng = SimRng::seed_from(14);
-        let d = Poisson::new(3.0).unwrap();
-        let xs: Vec<f64> = (0..100_000).map(|_| d.sample(&mut rng) as f64).collect();
-        let (mean, var) = moments(&xs);
-        assert!((mean - 3.0).abs() < 0.05, "mean={mean}");
-        assert!((var - 3.0).abs() < 0.12, "var={var}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_moments() {
-        let mut rng = SimRng::seed_from(15);
-        let d = Poisson::new(200.0).unwrap();
-        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng) as f64).collect();
-        let (mean, var) = moments(&xs);
-        assert!((mean - 200.0).abs() < 0.5, "mean={mean}");
-        assert!((var / 200.0 - 1.0).abs() < 0.08, "var={var}");
-    }
-
-    #[test]
     fn weighted_frequencies() {
         let mut rng = SimRng::seed_from(16);
         let w = WeightedIndex::new(&[1.0, 2.0, 7.0]).unwrap();
@@ -363,6 +269,5 @@ mod tests {
         let mut rng = SimRng::seed_from(18);
         let w = WeightedIndex::new(&[3.5]).unwrap();
         assert_eq!(w.sample(&mut rng), 0);
-        assert_eq!(w.len(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //!   and parallel runs produce bit-identical results to sequential ones.
 //! - [`dist`]: sampling distributions implemented from first principles on
 //!   top of [`rng::SimRng`]'s uniform source (Box–Muller normal,
-//!   lognormal, exponential, Poisson, alias-method weighted discrete).
+//!   lognormal, exponential, alias-method weighted discrete).
 //! - [`process`]: mean-reverting Ornstein–Uhlenbeck and AR(1) processes used
 //!   to synthesize wind/solar availability and demand noise in the grid
 //!   simulator.

@@ -41,11 +41,6 @@ impl OrnsteinUhlenbeck {
         }
     }
 
-    /// Resets the state to an explicit starting value.
-    pub fn reset(&mut self, x0: f64) {
-        self.state = x0;
-    }
-
     /// Starts the process from its stationary distribution
     /// `N(mu, sigma^2 / (2 theta))`, so traces have no warm-up transient.
     pub fn reset_stationary(&mut self, rng: &mut SimRng) {
@@ -53,16 +48,6 @@ impl OrnsteinUhlenbeck {
         // sigma^2 / (2 theta) = sigma_eff^2 / (1 - d^2).
         let stationary_sd = self.sigma_eff / (1.0 - self.decay * self.decay).sqrt();
         self.state = self.mu + stationary_sd * standard_normal(rng);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.state
-    }
-
-    /// Long-run mean.
-    pub fn mean(&self) -> f64 {
-        self.mu
     }
 
     /// Advances one step and returns the new value.
@@ -81,12 +66,12 @@ mod tests {
     #[test]
     fn ou_reverts_to_mean() {
         let mut rng = SimRng::seed_from(21);
-        let mut ou = OrnsteinUhlenbeck::new(10.0, 0.5, 0.0, 1.0);
-        ou.reset(100.0);
-        for _ in 0..50 {
-            ou.step(&mut rng);
-        }
-        assert!((ou.value() - 10.0).abs() < 1e-6);
+        let mut ou = OrnsteinUhlenbeck {
+            state: 100.0,
+            ..OrnsteinUhlenbeck::new(10.0, 0.5, 0.0, 1.0)
+        };
+        let last = (0..50).fold(f64::NAN, |_, _| ou.step(&mut rng));
+        assert!((last - 10.0).abs() < 1e-6);
     }
 
     #[test]

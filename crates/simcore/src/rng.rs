@@ -123,33 +123,12 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform sample in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`, by modulo reduction (the bias is below
     /// `n / 2^64`, negligible for the ranges this workspace draws from).
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
         (self.next_u64() % n as u64) as usize
-    }
-
-    /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -212,8 +191,6 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.uniform();
             assert!((0.0..1.0).contains(&x));
-            let y = rng.uniform_in(-3.0, 5.0);
-            assert!((-3.0..5.0).contains(&y));
         }
     }
 
@@ -223,23 +200,6 @@ mod tests {
         let n = 100_000;
         let mean = (0..n).map(|_| rng.uniform()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from(2);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from(3);
-        assert!(!(0..100).any(|_| rng.chance(0.0)));
-        assert!((0..100).all(|_| rng.chance(1.0)));
     }
 
     #[test]
@@ -261,7 +221,8 @@ mod tests {
         // Goldens print `{:.4}` and calibration asserts bands, so neither
         // sees a last-bit drift in `uniform` or a changed `index`
         // reduction. Per (seed, stream): the stream's seed, then
-        // `next_u64`, `uniform` bits, `index(8760)` and `chance(0.3)`.
+        // `next_u64`, `uniform` bits, `index(8760)`, and whether the next
+        // `uniform` is below 0.3.
         #[rustfmt::skip]
         let expected: [(u64, &str, u64, u64, u64, usize, bool); 16] = [
             (0, "root", 0x0000_0000_0000_0000, 0x5317_5d61_490b_23df, 0x3fd8_769b_cf70_e034, 6340, true),
@@ -293,7 +254,7 @@ mod tests {
             assert_eq!(rng.next_u64(), raw, "{at}");
             assert_eq!(rng.uniform().to_bits(), bits, "{at}");
             assert_eq!(rng.index(8760), index, "{at}");
-            assert_eq!(rng.chance(0.3), chance, "{at}");
+            assert_eq!(rng.uniform() < 0.3, chance, "{at}");
         }
     }
 }

@@ -21,7 +21,6 @@
 use hpcarbon_api::{EstimateRequest, Estimator, FootprintReport};
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_sched::Policy;
-use hpcarbon_sim::rng::SimRng;
 use hpcarbon_upgrade::savings::UsageLevel;
 
 pub use hpcarbon_api::{ApiError, PueSpec, StorageVariant, SystemId, TraceSource, UpgradePath};
@@ -58,16 +57,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The root random stream of this scenario.
-    ///
-    /// Derived **only** from the scenario's seed dimension — never from
-    /// grid position, thread id, or shared state — so outcomes are a pure
-    /// function of the scenario and independent of executor parallelism.
-    /// Named substreams fork off this root (`trace`, `jobs`).
-    pub fn rng(&self) -> SimRng {
-        SimRng::seed_from(self.seed)
-    }
-
     /// The scenario as an API request under the sweep's workload knobs.
     /// This is the whole translation — the sweep adds no estimation
     /// semantics of its own.

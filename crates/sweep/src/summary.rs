@@ -112,16 +112,6 @@ impl SummaryAccumulator {
         }
     }
 
-    /// Total rows seen.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True before any row arrived.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Rows that evaluated successfully.
     pub fn ok_count(&self) -> usize {
         self.ok
@@ -267,7 +257,6 @@ mod tests {
             acc.row(&ok_row(id, 1.0)).unwrap();
         }
         acc.row(&err_row(4)).unwrap();
-        assert_eq!(acc.len(), 5);
         assert_eq!(acc.ok_count(), 4);
         assert_eq!(acc.error_count(), 1);
         let s = acc.summary();

@@ -132,14 +132,6 @@ impl CivilDate {
     pub fn year(self) -> i32 {
         self.year
     }
-    /// Month component (1..=12).
-    pub fn month(self) -> u8 {
-        self.month
-    }
-    /// Day component (1-based).
-    pub fn day(self) -> u8 {
-        self.day
-    }
 
     /// Days since 1970-01-01 (may be negative). Hinnant's days_from_civil.
     pub fn days_since_epoch(self) -> i64 {
@@ -190,43 +182,12 @@ impl CivilDate {
     pub fn weekday(self) -> Weekday {
         Weekday::from_days_since_epoch(self.days_since_epoch())
     }
-
-    /// Meteorological season in the northern hemisphere, used by the grid
-    /// simulator's seasonal demand/solar shaping.
-    pub fn season(self) -> Season {
-        match self.month {
-            12 | 1 | 2 => Season::Winter,
-            3..=5 => Season::Spring,
-            6..=8 => Season::Summer,
-            _ => Season::Autumn,
-        }
-    }
 }
 
 impl fmt::Display for CivilDate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day)
     }
-}
-
-/// Northern-hemisphere meteorological season.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Season {
-    Winter,
-    Spring,
-    Summer,
-    Autumn,
-}
-
-impl Season {
-    /// All four seasons, in calendar order starting from winter.
-    pub const ALL: [Season; 4] = [
-        Season::Winter,
-        Season::Spring,
-        Season::Summer,
-        Season::Autumn,
-    ];
 }
 
 /// An hour-resolution timestamp in UTC: a civil date plus an hour 0..=23.
@@ -363,11 +324,6 @@ impl TimeZone {
         self.offset_hours
     }
 
-    /// Short zone name.
-    pub const fn name(self) -> &'static str {
-        self.name
-    }
-
     /// Converts a UTC timestamp into this zone's local wall-clock stamp.
     pub fn from_utc(self, utc: HourStamp) -> HourStamp {
         utc.plus_hours(i64::from(self.offset_hours))
@@ -376,11 +332,6 @@ impl TimeZone {
     /// Converts a local wall-clock stamp in this zone to UTC.
     pub fn to_utc(self, local: HourStamp) -> HourStamp {
         local.plus_hours(-i64::from(self.offset_hours))
-    }
-
-    /// Converts a local stamp in this zone directly into another zone.
-    pub fn convert(self, local: HourStamp, target: TimeZone) -> HourStamp {
-        target.from_utc(self.to_utc(local))
     }
 }
 
@@ -542,46 +493,6 @@ mod tests {
             TimeZone::GMT,
         ] {
             assert_eq!(tz.to_utc(tz.from_utc(utc0)), utc0);
-        }
-    }
-
-    #[test]
-    fn cross_zone_conversion() {
-        // The paper converts PST to JST: PST is UTC-8, JST UTC+9 → +17 h.
-        let noon_pst = HourStamp::new(CivilDate::new(2021, 6, 15).unwrap(), 12).unwrap();
-        let jst = TimeZone::PST.convert(noon_pst, TimeZone::JST);
-        assert_eq!(jst.hour(), 5);
-        assert_eq!(jst.date(), CivilDate::new(2021, 6, 16).unwrap());
-    }
-
-    #[test]
-    fn seasons() {
-        assert_eq!(
-            CivilDate::new(2021, 1, 15).unwrap().season(),
-            Season::Winter
-        );
-        assert_eq!(
-            CivilDate::new(2021, 4, 15).unwrap().season(),
-            Season::Spring
-        );
-        assert_eq!(
-            CivilDate::new(2021, 7, 15).unwrap().season(),
-            Season::Summer
-        );
-        assert_eq!(
-            CivilDate::new(2021, 10, 15).unwrap().season(),
-            Season::Autumn
-        );
-        assert_eq!(
-            CivilDate::new(2021, 12, 15).unwrap().season(),
-            Season::Winter
-        );
-    }
-
-    #[test]
-    fn season_discriminants_index_all() {
-        for (i, season) in Season::ALL.iter().enumerate() {
-            assert_eq!(*season as usize, i);
         }
     }
 

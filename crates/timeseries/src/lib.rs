@@ -5,7 +5,7 @@
 //! reproduction bands also flagged the "dataframe ecosystem" as the awkward
 //! part of a Rust port — this crate is the replacement).
 //!
-//! Three building blocks:
+//! Four building blocks:
 //!
 //! - [`datetime`]: Gregorian civil dates, hour-resolution timestamps and
 //!   fixed-offset time zones. The paper's Fig. 7 compares regions "during
@@ -19,8 +19,8 @@
 //! - [`stats`]: summary statistics used by the paper's analyses: quantiles,
 //!   five-number (box-plot) summaries for Fig. 6(a), coefficient of
 //!   variation for Fig. 6(b), and group-by-hour aggregation for Fig. 7.
-//! - [`window`]: [`window::WindowIndex`] — prefix-sum + sparse-table
-//!   indexing of sliding-window averages and argmins, the `O(1)`/`O(slack)`
+//! - [`window`]: [`window::WindowIndex`] — prefix-sum indexing of
+//!   sliding-window averages and argmins, the `O(1)`/`O(slack)`
 //!   primitive behind carbon-aware temporal shifting.
 //!
 //! # Example
@@ -30,7 +30,7 @@
 //! use hpcarbon_timeseries::series::HourlySeries;
 //!
 //! // 2021 is not a leap year: 8760 hourly slots.
-//! let series = HourlySeries::constant(2021, 100.0);
+//! let series = HourlySeries::new(2021, vec![100.0; 8760]);
 //! assert_eq!(series.len(), 8760);
 //!
 //! // Timezone conversion: midnight UTC is 09:00 JST the same day.

@@ -2,9 +2,9 @@
 //!
 //! The unit of analysis in the paper's operational sections is "hourly data
 //! (year 2021)" — a vector of 8760 values indexed by hour-of-year. This
-//! module provides that container with the handful of relational operations
-//! the analyses need: elementwise maps and zips, hour-of-day slicing in any
-//! time zone, rolling means and resampling.
+//! module provides that container with the few operations the analyses
+//! need: construction hour by hour or local day by local day, lookup by
+//! hour, totals and means.
 
 use crate::datetime::{hours_in_year, CivilDate, HourStamp, TimeZone};
 
@@ -27,14 +27,6 @@ impl HourlySeries {
             "series length must match hours in year {year}"
         );
         HourlySeries { year, values }
-    }
-
-    /// A series holding the same value at every hour.
-    pub fn constant(year: i32, value: f64) -> HourlySeries {
-        HourlySeries {
-            year,
-            values: vec![value; hours_in_year(year) as usize],
-        }
     }
 
     /// Builds a series by evaluating `f` at every hour stamp of the year.
@@ -103,54 +95,12 @@ impl HourlySeries {
         self.values[index as usize]
     }
 
-    /// Value at a UTC hour stamp.
-    ///
-    /// # Panics
-    /// If the stamp is outside this series' year.
-    pub fn at_stamp(&self, stamp: HourStamp) -> f64 {
-        assert_eq!(
-            stamp.date().year(),
-            self.year,
-            "stamp {stamp} outside series year {}",
-            self.year
-        );
-        self.at(stamp.hour_of_year())
-    }
-
     /// Iterates `(stamp, value)` pairs in chronological order.
     pub fn iter(&self) -> impl Iterator<Item = (HourStamp, f64)> + '_ {
         self.values
             .iter()
             .enumerate()
             .map(move |(i, v)| (HourStamp::from_hour_of_year(self.year, i as u32), *v))
-    }
-
-    /// Elementwise transformation.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> HourlySeries {
-        HourlySeries {
-            year: self.year,
-            values: self.values.iter().map(|v| f(*v)).collect(),
-        }
-    }
-
-    /// Elementwise combination of two series over the same year.
-    ///
-    /// # Panics
-    /// If the years differ.
-    pub fn zip_with(&self, other: &HourlySeries, f: impl Fn(f64, f64) -> f64) -> HourlySeries {
-        assert_eq!(
-            self.year, other.year,
-            "cannot zip series of different years"
-        );
-        HourlySeries {
-            year: self.year,
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| f(*a, *b))
-                .collect(),
-        }
     }
 
     /// Sum over all hours.
@@ -162,98 +112,6 @@ impl HourlySeries {
     pub fn mean(&self) -> f64 {
         self.total() / self.values.len() as f64
     }
-
-    /// Minimum value.
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum value.
-    pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// All values observed at local wall-clock hour `local_hour` when this
-    /// (UTC-indexed) series is viewed from time zone `tz`.
-    ///
-    /// This is the primitive behind Fig. 7: "compare their carbon
-    /// intensities during the same hour of the day … convert them to JST".
-    /// Hours that fall outside the series' year after conversion are
-    /// dropped (a zone shift moves up to `|offset|` hours across the year
-    /// boundary).
-    pub fn values_at_local_hour(&self, tz: TimeZone, local_hour: u8) -> Vec<(CivilDate, f64)> {
-        assert!(local_hour < 24, "hour must be 0..=23");
-        self.iter()
-            .filter_map(|(utc_stamp, v)| {
-                let local = tz.from_utc(utc_stamp);
-                (local.hour() == local_hour).then(|| (local.date(), v))
-            })
-            .collect()
-    }
-
-    /// Means grouped by local hour-of-day (24 buckets) in zone `tz`.
-    pub fn hourly_profile(&self, tz: TimeZone) -> [f64; 24] {
-        let mut sums = [0.0f64; 24];
-        let mut counts = [0usize; 24];
-        for (utc_stamp, v) in self.iter() {
-            let h = tz.from_utc(utc_stamp).hour() as usize;
-            sums[h] += v;
-            counts[h] += 1;
-        }
-        let mut out = [0.0f64; 24];
-        for h in 0..24 {
-            out[h] = if counts[h] > 0 {
-                sums[h] / counts[h] as f64
-            } else {
-                f64::NAN
-            };
-        }
-        out
-    }
-
-    /// Daily means: one value per civil day of the year.
-    pub fn daily_means(&self) -> Vec<f64> {
-        self.values
-            .chunks_exact(24)
-            .map(|day| day.iter().sum::<f64>() / 24.0)
-            .collect()
-    }
-
-    /// Centered-window rolling mean with window `w` (clamped at the edges).
-    ///
-    /// # Panics
-    /// If `w` is zero.
-    pub fn rolling_mean(&self, w: usize) -> HourlySeries {
-        assert!(w > 0, "window must be positive");
-        let half = w / 2;
-        let n = self.values.len();
-        let mut out = Vec::with_capacity(n);
-        // Prefix sums for O(n) rolling windows over 8760 points.
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for v in &self.values {
-            acc += v;
-            prefix.push(acc);
-        }
-        for i in 0..n {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            out.push((prefix[hi] - prefix[lo]) / (hi - lo) as f64);
-        }
-        HourlySeries {
-            year: self.year,
-            values: out,
-        }
-    }
-
-    /// Scales every value by `k`.
-    pub fn scale(&self, k: f64) -> HourlySeries {
-        self.map(|v| v * k)
-    }
 }
 
 #[cfg(test)]
@@ -262,17 +120,15 @@ mod tests {
 
     #[test]
     fn constant_series_properties() {
-        let s = HourlySeries::constant(2021, 5.0);
+        let s = HourlySeries::new(2021, vec![5.0; 8760]);
         assert_eq!(s.len(), 8760);
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.total(), 5.0 * 8760.0);
-        assert_eq!(s.min(), 5.0);
-        assert_eq!(s.max(), 5.0);
     }
 
     #[test]
     fn leap_year_length() {
-        let s = HourlySeries::constant(2020, 1.0);
+        let s = HourlySeries::from_fn(2020, |_| 1.0);
         assert_eq!(s.len(), 8784);
     }
 
@@ -287,8 +143,7 @@ mod tests {
         let s = HourlySeries::from_fn(2021, |st| st.hour_of_year() as f64);
         assert_eq!(s.at(0), 0.0);
         assert_eq!(s.at(8759), 8759.0);
-        let stamp = HourStamp::from_hour_of_year(2021, 1234);
-        assert_eq!(s.at_stamp(stamp), 1234.0);
+        assert_eq!(s.at(1234), 1234.0);
     }
 
     #[test]
@@ -343,91 +198,5 @@ mod tests {
             assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), n, "{tz}");
             assert!(runs[1..runs.len() - 1].iter().all(|r| r.1 == 24), "{tz}");
         }
-    }
-
-    #[test]
-    fn map_and_zip() {
-        let a = HourlySeries::constant(2021, 2.0);
-        let b = HourlySeries::from_fn(2021, |st| st.hour() as f64);
-        let sum = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(sum.at(0), 2.0); // hour 0
-        assert_eq!(sum.at(13), 15.0); // hour 13
-        let doubled = a.map(|x| x * 3.0);
-        assert_eq!(doubled.at(100), 6.0);
-    }
-
-    #[test]
-    fn hourly_profile_utc_identity() {
-        // A series equal to its own UTC hour has profile [0,1,...,23].
-        let s = HourlySeries::from_fn(2021, |st| st.hour() as f64);
-        let prof = s.hourly_profile(TimeZone::UTC);
-        for (h, v) in prof.iter().enumerate() {
-            assert!((v - h as f64).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn hourly_profile_shifts_with_zone() {
-        // Same series viewed from JST: local hour h corresponds to UTC
-        // hour (h - 9) mod 24.
-        let s = HourlySeries::from_fn(2021, |st| st.hour() as f64);
-        let prof = s.hourly_profile(TimeZone::JST);
-        for (h, v) in prof.iter().enumerate() {
-            let expected = ((h as i32 - 9).rem_euclid(24)) as f64;
-            assert!(
-                (v - expected).abs() < 1e-9,
-                "hour {h}: got {v}, expected {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn values_at_local_hour_counts() {
-        let s = HourlySeries::constant(2021, 1.0);
-        // In UTC every hour-of-day appears exactly 365 times.
-        assert_eq!(s.values_at_local_hour(TimeZone::UTC, 0).len(), 365);
-        assert_eq!(s.values_at_local_hour(TimeZone::UTC, 23).len(), 365);
-        // Viewed from JST (+9): every local hour still appears 365 times
-        // (the series simply shifts; edge hours fall into adjacent years).
-        let total: usize = (0..24)
-            .map(|h| s.values_at_local_hour(TimeZone::JST, h).len())
-            .sum();
-        assert_eq!(total, 8760);
-    }
-
-    #[test]
-    fn daily_means_shape() {
-        let s = HourlySeries::from_fn(2021, |st| st.date().day_of_year() as f64);
-        let days = s.daily_means();
-        assert_eq!(days.len(), 365);
-        assert!((days[0] - 1.0).abs() < 1e-12);
-        assert!((days[364] - 365.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_mean_smooths() {
-        let s = HourlySeries::from_fn(
-            2021,
-            |st| if st.hour_of_year() % 2 == 0 { 0.0 } else { 2.0 },
-        );
-        let sm = s.rolling_mean(25);
-        // Interior points should be close to the global mean of 1.0.
-        assert!((sm.at(5000) - 1.0).abs() < 0.05);
-        // Mean is preserved approximately.
-        assert!((sm.mean() - s.mean()).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different years")]
-    fn zip_rejects_year_mismatch() {
-        let a = HourlySeries::constant(2021, 1.0);
-        let b = HourlySeries::constant(2020, 1.0);
-        let _ = a.zip_with(&b, |x, _| x);
-    }
-
-    #[test]
-    fn scale_scales() {
-        let s = HourlySeries::constant(2021, 3.0).scale(2.0);
-        assert_eq!(s.mean(), 6.0);
     }
 }

@@ -22,15 +22,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
 }
 
-/// Sample variance (divides by n-1). Returns NaN for input shorter than 2.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
@@ -177,50 +168,6 @@ impl BoxplotStats {
             mean: mean(xs),
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with `bins` buckets.
-/// Out-of-range values are clamped into the edge buckets.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "bins must be positive");
-    assert!(hi > lo, "hi must exceed lo");
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f64;
-    for x in xs {
-        let idx = (((x - lo) / width).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        counts[idx] += 1;
-    }
-    counts
-}
-
-/// Pearson correlation coefficient of two equal-length slices.
-/// Returns NaN for degenerate inputs (length < 2 or zero variance).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "inputs must have equal length");
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        let dx = x - mx;
-        let dy = y - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return f64::NAN;
-    }
-    sxy / (sxx * syy).sqrt()
 }
 
 #[cfg(test)]
@@ -233,7 +180,6 @@ mod tests {
         assert_eq!(mean(&xs), 5.0);
         assert_eq!(variance(&xs), 4.0);
         assert_eq!(std_dev(&xs), 2.0);
-        assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -332,31 +278,6 @@ mod tests {
         assert_eq!(b.max, 10_000.0);
         // The outlier is beyond the upper fence; whisker stays at 99.
         assert_eq!(b.whisker_hi, 99.0);
-        assert!(b.iqr() > 0.0);
-    }
-
-    #[test]
-    fn histogram_counts() {
-        let xs = [0.1, 0.2, 0.5, 0.9, 1.5, -3.0];
-        let h = histogram(&xs, 0.0, 1.0, 2);
-        // Bin 0 = [0, 0.5): {0.1, 0.2, -3.0 clamped}; bin 1 = [0.5, 1.0):
-        // {0.5, 0.9, 1.5 clamped}.
-        assert_eq!(h, vec![3, 3]);
-        assert_eq!(h.iter().sum::<usize>(), xs.len());
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate() {
-        assert!(pearson(&[1.0], &[2.0]).is_nan());
-        assert!(pearson(&[1.0, 1.0], &[2.0, 3.0]).is_nan());
+        assert!(b.q3 > b.q1);
     }
 }

@@ -6,9 +6,7 @@
 //! rescanning the raw 8760-hour series costs `O(w)` per window and
 //! `O(slack × w)` per argmin; a [`WindowIndex`] answers the first in
 //! `O(1)` from prefix sums and the second in `O(slack)` (one prefix
-//! lookup per candidate start), and a [`FixedWindowIndex`] — a sparse
-//! table over the window sums of one fixed width — answers range argmins
-//! in `O(1)` after an `O(n log n)` build.
+//! lookup per candidate start).
 //!
 //! ## Semantics
 //!
@@ -189,89 +187,6 @@ impl WindowIndex {
         }
         best_start
     }
-
-    /// Precomputes a sparse table over this index's width-`w` window sums,
-    /// turning *any-range* argmin queries into `O(1)` lookups.
-    pub fn fixed(&self, w: u32) -> FixedWindowIndex {
-        FixedWindowIndex::build(self, w)
-    }
-}
-
-/// A sparse table of range-argmins over the wrapped window sums of one
-/// fixed width: `O(n log n)` to build, `O(1)` per query.
-///
-/// Use it when one window width is queried many times with varying start
-/// ranges (e.g. a fleet of same-length jobs sharing a slack policy); for
-/// one-off queries [`WindowIndex::greenest_shift`] is cheaper.
-#[derive(Debug, Clone)]
-pub struct FixedWindowIndex {
-    /// Window width this table answers for.
-    w: u32,
-    /// `sums[s]` = wrapped window sum starting at `s`.
-    sums: Vec<f64>,
-    /// `table[k][i]` = argmin of `sums[i .. i + 2^k]` (lowest index wins).
-    table: Vec<Vec<u32>>,
-}
-
-impl FixedWindowIndex {
-    fn build(index: &WindowIndex, w: u32) -> FixedWindowIndex {
-        let n = index.len();
-        let sums: Vec<f64> = (0..n as u32).map(|s| index.window_sum(s, w)).collect();
-        let levels = usize::BITS - n.leading_zeros(); // ⌈log2(n)⌉ + 1-ish
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels as usize);
-        table.push((0..n as u32).collect());
-        let mut k = 1;
-        while (1usize << k) <= n {
-            let half = 1usize << (k - 1);
-            let prev = &table[k - 1];
-            let row: Vec<u32> = (0..=n - (1 << k))
-                .map(|i| {
-                    let a = prev[i];
-                    let b = prev[i + half];
-                    // Lowest start wins ties: strict > before switching.
-                    if sums[b as usize] < sums[a as usize] {
-                        b
-                    } else {
-                        a
-                    }
-                })
-                .collect();
-            table.push(row);
-            k += 1;
-        }
-        FixedWindowIndex { w, sums, table }
-    }
-
-    /// The window width this table was built for.
-    pub fn width(&self) -> u32 {
-        self.w
-    }
-
-    /// The argmin start over the **inclusive** start range `[lo, hi]`,
-    /// `O(1)`. Ties break toward the lowest start.
-    ///
-    /// # Panics
-    /// If `lo > hi` or `hi >= len`.
-    pub fn argmin_in(&self, lo: u32, hi: u32) -> u32 {
-        assert!(lo <= hi, "empty start range");
-        assert!((hi as usize) < self.sums.len(), "range out of bounds");
-        let span = (hi - lo + 1) as usize;
-        let k = (usize::BITS - 1 - span.leading_zeros()) as usize; // ⌊log2⌋
-        let a = self.table[k][lo as usize];
-        let b = self.table[k][(hi as usize + 1) - (1 << k)];
-        // `a` covers the lower starts: keep it unless `b` is strictly
-        // smaller, preserving the lowest-start tie-break.
-        if self.sums[b as usize] < self.sums[a as usize] {
-            b
-        } else {
-            a
-        }
-    }
-
-    /// The window mean at `start` (from the precomputed sums), `O(1)`.
-    pub fn mean_at(&self, start: u32) -> f64 {
-        self.sums[start as usize] / f64::from(self.w)
-    }
 }
 
 #[cfg(test)]
@@ -340,32 +255,6 @@ mod tests {
         assert!(best + 4 <= 8760);
         // Night hours (index % 24 == 0) minimize the ramp.
         assert_eq!(idx.argmin_window_clamped(12, 24, 3) % 24, 0);
-    }
-
-    #[test]
-    fn fixed_index_agrees_with_scan() {
-        let vs = ramp(8760);
-        let idx = WindowIndex::new(&vs);
-        let fixed = idx.fixed(24);
-        for (lo, hi) in [(0, 0), (0, 8759), (100, 268), (8700, 8759)] {
-            let scan = (lo..=hi)
-                .min_by(|a, b| {
-                    idx.window_sum(*a, 24)
-                        .partial_cmp(&idx.window_sum(*b, 24))
-                        .expect("finite")
-                })
-                .expect("non-empty");
-            assert_eq!(fixed.argmin_in(lo, hi), scan, "range [{lo}, {hi}]");
-        }
-        assert_eq!(fixed.width(), 24);
-        assert_eq!(fixed.mean_at(0), idx.window_mean(0, 24));
-    }
-
-    #[test]
-    fn fixed_index_tie_breaks_lowest_start() {
-        let vs = vec![1.0; 512];
-        let fixed = WindowIndex::new(&vs).fixed(7);
-        assert_eq!(fixed.argmin_in(3, 410), 3);
     }
 
     #[test]

@@ -15,8 +15,6 @@ pub struct Fraction(f64);
 impl Fraction {
     /// Zero.
     pub const ZERO: Fraction = Fraction(0.0);
-    /// One.
-    pub const ONE: Fraction = Fraction(1.0);
     /// One half.
     pub const HALF: Fraction = Fraction(0.5);
 
@@ -42,12 +40,6 @@ impl Fraction {
         Self::new(v).unwrap_or_else(|| panic!("fraction out of range: {v}"))
     }
 
-    /// Creates a fraction from a percentage in `[0, 100]`.
-    #[inline]
-    pub fn from_percent(p: f64) -> Option<Fraction> {
-        Self::new(p / 100.0)
-    }
-
     /// Clamps an arbitrary finite value into `[0, 1]`; NaN becomes 0.
     /// Negative zero is normalized to positive zero so downstream
     /// formatting never prints `-0.0`.
@@ -71,12 +63,6 @@ impl Fraction {
     #[inline]
     pub fn percent(self) -> f64 {
         self.0 * 100.0
-    }
-
-    /// The complement `1 - self`.
-    #[inline]
-    pub fn complement(self) -> Fraction {
-        Fraction(1.0 - self.0)
     }
 }
 
@@ -127,8 +113,7 @@ mod tests {
 
     #[test]
     fn percent_roundtrip() {
-        let f = Fraction::from_percent(42.0).unwrap();
-        assert!((f.value() - 0.42).abs() < 1e-12);
+        let f = Fraction::new(0.42).unwrap();
         assert!((f.percent() - 42.0).abs() < 1e-12);
     }
 
@@ -142,7 +127,6 @@ mod tests {
     #[test]
     fn complement_and_product() {
         let y = Fraction::new_unchecked(0.875);
-        assert!((y.complement().value() - 0.125).abs() < 1e-12);
         let half_of = y * Fraction::HALF;
         assert!((half_of.value() - 0.4375).abs() < 1e-12);
         assert_eq!(y * 8.0, 7.0);

@@ -4,8 +4,8 @@
 //! - `Add`, `Sub`, `Neg`, `AddAssign`, `SubAssign` with itself
 //! - `Mul<f64>` / `Div<f64>` scaling (both orders for `Mul`)
 //! - `Div<Self> -> f64` (dimensionless ratio)
-//! - `Sum`, `PartialOrd`, `total ordering helpers` (`min`/`max`/`clamp_min_zero`)
-//! - `ZERO` constant, `is_finite`, `abs`
+//! - `Sum`, `PartialOrd`
+//! - a `ZERO` constant
 
 /// Defines a quantity newtype stored as `f64` in `$unit` with doc `$doc`.
 macro_rules! quantity {
@@ -17,44 +17,6 @@ macro_rules! quantity {
         impl $name {
             /// The zero value of this quantity.
             pub const ZERO: Self = Self(0.0);
-
-            /// Raw value in the canonical storage unit.
-            #[inline]
-            pub const fn raw(self) -> f64 {
-                self.0
-            }
-
-            /// True when the underlying value is finite (not NaN/inf).
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
-            /// Absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Elementwise minimum (NaN-propagating like `f64::min` is not;
-            /// this uses `f64::min` semantics).
-            #[inline]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Elementwise maximum.
-            #[inline]
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
-            }
-
-            /// Clamp negative values to zero. Useful when a model subtracts
-            /// quantities that are physically non-negative.
-            #[inline]
-            pub fn clamp_min_zero(self) -> Self {
-                Self(self.0.max(0.0))
-            }
         }
 
         impl core::ops::Add for $name {

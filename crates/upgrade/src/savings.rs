@@ -71,15 +71,6 @@ impl UpgradeScenario {
         }
     }
 
-    /// The three upgrade options of Fig. 8 / Table 6.
-    pub fn paper_options(suite: Suite) -> [UpgradeScenario; 3] {
-        [
-            UpgradeScenario::paper_default(NodeGen::P100Node, NodeGen::V100Node, suite),
-            UpgradeScenario::paper_default(NodeGen::P100Node, NodeGen::A100Node, suite),
-            UpgradeScenario::paper_default(NodeGen::V100Node, NodeGen::A100Node, suite),
-        ]
-    }
-
     /// Suite-average speedup of the upgrade.
     pub fn speedup(&self) -> f64 {
         suite_speedup(self.suite, self.old, self.new)
@@ -149,55 +140,6 @@ impl UpgradeScenario {
         let years = self.upgrade_embodied() / saving_per_year;
         Some(TimeSpan::from_years(years))
     }
-
-    /// Samples the savings curve over `[t0, horizon]` at `points` equally
-    /// spaced instants (Fig. 8/9's plotted lines; `t0 > 0` avoids the
-    /// −∞ at t = 0).
-    pub fn savings_curve(
-        &self,
-        horizon: TimeSpan,
-        points: usize,
-        intensity: CarbonIntensity,
-    ) -> SavingsCurve {
-        assert!(points >= 2, "need at least two samples");
-        let mut samples = Vec::with_capacity(points);
-        for k in 0..points {
-            let t = horizon * ((k + 1) as f64 / points as f64);
-            samples.push((t, self.savings_percent(t, intensity)));
-        }
-        SavingsCurve {
-            scenario: *self,
-            intensity,
-            samples,
-        }
-    }
-}
-
-/// A sampled savings curve.
-#[derive(Debug, Clone)]
-pub struct SavingsCurve {
-    /// The scenario generating this curve.
-    pub scenario: UpgradeScenario,
-    /// The constant intensity it was evaluated at.
-    pub intensity: CarbonIntensity,
-    /// `(time, savings %)` samples in time order.
-    pub samples: Vec<(TimeSpan, f64)>,
-}
-
-impl SavingsCurve {
-    /// The last sampled saving (the curve's right edge).
-    pub fn final_savings(&self) -> f64 {
-        // lint: allow(panic-in-library) -- curves are only built by savings_curve(), which always pushes at least the horizon-end sample
-        self.samples.last().expect("non-empty").1
-    }
-
-    /// First sampled time with non-negative savings, if any.
-    pub fn first_green(&self) -> Option<TimeSpan> {
-        self.samples
-            .iter()
-            .find(|(_, s)| *s >= 0.0)
-            .map(|(t, _)| *t)
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +150,13 @@ mod tests {
     fn scenario(old: NodeGen, new: NodeGen, suite: Suite) -> UpgradeScenario {
         UpgradeScenario::paper_default(old, new, suite)
     }
+
+    /// The three upgrade options of Fig. 8 / Table 6.
+    const OPTIONS: [(NodeGen, NodeGen); 3] = [
+        (NodeGen::P100Node, NodeGen::V100Node),
+        (NodeGen::P100Node, NodeGen::A100Node),
+        (NodeGen::V100Node, NodeGen::A100Node),
+    ];
 
     #[test]
     fn usage_levels_match_paper() {
@@ -221,9 +170,10 @@ mod tests {
         // "all curves start from a negative point because an upgrade
         // immediately incurs embodied carbon cost".
         for suite in Suite::ALL {
-            for s in UpgradeScenario::paper_options(suite) {
+            for (old, new) in OPTIONS {
+                let s = scenario(old, new, suite);
                 for level in IntensityLevel::ALL {
-                    let early = s.savings_percent(TimeSpan::from_days(3.0), level.intensity());
+                    let early = s.savings_percent(TimeSpan::from_hours(72.0), level.intensity());
                     assert!(early < 0.0, "{s:?} {level:?}: {early}");
                 }
             }
@@ -259,7 +209,8 @@ mod tests {
         // "at high carbon intensity, it takes less than half a year …; at
         // medium … less than a year …; at low … about five years or more."
         for suite in Suite::ALL {
-            for s in UpgradeScenario::paper_options(suite) {
+            for (old, new) in OPTIONS {
+                let s = scenario(old, new, suite);
                 let hi = s
                     .break_even(IntensityLevel::High.intensity())
                     .unwrap()
@@ -351,24 +302,6 @@ mod tests {
             );
             // Both pay off within a year at medium intensity.
             assert!(pa.break_even(i).unwrap().as_years() < 1.0);
-        }
-    }
-
-    #[test]
-    fn savings_curve_sampling() {
-        let s = scenario(NodeGen::P100Node, NodeGen::V100Node, Suite::Candle);
-        let c = s.savings_curve(
-            TimeSpan::from_years(5.0),
-            20,
-            IntensityLevel::High.intensity(),
-        );
-        assert_eq!(c.samples.len(), 20);
-        assert!(c.samples[0].1 < c.final_savings());
-        let green = c.first_green().expect("goes green at 400 g/kWh");
-        assert!(green.as_years() <= 1.0);
-        // Samples are in time order.
-        for w in c.samples.windows(2) {
-            assert!(w[0].0 < w[1].0);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Node power draw during training and at idle.
+//! Node power draw during training.
 //!
 //! During GPU training the accelerators run near their power limit while
 //! host CPUs sit at input-pipeline utilization; DRAM draw is small and
@@ -8,7 +8,7 @@
 use crate::benchmarks::Suite;
 use crate::nodes::NodeGen;
 use hpcarbon_power::sensor::DevicePowerModel;
-use hpcarbon_units::{Energy, Fraction, Power, TimeSpan};
+use hpcarbon_units::Power;
 
 /// GPU utilization while training (fraction of the power-limit draw).
 /// Dense training pins accelerators near their limit across all suites.
@@ -17,7 +17,7 @@ pub const GPU_TRAIN_UTILIZATION: f64 = 0.90;
 /// Host CPU utilization while feeding GPUs (tokenization/augmentation).
 pub const CPU_FEED_UTILIZATION: f64 = 0.25;
 
-/// Per-DIMM active power (W); idle is half.
+/// Per-DIMM active power (W).
 const DRAM_ACTIVE_W: f64 = 4.0;
 
 /// Node power while running a training workload of `suite`.
@@ -40,98 +40,16 @@ pub fn node_active_power(node: NodeGen, _suite: Suite) -> Power {
     gpus + cpus + dram
 }
 
-/// Node power when idle (all devices at idle draw).
-pub fn node_idle_power(node: NodeGen) -> Power {
-    let c = node.config();
-    let gpus = c.gpu.spec().idle * f64::from(c.gpu_count);
-    // lint: allow(panic-in-library) -- same CPU table invariant as node_active_power
-    let cpus = c.cpus.0.spec().idle_power.expect("CPUs declare idle power") * f64::from(c.cpus.1);
-    let dram = Power::from_w(DRAM_ACTIVE_W / 2.0) * f64::from(c.dram.1);
-    gpus + cpus + dram
-}
-
-/// Average node power under a duty cycle that is busy a fraction `usage`
-/// of the time (the RQ8 "GPU usage rate … the percentage of time the GPU
-/// is being used").
-pub fn node_average_power(node: NodeGen, suite: Suite, usage: Fraction) -> Power {
-    node_active_power(node, suite) * usage.value()
-        + node_idle_power(node) * usage.complement().value()
-}
-
-/// Annual IT energy of a node under a usage duty cycle.
-pub fn annual_node_energy(node: NodeGen, suite: Suite, usage: Fraction) -> Energy {
-    node_average_power(node, suite, usage) * TimeSpan::from_years(1.0)
-}
-
-/// IT energy to process one *unit of work* (one suite-batch worth of
-/// samples through the node), old-node-normalized comparisons cancel the
-/// unit. Uses single-accelerator throughput ratios consistently with
-/// Table 6 (see EXPERIMENTS.md).
-pub fn energy_per_throughput_unit(node: NodeGen, suite: Suite) -> f64 {
-    // Watts divided by suite-aggregate node throughput (samples/s):
-    // J per sample.
-    let thpt: f64 = crate::perf::geomean(
-        &suite
-            .benchmarks()
-            .iter()
-            .map(|b| crate::perf::node_throughput(b, node, node.config().gpu_count))
-            .collect::<Vec<_>>(),
-    );
-    node_active_power(node, suite).as_w() / thpt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn active_exceeds_idle() {
-        for node in NodeGen::ALL {
-            for suite in Suite::ALL {
-                assert!(node_active_power(node, suite) > node_idle_power(node));
-            }
-        }
-    }
-
-    #[test]
     fn magnitudes_are_plausible() {
-        // 4-GPU nodes draw roughly 1-2 kW active, 150-700 W idle.
+        // 4-GPU nodes draw roughly 1-2 kW active.
         for node in NodeGen::ALL {
             let active = node_active_power(node, Suite::Nlp).as_w();
-            let idle = node_idle_power(node).as_w();
             assert!((800.0..2200.0).contains(&active), "{node:?}: {active}");
-            assert!((100.0..700.0).contains(&idle), "{node:?}: {idle}");
-        }
-    }
-
-    #[test]
-    fn usage_interpolates_power() {
-        let node = NodeGen::V100Node;
-        let full = node_average_power(node, Suite::Nlp, Fraction::ONE);
-        let zero = node_average_power(node, Suite::Nlp, Fraction::ZERO);
-        let half = node_average_power(node, Suite::Nlp, Fraction::HALF);
-        assert_eq!(full, node_active_power(node, Suite::Nlp));
-        assert_eq!(zero, node_idle_power(node));
-        assert!((half.as_w() - (full.as_w() + zero.as_w()) / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn annual_energy_at_40_percent_usage() {
-        // The paper's medium usage: a V100 node at 40% -> several MWh/yr.
-        let e = annual_node_energy(NodeGen::V100Node, Suite::Nlp, Fraction::new_unchecked(0.4));
-        assert!(e.as_mwh() > 3.0 && e.as_mwh() < 12.0, "{}", e.as_mwh());
-    }
-
-    #[test]
-    fn newer_nodes_use_less_energy_per_work() {
-        // The premise of RQ7: "newer hardware is typically more energy
-        // efficient and hence, results in lower energy consumption".
-        for suite in Suite::ALL {
-            let p = energy_per_throughput_unit(NodeGen::P100Node, suite);
-            let v = energy_per_throughput_unit(NodeGen::V100Node, suite);
-            let a = energy_per_throughput_unit(NodeGen::A100Node, suite);
-            assert!(p > v, "{suite:?}: p={p} v={v}");
-            assert!(v > a, "{suite:?}: v={v} a={a}");
         }
     }
 }

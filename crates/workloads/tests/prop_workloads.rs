@@ -1,13 +1,11 @@
 //! Property tests for the workload performance/power models.
 
-use hpcarbon_units::Fraction;
 use hpcarbon_workloads::benchmarks::{Suite, ALL_BENCHMARKS};
 use hpcarbon_workloads::gpus::GpuModel;
 use hpcarbon_workloads::nodes::NodeGen;
 use hpcarbon_workloads::perf::{
     comm_time, geomean, improvement_percent, node_throughput, sample_time, suite_scaling,
 };
-use hpcarbon_workloads::power::{node_average_power, node_idle_power};
 use proptest::prelude::*;
 
 fn any_node() -> impl Strategy<Value = NodeGen> {
@@ -100,17 +98,6 @@ proptest! {
         prop_assert!(g >= min - 1e-12 && g <= max + 1e-12);
         let scaled: Vec<f64> = xs.iter().map(|x| x * k).collect();
         prop_assert!((geomean(&scaled) - g * k).abs() < g * k * 1e-9);
-    }
-
-    /// Node average power interpolates monotonically in usage and stays
-    /// between idle and active.
-    #[test]
-    fn power_interpolation(node in any_node(), suite in any_suite(), u in 0.0..=1.0f64) {
-        let p = node_average_power(node, suite, Fraction::new_unchecked(u));
-        let idle = node_idle_power(node);
-        let active = node_average_power(node, suite, Fraction::ONE);
-        prop_assert!(p >= idle - hpcarbon_units::Power::from_w(1e-9));
-        prop_assert!(p <= active + hpcarbon_units::Power::from_w(1e-9));
     }
 
     /// Embodied with GPUs is strictly increasing and affine in count.

@@ -99,7 +99,7 @@ fn main() {
     // Absolute annual operational carbon, for scale.
     println!("\nAnnual operational carbon at 100% load (PUE 1.2):");
     for e in &entries {
-        let energy = Power::from_mw(e.power_mw) * TimeSpan::from_years(1.0);
+        let energy = Power::from_w(e.power_mw * 1e6) * TimeSpan::from_years(1.0);
         let carbon = operational_carbon(energy, Pue::DEFAULT, mean_intensity(e.region));
         println!("  {:<34} {:>12.0} tCO2", e.name, carbon.as_t());
     }

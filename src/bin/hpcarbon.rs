@@ -23,12 +23,15 @@
 //!
 //! Argument parsing is hand-rolled (the offline dependency set has no CLI
 //! crate); every subcommand prints plain text suitable for terminals and
-//! pipelines. Estimation itself — `estimate`, `advisor`, `schedule`,
+//! pipelines, through one locked stdout handle. When the reader closes
+//! the pipe early (`| head`, `| grep -q`), the command ends quietly with
+//! exit 0; any other failure to write stdout is an error, exit 1. Estimation itself — `estimate`, `advisor`, `schedule`,
 //! `sweep` — routes through the versioned front-door API
 //! ([`sustainable_hpc::api`]): the CLI only translates flags and files
 //! into [`EstimateRequest`]s and renders the returned
 //! [`FootprintReport`]s.
 
+use std::io::{self, Write};
 use sustainable_hpc::api::{batch_to_json, parse as api_parse, FlatIntensity, TraceSource};
 use sustainable_hpc::grid::analysis::regional_summary;
 use sustainable_hpc::prelude::*;
@@ -40,34 +43,51 @@ use sustainable_hpc::upgrade::savings::UsageLevel;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("estimate") => cmd_estimate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("figures") => cmd_figures(&args[1..]),
-        Some("parts") => cmd_parts(),
-        Some("systems") => cmd_systems(),
-        Some("regions") => cmd_regions(&args[1..]),
-        Some("advisor") => cmd_advisor(&args[1..]),
-        Some("schedule") => cmd_schedule(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("catalog") => cmd_catalog(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            0
-        }
-        Some(other) => {
-            eprintln!("unknown subcommand: {other}\n");
-            print_usage();
-            2
+    // Every subcommand writes its output through this one handle.
+    let mut stdout = io::stdout().lock();
+    let code = match run(&mut stdout, &args).and_then(|code| stdout.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader stopped reading (`| head`, `| grep -q`) and has what
+        // it asked for: end quietly, as a finished command would, so a
+        // `pipefail` pipeline does not fail on it.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("hpcarbon: cannot write to standard output: {e}");
+            1
         }
     };
     std::process::exit(code);
 }
 
-fn print_usage() {
-    println!(
+/// Runs the subcommand `args` names, writing its output to `stdout`.
+fn run(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
+    match args.first().map(String::as_str) {
+        Some("estimate") => cmd_estimate(stdout, &args[1..]),
+        Some("serve") => cmd_serve(stdout, &args[1..]),
+        Some("loadgen") => cmd_loadgen(stdout, &args[1..]),
+        Some("figures") => cmd_figures(stdout, &args[1..]),
+        Some("parts") => cmd_parts(stdout),
+        Some("systems") => cmd_systems(stdout),
+        Some("regions") => cmd_regions(stdout, &args[1..]),
+        Some("advisor") => cmd_advisor(stdout, &args[1..]),
+        Some("schedule") => cmd_schedule(stdout, &args[1..]),
+        Some("sweep") => cmd_sweep(stdout, &args[1..]),
+        Some("trace") => cmd_trace(stdout, &args[1..]),
+        Some("catalog") => cmd_catalog(stdout, &args[1..]),
+        Some("--help") | Some("-h") | None => print_usage(stdout).map(|()| 0),
+        Some(other) => {
+            eprintln!("unknown subcommand: {other}\n");
+            // Help for the error above, not the command's output: the
+            // status stays 2 whether or not it can be written.
+            let _ = print_usage(stdout);
+            Ok(2)
+        }
+    }
+}
+
+fn print_usage(stdout: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        stdout,
         "hpcarbon — carbon footprint estimation for HPC systems (SC'23 reproduction)\n\n\
          USAGE:\n  hpcarbon estimate --request FILE [--threads N] [--out FILE] [--catalog DIR]\n  \
          hpcarbon serve    [--addr A] [--shards N] [--workers N] [--cache N] [--max-body BYTES]\n                    \
@@ -147,7 +167,7 @@ fn print_usage() {
          a canonical catalog tree whose reload is bit-identical to the\n\
          shipped tables. estimate, sweep, and serve accept --catalog DIR\n\
          to swap that catalog in as the embodied-carbon source."
-    );
+    )
 }
 
 /// Reads `--flag value` from an argument list.
@@ -234,35 +254,35 @@ fn catalog_flag(args: &[String]) -> Result<Option<CatalogSource>, i32> {
     }
 }
 
-fn cmd_estimate(args: &[String]) -> i32 {
+fn cmd_estimate(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let Some(path) = flag(args, "--request") else {
         eprintln!("estimate requires --request FILE (a JSON EstimateRequest or array of them)");
-        return 2;
+        return Ok(2);
     };
     let src = match std::fs::read_to_string(&path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let requests = match EstimateRequest::batch_from_json(&src) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{path}: {e}");
-            return 2;
+            return Ok(2);
         }
     };
     let mut builder = Estimator::builder();
     match positive_flag(args, "--threads") {
         Ok(Some(n)) => builder = builder.threads(n),
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     match catalog_flag(args) {
         Ok(Some(source)) => builder = builder.embodied(source),
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     let results = builder.build().estimate_batch(&requests);
     let json = batch_to_json(&results);
@@ -273,13 +293,13 @@ fn cmd_estimate(args: &[String]) -> i32 {
                 if !parent.as_os_str().is_empty() {
                     if let Err(e) = std::fs::create_dir_all(parent) {
                         eprintln!("cannot create {}: {e}", parent.display());
-                        return 1;
+                        return Ok(1);
                     }
                 }
             }
             if let Err(e) = std::fs::write(&out, &json) {
                 eprintln!("cannot write {out}: {e}");
-                return 1;
+                return Ok(1);
             }
             eprintln!(
                 "estimated {} request(s) ({} ok, {errors} infeasible); wrote {out}",
@@ -287,9 +307,9 @@ fn cmd_estimate(args: &[String]) -> i32 {
                 results.len() - errors,
             );
         }
-        None => print!("{json}"),
+        None => write!(stdout, "{json}")?,
     }
-    0
+    Ok(0)
 }
 
 /// Parses `--flag value` as a `T` that `accept` admits; `Ok(None)` when
@@ -327,48 +347,48 @@ fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
     checked_flag(args, name, "a positive integer", |&n| n >= 1)
 }
 
-fn cmd_serve(args: &[String]) -> i32 {
+fn cmd_serve(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
     let mut config = sustainable_hpc::server::ServerConfig::default();
     match positive_flag(args, "--shards") {
         Ok(Some(n)) => config.shards = n,
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     match positive_flag(args, "--workers") {
         Ok(Some(n)) => config.workers = n,
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     // 0 is meaningful here: it disables the cache.
     match unsigned_flag(args, "--cache") {
         Ok(Some(n)) => config.cache_capacity = n,
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     match positive_flag(args, "--max-body") {
         Ok(Some(n)) => config.max_body_bytes = n,
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
 
     let estimator = match catalog_flag(args) {
         Ok(Some(source)) => Estimator::builder().embodied(source).build(),
         Ok(None) => Estimator::builder().build(),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let server = match Server::bind_with(&addr, config.clone(), estimator) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let bound = match server.local_addr() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("cannot resolve the bound address: {e}");
-            return 1;
+            return Ok(1);
         }
     };
 
@@ -385,51 +405,54 @@ fn cmd_serve(args: &[String]) -> i32 {
         std::thread::sleep(std::time::Duration::from_millis(50));
     });
 
-    println!(
+    writeln!(
+        stdout,
         "hpcarbon-server listening on http://{bound} ({} shards, {} workers, cache {} entries, body limit {} bytes)",
         config.shards, config.workers, config.cache_capacity, config.max_body_bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "routes: POST /v1/estimate | GET /healthz | GET /metrics — SIGTERM drains and exits 0"
-    );
+    )?;
     match server.run() {
         Ok(s) => {
-            println!(
+            writeln!(
+                stdout,
                 "graceful shutdown: drained; served {} http requests ({} estimate calls, {} cache hits / {} misses)",
                 s.http_requests, s.estimate_calls, s.cache_hits, s.cache_misses
-            );
-            0
+            )?;
+            Ok(0)
         }
         Err(e) => {
             eprintln!("server failed: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn cmd_loadgen(args: &[String]) -> i32 {
+fn cmd_loadgen(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
     let requests = match positive_flag(args, "--requests") {
         Ok(n) => n.unwrap_or(64),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let concurrency = match positive_flag(args, "--concurrency") {
         Ok(n) => n.unwrap_or(8),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let wait_s = match positive_flag(args, "--wait") {
         Ok(n) => n.unwrap_or(10),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     // 0 is meaningful (fail fast on the first refused connect), so this
     // is not a positive_flag.
     let connect_retries: u32 = match unsigned_flag(args, "--connect-retries") {
         Ok(n) => n.unwrap_or(2),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let seed: u64 = match unsigned_flag(args, "--seed") {
         Ok(s) => s.unwrap_or(2021),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
 
     // The workload: one file repeated (a single entry, cycled by the
@@ -440,7 +463,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
             Ok(src) => vec![src],
             Err(e) => {
                 eprintln!("cannot read {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         },
         None => {
@@ -453,14 +476,14 @@ fn cmd_loadgen(args: &[String]) -> i32 {
                     eprintln!(
                         "unknown --grid \"{other}\" (valid values: quick, shifting, default)"
                     );
-                    return 2;
+                    return Ok(2);
                 }
             };
             let mut cfg = SweepConfig::fast();
             match positive_flag(args, "--jobs") {
                 Ok(Some(n)) => cfg.jobs_per_scenario = n,
                 Ok(None) => {}
-                Err(c) => return c,
+                Err(c) => return Ok(c),
             }
             grid.sample_requests(requests, &cfg, seed)
                 .iter()
@@ -472,7 +495,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     if !sustainable_hpc::server::wait_healthz(&addr, std::time::Duration::from_secs(wait_s as u64))
     {
         eprintln!("server at {addr} did not answer /healthz within {wait_s}s");
-        return 1;
+        return Ok(1);
     }
     let (summary, first_body) = match sustainable_hpc::server::loadgen::run(&LoadGenConfig {
         addr: addr.clone(),
@@ -484,19 +507,19 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         Ok(out) => out,
         Err(e) => {
             eprintln!("loadgen failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
 
-    print!("{}", summary.render());
+    write!(stdout, "{}", summary.render())?;
     if let Some(path) = flag(args, "--save-response") {
         let Some(body) = first_body else {
             eprintln!("no response captured to save to {path}");
-            return 1;
+            return Ok(1);
         };
         if let Err(e) = std::fs::write(&path, body) {
             eprintln!("cannot write {path}: {e}");
-            return 1;
+            return Ok(1);
         }
         eprintln!("saved the first response body to {path}");
     }
@@ -505,111 +528,117 @@ fn cmd_loadgen(args: &[String]) -> i32 {
             if !parent.as_os_str().is_empty() {
                 if let Err(e) = std::fs::create_dir_all(parent) {
                     eprintln!("cannot create {}: {e}", parent.display());
-                    return 1;
+                    return Ok(1);
                 }
             }
         }
         if let Err(e) = std::fs::write(&path, summary.to_json()) {
             eprintln!("cannot write {path}: {e}");
-            return 1;
+            return Ok(1);
         }
         eprintln!("wrote the latency summary to {path}");
     }
     if summary.all_ok() {
-        0
+        Ok(0)
     } else {
         eprintln!(
             "loadgen observed failures: {} non-2xx, {} connect errors, {} i/o errors",
             summary.non_2xx, summary.connect_errors, summary.io_errors
         );
-        1
+        Ok(1)
     }
 }
 
-fn cmd_figures(args: &[String]) -> i32 {
+fn cmd_figures(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let seed: u64 = match unsigned_flag(args, "--seed") {
         Ok(s) => s.unwrap_or(2021),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let out = flag(args, "--out").unwrap_or_else(|| "out/paper".into());
     let dir = std::path::Path::new(&out);
     for a in sustainable_hpc::report::render_all(seed) {
         if let Err(e) = a.write_to(dir) {
             eprintln!("cannot write {}: {e}", dir.display());
-            return 1;
+            return Ok(1);
         }
-        println!("wrote {}/{}.{{txt,csv}}", dir.display(), a.id);
+        writeln!(stdout, "wrote {}/{}.{{txt,csv}}", dir.display(), a.id)?;
     }
-    0
+    Ok(0)
 }
 
-fn cmd_parts() -> i32 {
-    println!(
+fn cmd_parts(stdout: &mut impl Write) -> io::Result<i32> {
+    writeln!(
+        stdout,
         "{:<28} {:>9} {:>12} {:>13} {:>7}",
         "part", "kgCO2", "kg/TFLOPS", "kg/(GB/s)", "pack%"
-    );
+    )?;
     for p in sustainable_hpc::core::db::all_parts() {
         let s = p.spec();
         let fmt_opt = |v: Option<f64>| {
             v.map(|x| format!("{x:.2}"))
                 .unwrap_or_else(|| "-".to_string())
         };
-        println!(
+        writeln!(
+            stdout,
             "{:<28} {:>9.2} {:>12} {:>13} {:>6.1}%",
             s.part_name,
             s.embodied().total().as_kg(),
             fmt_opt(s.embodied_per_tflops()),
             fmt_opt(s.embodied_per_bandwidth()),
             s.embodied().packaging_share().percent(),
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
-fn cmd_systems() -> i32 {
+fn cmd_systems(stdout: &mut impl Write) -> io::Result<i32> {
     for sys in HpcSystem::table2() {
-        println!(
+        writeln!(
+            stdout,
             "{} ({}, {}) — total embodied {:.0} tCO2:",
             sys.name,
             sys.location,
             sys.year,
             sys.embodied_total().as_t()
-        );
+        )?;
         for (class, share) in sys.composition_shares() {
-            println!("  {:<5} {:>5.1}%", class.label(), share.percent());
+            writeln!(stdout, "  {:<5} {:>5.1}%", class.label(), share.percent())?;
         }
-        println!(
+        writeln!(
+            stdout,
             "  memory+storage: {:.1}%\n",
             sys.memory_storage_share().percent()
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
-fn cmd_regions(args: &[String]) -> i32 {
+fn cmd_regions(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let seed: u64 = match unsigned_flag(args, "--seed") {
         Ok(s) => s.unwrap_or(2021),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let traces = simulate_all_regions(2021, seed);
-    println!(
+    writeln!(
+        stdout,
         "{:<6} {:>8} {:>8} {:>8} {:>7}",
         "region", "q1", "median", "q3", "CoV%"
-    );
+    )?;
     for s in regional_summary(&traces) {
-        println!(
+        writeln!(
+            stdout,
             "{:<6} {:>8.1} {:>8.1} {:>8.1} {:>6.1}%",
             s.operator.info().short,
             s.boxplot.q1,
             s.boxplot.median,
             s.boxplot.q3,
             s.cov_percent
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
-fn cmd_advisor(args: &[String]) -> i32 {
+fn cmd_advisor(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     // The typed parsers are shared with the API's JSON request decoder:
     // a typo'd value gets an error naming the flag and listing the
     // accepted vocabulary instead of a silent fallback.
@@ -627,10 +656,10 @@ fn cmd_advisor(args: &[String]) -> i32 {
     };
     let (from, to) = match (node("--from"), node("--to")) {
         (Ok(Some(f)), Ok(Some(t))) => (f, t),
-        (Err(c), _) | (_, Err(c)) => return c,
+        (Err(c), _) | (_, Err(c)) => return Ok(c),
         _ => {
             eprintln!("advisor requires --from and --to (p100|v100|a100)");
-            return 2;
+            return Ok(2);
         }
     };
     let suite = match flag(args, "--suite") {
@@ -639,7 +668,7 @@ fn cmd_advisor(args: &[String]) -> i32 {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("{e}");
-                return 2;
+                return Ok(2);
             }
         },
     };
@@ -648,12 +677,12 @@ fn cmd_advisor(args: &[String]) -> i32 {
         Ok(u) => u
             .and_then(Fraction::new)
             .unwrap_or(UsageLevel::Medium.fraction()),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let physical = |&g: &f64| g.is_finite() && g >= 0.0;
     let intensity = match checked_flag(args, "--intensity", "a finite number ≥ 0", physical) {
         Ok(g) => g.unwrap_or(200.0),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
 
     // Build the request once; --region routes it at a simulated region's
@@ -669,7 +698,7 @@ fn cmd_advisor(args: &[String]) -> i32 {
                 Ok(op) => op,
                 Err(e) => {
                     eprintln!("{e}");
-                    return 2;
+                    return Ok(2);
                 }
             };
             req.region = op;
@@ -689,7 +718,7 @@ fn cmd_advisor(args: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("estimate failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
 
@@ -698,44 +727,60 @@ fn cmd_advisor(args: &[String]) -> i32 {
         usage,
         ..UpgradeScenario::paper_default(from, to, suite)
     };
-    println!(
+    writeln!(
+        stdout,
         "{} -> {} | {} | usage {} | grid {}",
         from.config().name,
         to.config().name,
         suite.label(),
         usage,
         grid_label
-    );
-    println!("  speedup           : {:.2}x", scenario.speedup());
-    println!("  upgrade embodied  : {}", scenario.upgrade_embodied());
-    println!(
+    )?;
+    writeln!(stdout, "  speedup           : {:.2}x", scenario.speedup())?;
+    writeln!(
+        stdout,
+        "  upgrade embodied  : {}",
+        scenario.upgrade_embodied()
+    )?;
+    writeln!(
+        stdout,
         "  annual energy     : {} -> {}",
         scenario.old_annual_energy(),
         scenario.new_annual_energy()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  median intensity  : {:.1} gCO2/kWh",
         report.grid.median_g_per_kwh
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  node annual       : {:.1} kgCO2",
         report.upgrade.node_annual_kg
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "  asymptotic saving : {:.1}%",
         report.upgrade.asymptotic_pct
-    );
+    )?;
     match report.upgrade.break_even_y {
-        Some(y) => println!("  break-even        : {y:.2} years"),
-        None => println!("  break-even        : never (no energy saving at this grid)"),
+        Some(y) => writeln!(stdout, "  break-even        : {y:.2} years")?,
+        None => writeln!(
+            stdout,
+            "  break-even        : never (no energy saving at this grid)"
+        )?,
     }
-    println!("  verdict           : {}", report.upgrade.verdict.label());
-    0
+    writeln!(
+        stdout,
+        "  verdict           : {}",
+        report.upgrade.verdict.label()
+    )?;
+    Ok(0)
 }
 
-fn cmd_sweep(args: &[String]) -> i32 {
+fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     if let Some(pos) = args.iter().position(|a| a == "--merge") {
-        return cmd_sweep_merge(args, pos);
+        return cmd_sweep_merge(stdout, args, pos);
     }
     let mut grid = if args.iter().any(|a| a == "--quick") {
         ScenarioGrid::quick()
@@ -746,11 +791,11 @@ fn cmd_sweep(args: &[String]) -> i32 {
     };
     let seed = match unsigned_flag::<u64>(args, "--seed") {
         Ok(s) => s,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let seeds = match unsigned_flag::<u64>(args, "--seeds") {
         Ok(n) => n,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     if let Some(n) = seeds {
         // N consecutive seeds starting at --seed (default 0): the knob
@@ -759,7 +804,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
         let seeds: Option<Vec<u64>> = (0..n).map(|i| base.checked_add(i)).collect();
         let Some(seeds) = seeds else {
             eprintln!("invalid --seeds \"{n}\" (--seed {base} plus {n} seeds passes u64::MAX)");
-            return 2;
+            return Ok(2);
         };
         grid = grid.seeds(seeds);
     } else if let Some(s) = seed {
@@ -769,24 +814,24 @@ fn cmd_sweep(args: &[String]) -> i32 {
     match positive_flag(args, "--jobs") {
         Ok(Some(n)) => config.jobs_per_scenario = n,
         Ok(None) => {}
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     }
     config.forecast = match forecast_flag(args) {
         Ok(f) => f,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     // Ingested trace files swap the grid onto the `file` source
     // dimension: each file backs its own zone's region; rows for
     // regions without a file fail soft as error rows.
     let gaps = match gaps_flag(args) {
         Ok(g) => g,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let mut trace_files = Vec::new();
     for path in flags(args, "--trace-file") {
         match load_trace_cli(&path, gaps) {
             Ok(p) => trace_files.push((p.operator, std::sync::Arc::new(p.trace))),
-            Err(c) => return c,
+            Err(c) => return Ok(c),
         }
     }
     if !trace_files.is_empty() {
@@ -797,24 +842,24 @@ fn cmd_sweep(args: &[String]) -> i32 {
             Ok(spec) => Some(spec),
             Err(e) => {
                 eprintln!("invalid --shard: {e}");
-                return 2;
+                return Ok(2);
             }
         },
         None => None,
     };
     let threads = match positive_flag(args, "--threads") {
         Ok(t) => t,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let top: usize = match unsigned_flag(args, "--top") {
         Ok(k) => k.unwrap_or(5),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
     let dir = std::path::Path::new(&out);
     let catalog = match catalog_flag(args) {
         Ok(c) => c,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
 
     let fingerprint = grid_fingerprint(&grid, &config);
@@ -823,19 +868,20 @@ fn cmd_sweep(args: &[String]) -> i32 {
         // and whose output files verify is already done.
         if let Ok(m) = ShardManifest::load_verified(dir) {
             if m.fingerprint == fingerprint && m.shard == spec {
-                println!(
+                writeln!(
+                    stdout,
                     "shard {spec} already complete in {} ({} rows, verified); nothing to do",
                     dir.display(),
                     m.rows.len()
-                );
-                return 0;
+                )?;
+                return Ok(0);
             }
         }
     }
 
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create {}: {e}", dir.display());
-        return 1;
+        return Ok(1);
     }
     let (csv_file, json_file) = match (
         std::fs::File::create(dir.join(CSV_FILE)),
@@ -844,7 +890,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
         (Ok(c), Ok(j)) => (std::io::BufWriter::new(c), std::io::BufWriter::new(j)),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("cannot write {}: {e}", dir.display());
-            return 1;
+            return Ok(1);
         }
     };
     // Shards emit document fragments that `--merge` concatenates; a
@@ -885,34 +931,37 @@ fn cmd_sweep(args: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sweep failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     if let Err(e) = std::io::Write::flush(&mut csv.into_inner())
         .and_then(|()| std::io::Write::flush(&mut json.into_inner()))
     {
         eprintln!("cannot write {}: {e}", dir.display());
-        return 1;
+        return Ok(1);
     }
 
     if let Some(spec) = shard {
-        println!(
+        writeln!(
+            stdout,
             "shard {spec}: rows {}..{} of {}",
             report.rows.start, report.rows.end, report.grid_len
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        stdout,
         "swept {} scenarios ({} ok, {} infeasible)\n",
         report.len(),
         report.ok,
         report.errors
-    );
-    print!("{}", report.summary_table());
-    println!("\nlowest scheduled carbon (top {top}):");
+    )?;
+    write!(stdout, "{}", report.summary_table())?;
+    writeln!(stdout, "\nlowest scheduled carbon (top {top}):")?;
     for row in &report.top {
         let o = row.outcome.as_ref().expect("top rows are ok");
         let s = &row.scenario;
-        println!(
+        writeln!(
+            stdout,
             "  #{:<4} {:<10} {:<9} {:<4} pue {:<9} {:<28} {:>9.1} kgCO2",
             s.id,
             s.system.label(),
@@ -921,7 +970,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
             s.pue.label(),
             s.policy.label(),
             o.sched_carbon_kg
-        );
+        )?;
     }
 
     if let Some(spec) = shard {
@@ -944,21 +993,22 @@ fn cmd_sweep(args: &[String]) -> i32 {
         };
         if let Err(e) = manifest.write(dir) {
             eprintln!("cannot write {}: {e}", dir.display());
-            return 1;
+            return Ok(1);
         }
-        println!(
+        writeln!(
+            stdout,
             "\nwrote {}/{{{CSV_FILE},{JSON_FILE},manifest.json}} (fragment)",
             dir.display()
-        );
+        )?;
     } else {
-        println!("\nwrote {}/sweep.{{csv,json}}", dir.display());
+        writeln!(stdout, "\nwrote {}/sweep.{{csv,json}}", dir.display())?;
     }
-    0
+    Ok(0)
 }
 
 /// `hpcarbon sweep --merge DIR...`: validate a complete shard partition
 /// and reassemble the canonical single-machine documents.
-fn cmd_sweep_merge(args: &[String], pos: usize) -> i32 {
+fn cmd_sweep_merge(stdout: &mut impl Write, args: &[String], pos: usize) -> io::Result<i32> {
     let dirs: Vec<std::path::PathBuf> = args[pos + 1..]
         .iter()
         .take_while(|a| !a.starts_with("--"))
@@ -966,28 +1016,30 @@ fn cmd_sweep_merge(args: &[String], pos: usize) -> i32 {
         .collect();
     if dirs.is_empty() {
         eprintln!("--merge requires one directory per shard");
-        return 2;
+        return Ok(2);
     }
     let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
     let out_dir = std::path::Path::new(&out);
     match merge_sweep_outputs(&dirs, out_dir) {
         Ok((rows, digests)) => {
-            println!(
+            writeln!(
+                stdout,
                 "merged {} shards ({rows} rows) -> {}/sweep.{{csv,json}}",
                 dirs.len(),
                 out_dir.display()
-            );
+            )?;
             for d in &digests {
-                println!(
+                writeln!(
+                    stdout,
                     "  {:<10} {:>9} bytes  fnv64 {:#018x}",
                     d.path, d.bytes, d.fnv64
-                );
+                )?;
             }
-            0
+            Ok(0)
         }
         Err(e) => {
             eprintln!("merge failed: {e}");
-            1
+            Ok(1)
         }
     }
 }
@@ -1001,94 +1053,96 @@ fn cmd_sweep_merge(args: &[String], pos: usize) -> i32 {
 ///   trace, suitable for golden `cmp` in CI;
 /// - `import FILE --out FILE` re-emits the canonical CSV form
 ///   (UTC stamps, gCO2/kWh, sorted hours) after validation.
-fn cmd_trace(args: &[String]) -> i32 {
+fn cmd_trace(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let Some(sub) = args.first().map(String::as_str) else {
         eprintln!("trace requires a subcommand (valid values: validate, stats, import)");
-        return 2;
+        return Ok(2);
     };
     let rest = &args[1..];
     let Some(path) = rest.first().filter(|a| !a.starts_with("--")).cloned() else {
         eprintln!("trace {sub} requires a FILE argument");
-        return 2;
+        return Ok(2);
     };
     let gaps = match gaps_flag(rest) {
         Ok(g) => g,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let parsed = match load_trace_cli(&path, gaps) {
         Ok(p) => p,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let zone = sustainable_hpc::grid::tracefile::zone_label(parsed.operator);
     match sub {
         "validate" => {
-            println!(
+            writeln!(
+                stdout,
                 "{path}: ok — zone {zone}, year {}, {} hours ({} filled)",
                 parsed.year,
                 parsed.trace.series().len(),
                 parsed.filled_hours
-            );
-            0
+            )?;
+            Ok(0)
         }
         "stats" => {
             let b = parsed.trace.boxplot();
-            println!("zone       : {zone}");
-            println!("year       : {}", parsed.year);
-            println!("hours      : {}", parsed.trace.series().len());
-            println!("filled     : {}", parsed.filled_hours);
-            println!("min        : {:.4}", b.min);
-            println!("q1         : {:.4}", b.q1);
-            println!("median     : {:.4}", b.median);
-            println!("mean       : {:.4}", b.mean);
-            println!("q3         : {:.4}", b.q3);
-            println!("max        : {:.4}", b.max);
-            println!("cov %      : {:.4}", parsed.trace.cov_percent());
-            0
+            writeln!(stdout, "zone       : {zone}")?;
+            writeln!(stdout, "year       : {}", parsed.year)?;
+            writeln!(stdout, "hours      : {}", parsed.trace.series().len())?;
+            writeln!(stdout, "filled     : {}", parsed.filled_hours)?;
+            writeln!(stdout, "min        : {:.4}", b.min)?;
+            writeln!(stdout, "q1         : {:.4}", b.q1)?;
+            writeln!(stdout, "median     : {:.4}", b.median)?;
+            writeln!(stdout, "mean       : {:.4}", b.mean)?;
+            writeln!(stdout, "q3         : {:.4}", b.q3)?;
+            writeln!(stdout, "max        : {:.4}", b.max)?;
+            writeln!(stdout, "cov %      : {:.4}", parsed.trace.cov_percent())?;
+            Ok(0)
         }
         "import" => {
             let Some(out) = flag(rest, "--out") else {
                 eprintln!("trace import requires --out FILE");
-                return 2;
+                return Ok(2);
             };
             let canonical = sustainable_hpc::grid::tracefile::write_trace_csv(&parsed.trace);
             if let Some(parent) = std::path::Path::new(&out).parent() {
                 if !parent.as_os_str().is_empty() {
                     if let Err(e) = std::fs::create_dir_all(parent) {
                         eprintln!("cannot create {}: {e}", parent.display());
-                        return 1;
+                        return Ok(1);
                     }
                 }
             }
             if let Err(e) = std::fs::write(&out, &canonical) {
                 eprintln!("cannot write {out}: {e}");
-                return 1;
+                return Ok(1);
             }
-            println!(
+            writeln!(
+                stdout,
                 "wrote {out} — zone {zone}, year {}, {} hours (canonical form)",
                 parsed.year,
                 parsed.trace.series().len()
-            );
-            0
+            )?;
+            Ok(0)
         }
         other => {
             eprintln!("unknown trace subcommand: {other} (valid values: validate, stats, import)");
-            2
+            Ok(2)
         }
     }
 }
 
-fn cmd_schedule(args: &[String]) -> i32 {
+fn cmd_schedule(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let jobs_n = match positive_flag(args, "--jobs") {
         Ok(n) => n.unwrap_or(300),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let seed: u64 = match unsigned_flag(args, "--seed") {
         Ok(s) => s.unwrap_or(7),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let slack: u32 = match unsigned_flag(args, "--slack") {
         Ok(h) => h.unwrap_or(24),
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     let source = if args.iter().any(|a| a == "--synthetic") {
         TraceSource::Synthetic
@@ -1097,7 +1151,7 @@ fn cmd_schedule(args: &[String]) -> i32 {
     };
     let forecast = match forecast_flag(args) {
         Ok(f) => f,
-        Err(c) => return c,
+        Err(c) => return Ok(c),
     };
     // One API batch: the same GB-anchored request under every policy,
     // with the CA partner site forced for ALL rows (`partner: true`) so
@@ -1134,7 +1188,7 @@ fn cmd_schedule(args: &[String]) -> i32 {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{}: {e}", policy.label());
-                return 1;
+                return Ok(1);
             }
         };
         rows.push(sustainable_hpc::report::tables::ShiftingRow {
@@ -1148,21 +1202,22 @@ fn cmd_schedule(args: &[String]) -> i32 {
             oracle_saved_pct: report.shift.oracle_saved_pct,
         });
     }
-    print!(
+    write!(
+        stdout,
         "{}",
         sustainable_hpc::report::tables::shifting_comparison(&rows)
-    );
-    0
+    )?;
+    Ok(0)
 }
 
 /// `hpcarbon catalog validate|list|show|export` — manage plain-text
 /// hardware catalogs (format spec: docs/CATALOG.md).
-fn cmd_catalog(args: &[String]) -> i32 {
+fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     use sustainable_hpc::catalog::{export_builtin, node_slug, part_slug, region_slug};
 
     let Some(sub) = args.first().map(String::as_str) else {
         eprintln!("catalog requires a subcommand (valid values: validate, list, show, export)");
-        return 2;
+        return Ok(2);
     };
     let rest = &args[1..];
 
@@ -1171,14 +1226,15 @@ fn cmd_catalog(args: &[String]) -> i32 {
         let out = flag(rest, "--out").unwrap_or_else(|| "catalog".into());
         return match export_builtin(&out) {
             Ok(()) => {
-                println!(
+                writeln!(
+                    stdout,
                     "exported the built-in tables to {out}/ (13 parts, 5 process nodes, 3 systems, 7 regions)"
-                );
-                0
+                )?;
+                Ok(0)
             }
             Err(e) => {
                 eprintln!("cannot write {out}: {e}");
-                1
+                Ok(1)
             }
         };
     }
@@ -1190,104 +1246,132 @@ fn cmd_catalog(args: &[String]) -> i32 {
             let n = errors.0.len();
             eprintln!("{errors}");
             eprintln!("{dir}: {n} catalog error(s)");
-            return 1;
+            return Ok(1);
         }
     };
 
     match sub {
         "validate" => {
-            println!(
+            writeln!(
+                stdout,
                 "{dir}: OK ({} parts, {} process nodes, {} systems, {} regions)",
                 catalog.parts().len(),
                 catalog.nodes().len(),
                 catalog.systems().len(),
                 catalog.regions().len()
-            );
-            0
+            )?;
+            Ok(0)
         }
         "list" => {
             for p in catalog.parts() {
-                println!("part          {:<22} {}", part_slug(p.spec.id), p.source);
+                writeln!(
+                    stdout,
+                    "part          {:<22} {}",
+                    part_slug(p.spec.id),
+                    p.source
+                )?;
             }
             for n in catalog.nodes() {
-                println!("process-node  {:<22} {}", node_slug(n.node), n.source);
+                writeln!(
+                    stdout,
+                    "process-node  {:<22} {}",
+                    node_slug(n.node),
+                    n.source
+                )?;
             }
             for s in catalog.systems() {
-                println!("system        {:<22} {}", s.id, s.source);
+                writeln!(stdout, "system        {:<22} {}", s.id, s.source)?;
             }
             for r in catalog.regions() {
-                println!("region        {:<22} {}", region_slug(r.id), r.source);
+                writeln!(
+                    stdout,
+                    "region        {:<22} {}",
+                    region_slug(r.id),
+                    r.source
+                )?;
             }
-            0
+            Ok(0)
         }
         "show" => {
             let Some(id) = rest.first().filter(|a| !a.starts_with("--")) else {
                 eprintln!("show requires an entity id (try `hpcarbon catalog list`)");
-                return 2;
+                return Ok(2);
             };
             if let Some(p) = catalog.parts().iter().find(|p| part_slug(p.spec.id) == *id) {
                 let spec = &p.spec;
-                println!("part {id} ({})", p.source);
-                println!("  part-name : {}", spec.part_name);
-                println!("  component : {}", spec.component);
-                println!(
+                writeln!(stdout, "part {id} ({})", p.source)?;
+                writeln!(stdout, "  part-name : {}", spec.part_name)?;
+                writeln!(stdout, "  component : {}", spec.component)?;
+                writeln!(
+                    stdout,
                     "  class     : {:<6} release {:04}-{:02}",
                     spec.class.label(),
                     spec.release.0,
                     spec.release.1
-                );
-                println!(
+                )?;
+                writeln!(
+                    stdout,
                     "  embodied  : {:.2} kgCO2 (packaging {:.1}%)",
                     spec.embodied().total().as_kg(),
                     spec.embodied().packaging_share().percent()
-                );
+                )?;
             } else if let Some(n) = catalog.nodes().iter().find(|n| node_slug(n.node) == *id) {
-                println!("process-node {id} ({})", n.source);
-                println!("  label : {}", n.label);
-                println!(
+                writeln!(stdout, "process-node {id} ({})", n.source)?;
+                writeln!(stdout, "  label : {}", n.label)?;
+                writeln!(
+                    stdout,
                     "  fab densities : fpa {} / gpa {} / mpa {} gCO2 per cm2",
                     n.densities.fpa.as_g_per_cm2(),
                     n.densities.gpa.as_g_per_cm2(),
                     n.densities.mpa.as_g_per_cm2()
-                );
+                )?;
             } else if let Some(s) = catalog.systems().iter().find(|s| s.id == *id) {
                 let sys = &s.system;
-                println!("system {id} ({})", s.source);
-                println!("  name     : {} — {}", sys.name, sys.location);
-                println!("  cores    : {}  deployed {}", sys.cores, sys.year);
-                println!("  bill of materials ({} link lines):", s.links.len());
+                writeln!(stdout, "system {id} ({})", s.source)?;
+                writeln!(stdout, "  name     : {} — {}", sys.name, sys.location)?;
+                writeln!(stdout, "  cores    : {}  deployed {}", sys.cores, sys.year)?;
+                writeln!(
+                    stdout,
+                    "  bill of materials ({} link lines):",
+                    s.links.len()
+                )?;
                 for link in &s.links {
                     let each = catalog
                         .part(link.part)
                         .expect("loaded catalogs resolve every link")
                         .embodied()
                         .total();
-                    println!(
+                    writeln!(
+                        stdout,
                         "    {}:{:<3} {:<22} x {:>6} = {:>8.1} tCO2",
                         s.source,
                         link.line,
                         part_slug(link.part),
                         link.count,
                         each.as_t() * link.count as f64
-                    );
+                    )?;
                 }
-                println!("  embodied total : {:.1} tCO2", sys.embodied_total().as_t());
+                writeln!(
+                    stdout,
+                    "  embodied total : {:.1} tCO2",
+                    sys.embodied_total().as_t()
+                )?;
             } else if let Some(r) = catalog.regions().iter().find(|r| region_slug(r.id) == *id) {
-                println!("region {id} ({})", r.source);
-                println!("  short   : {}", r.short);
-                println!("  name    : {}", r.name);
-                println!("  country : {} ({})", r.country, r.region);
+                writeln!(stdout, "region {id} ({})", r.source)?;
+                writeln!(stdout, "  short   : {}", r.short)?;
+                writeln!(stdout, "  name    : {}", r.name)?;
+                writeln!(stdout, "  country : {} ({})", r.country, r.region)?;
             } else {
                 eprintln!("{dir}: no entity with id \"{id}\" (try `hpcarbon catalog list`)");
-                return 1;
+                return Ok(1);
             }
-            0
+            Ok(0)
         }
         other => {
             eprintln!(
                 "unknown catalog subcommand \"{other}\" (valid values: validate, list, show, export)"
             );
-            2
+            Ok(2)
         }
     }
 }

@@ -18,8 +18,8 @@
 //! - [`workloads`] — the Table 4 benchmark models and Table 5 node
 //!   generations (roofline + allreduce performance, node power)
 //! - [`upgrade`] — the RQ7/RQ8 upgrade decision framework (Figs. 8–9)
-//! - [`sched`] — carbon-intensity-aware job scheduling with carbon
-//!   budgets (the paper's §4 implications, built)
+//! - [`sched`] — carbon-intensity-aware job scheduling (the scheduler
+//!   the paper's §4 implication calls for, built)
 //! - [`report`] — regeneration of every paper table and figure
 //! - [`api`] — the **single front door**: a versioned
 //!   `EstimateRequest → FootprintReport` API with pluggable providers

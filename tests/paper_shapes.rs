@@ -137,13 +137,16 @@ fn insight7_cross_region_scheduling_pays() {
     let gb = Cluster::new("gb", simulate_year(OperatorId::Eso, 2021, SEED), 64);
     let ca = Cluster::new("ca", simulate_year(OperatorId::Ciso, 2021, SEED), 64);
     let jobs = JobTraceGenerator::default_rates().generate(300, 5);
-    let fifo = Simulation::multi_region(vec![gb.clone(), ca.clone()], Policy::Fifo, &jobs).run();
+    let fifo = Simulation::multi_region(vec![gb.clone(), ca.clone()], Policy::Fifo, &jobs)
+        .try_run()
+        .expect("feasible");
     let aware = Simulation::multi_region(
         vec![gb, ca],
         Policy::RegionAndTime { horizon_hours: 24 },
         &jobs,
     )
-    .run();
+    .try_run()
+    .expect("feasible");
     assert!(
         aware.total_carbon.as_kg() < fifo.total_carbon.as_kg() * 0.9,
         "aware {} vs fifo {}",
@@ -211,7 +214,7 @@ fn table6_ladder() {
 fn eq1_composition_at_system_scale() {
     let sys = HpcSystem::perlmutter();
     let embodied = sys.embodied_total();
-    let annual_energy = Energy::from_mwh(20_000.0); // ~2.3 MW average IT draw
+    let annual_energy = Energy::from_kwh(20_000_000.0); // ~2.3 MW average IT draw
     let traces = simulate_all_regions(2021, SEED);
     let ciso = traces
         .iter()

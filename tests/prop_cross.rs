@@ -93,18 +93,18 @@ proptest! {
         seed in 0u64..50,
         start in 0u32..8760,
         hours in 1.0..200.0f64,
-        kw in 0.1..100.0f64,
+        watts in 100.0..100_000.0f64,
     ) {
         let trace = simulate_year(OperatorId::Ercot, 2021, seed % 5);
         let cluster = Cluster::new("x", trace.clone(), 8);
         let carbon = cluster.carbon_for(
             f64::from(start),
             TimeSpan::from_hours(hours),
-            Power::from_kw(kw),
+            Power::from_w(watts),
         );
-        let energy_kwh = kw * hours * cluster.pue;
-        let lo = trace.series().min() * energy_kwh;
-        let hi = trace.series().max() * energy_kwh;
+        let energy_kwh = watts / 1e3 * hours * cluster.pue;
+        let stats = trace.boxplot();
+        let (lo, hi) = (stats.min * energy_kwh, stats.max * energy_kwh);
         prop_assert!(carbon.as_g() >= lo - 1e-6);
         prop_assert!(carbon.as_g() <= hi + 1e-6);
     }

@@ -35,7 +35,7 @@ fn start_sharded(
     sustainable_hpc::server::ShutdownHandle,
     std::thread::JoinHandle<sustainable_hpc::server::ServeSummary>,
 ) {
-    let server = Server::bind(
+    let server = Server::bind_with(
         "127.0.0.1:0",
         ServerConfig {
             shards,
@@ -44,6 +44,7 @@ fn start_sharded(
             max_body_bytes: 64 * 1024,
             ..ServerConfig::default()
         },
+        Estimator::builder().build(),
     )
     .expect("bind an ephemeral port");
     let addr = server.local_addr().unwrap().to_string();
