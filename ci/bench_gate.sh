@@ -40,6 +40,11 @@
 #     contract (a row-cache miss on an already-built region-year takes
 #     its grid year from the estimator's bounded store instead of a
 #     dispatch simulation, same bytes);
+#   * serve/estimate_miss_repeat_run must beat serve/estimate_miss_new_run
+#     by ≥ MIN_RUN_STORE_SPEEDUP (3, fixed in this script) — the
+#     run-store contract (a row-cache miss whose scheduling run and
+#     seasonal-PUE year an earlier miss computed copies them from the
+#     estimator's stores, and rebuilds no trace, same bytes);
 #   * sweep/context/scenario_contexted_seasonal must beat
 #     sweep/context/scenario_contexted_cold_run by ≥ MIN_RUN_SPEEDUP (4,
 #     fixed in this script) — the run-cell contract (a contexted row whose
@@ -72,6 +77,7 @@ MIN_PLACE_SPEEDUP=1.4
 MIN_METRIC_SPEEDUP=4
 MIN_STORE_SPEEDUP=10
 MIN_RUN_SPEEDUP=4
+MIN_RUN_STORE_SPEEDUP=3
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -260,6 +266,22 @@ else
         fail=1
     else
         echo "OK: held-run rows beat cold-run rows by ${run_speedup}x (>= ${MIN_RUN_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1i: the run-store speedup contract --------------------------------
+new_run=$(extract "$OUT_DIR/BENCH_serve.json" | awk '$1 == "serve/estimate_miss_new_run" { print $2 }')
+repeat_run=$(extract "$OUT_DIR/BENCH_serve.json" | awk '$1 == "serve/estimate_miss_repeat_run" { print $2 }')
+if [[ -z "$new_run" || -z "$repeat_run" ]]; then
+    echo "FAIL: serve new-run/repeat-run benchmarks missing from BENCH_serve.json"
+    fail=1
+else
+    run_store_speedup=$(awk -v n="$new_run" -v r="$repeat_run" 'BEGIN { printf "%.1f", n / r }')
+    if awk -v s="$run_store_speedup" -v m="$MIN_RUN_STORE_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: run-store speedup ${run_store_speedup}x < required ${MIN_RUN_STORE_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: repeat-run misses beat new-run misses by ${run_store_speedup}x (>= ${MIN_RUN_STORE_SPEEDUP}x)"
     fi
 fi
 

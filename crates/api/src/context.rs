@@ -9,7 +9,8 @@
 //! [`crate::Estimator::context_for`] derives each distinct key's inputs
 //! once, and the [`EstimateContext`] it returns evaluates requests
 //! against them. A trace it does not hold comes from the estimator's
-//! [`crate::store`], and any other input from the providers.
+//! trace store ([`crate::store`]), and any other input from the
+//! providers.
 //!
 //! The same holds one layer further in. A scheduling run (layer 3) and
 //! a seasonal-PUE year (layer 4) read only a few request fields too, so
@@ -19,10 +20,19 @@
 //! reaches their layer; every later request with that key copies the
 //! cell's numbers instead of re-running the layer.
 //!
-//! A context lives for one batch. What lives across requests is the
-//! estimator's bounded trace store, which a single evaluation (the
-//! server's miss path) reads through an empty context. Building a
-//! context never touches the store.
+//! A context lives for one batch. What lives across requests are the
+//! estimator's three bounded stores ([`crate::store`]): region-year
+//! traces, and run and seasonal entries that hold what a run or seasonal
+//! cell holds, under the same keys. A single evaluation, the server's
+//! miss path, reads them through an empty context, so each of layers 2–4
+//! takes its value from the context, else its store, else computes it. A
+//! trace-store hit gives layer 2 its stats, and the trace is rebuilt
+//! from the entry only when layer 3 or 4 must run. The stores hold at
+//! most 32 traces (~2.2 MiB) and 256 runs and 256 seasonal years
+//! (~0.1 MiB together). Their fills nest run → trace and never the
+//! reverse, so concurrent misses cannot deadlock. A context holds a cell
+//! for every key of its requests, so a batch never reaches a store, and
+//! building a context never touches one.
 //!
 //! ## Byte-safety
 //!
@@ -157,7 +167,7 @@ pub(crate) struct RunKey {
     pub(crate) jobs: JobKey,
     /// GPUs in each cluster.
     pub(crate) cluster_gpus: u32,
-    /// `to_bits` of the resolved mean PUE, each cluster's `pue`.
+    /// `to_bits` of the request's mean PUE, each cluster's `pue`.
     pub(crate) pue_mean: u64,
     /// The policy's variant and the bits of its parameter.
     pub(crate) policy: (u8, u64),
@@ -172,7 +182,7 @@ pub(crate) struct RunKey {
 pub(crate) struct SeasonalKey {
     /// The primary region-year trace.
     pub(crate) trace: TraceKey,
-    /// `to_bits` of the resolved mean and amplitude.
+    /// `to_bits` of the request's seasonal mean and amplitude.
     pub(crate) pue: (u64, u64),
     /// `to_bits` of the node's annual IT energy in kWh.
     pub(crate) it_energy: u64,
@@ -201,9 +211,9 @@ pub struct EstimateContext<'e> {
 }
 
 impl<'e> EstimateContext<'e> {
-    /// A context holding nothing: every trace comes from `estimator`'s
-    /// trace store or intensity provider, every other input from its
-    /// providers, and every layer runs.
+    /// A context holding nothing: traces, scheduling runs and
+    /// seasonal-PUE years come from `estimator`'s stores or are computed,
+    /// and every other input comes from its providers.
     pub(crate) fn new(estimator: &'e Estimator) -> EstimateContext<'e> {
         EstimateContext {
             estimator,
@@ -216,9 +226,9 @@ impl<'e> EstimateContext<'e> {
     }
 
     /// Validates and evaluates one request against the held inputs and
-    /// cells. Keys the context does not hold go to the estimator's trace
-    /// store and providers, and layers without a cell run, so the report
-    /// equals [`Estimator::estimate`]'s, byte for byte.
+    /// cells. Keys the context does not hold go to the estimator's stores
+    /// and providers, so the report equals [`Estimator::estimate`]'s,
+    /// byte for byte.
     ///
     /// # Errors
     /// The [`ApiError`]s of [`Estimator::estimate`].
@@ -374,10 +384,95 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(calls.load(Ordering::Relaxed), 2);
-        let stats = est.trace_store_stats();
+        let stats = est.store_stats().traces;
         assert_eq!((stats.builds, stats.hits, stats.entries), (2, 7, 1));
         for rep in &reports {
             assert_eq!(*rep, est.estimate(&req(7)));
+        }
+    }
+
+    /// A request whose layers all reach their stores: a region-year run
+    /// under a seasonal PUE.
+    fn seasonal(seed: u64) -> EstimateRequest {
+        let mut r = req(seed);
+        r.pue = crate::types::PueSpec::Seasonal {
+            mean: 1.2,
+            amplitude: 0.1,
+        };
+        r
+    }
+
+    #[test]
+    fn a_third_miss_calls_no_provider_and_is_answered_from_the_run_store() {
+        // A spatio-temporal body: its run reads a partner trace too. The
+        // first miss builds both traces, the run and the seasonal year
+        // unkept; the second fills all four entries; the third takes each
+        // layer from its store, so no provider runs and the partner trace
+        // is never even looked up.
+        let (est, calls) = counting_estimator();
+        let mut r = seasonal(9);
+        r.policy = Policy::SpatioTemporal { slack_hours: 24 };
+        let first = est.estimate(&r).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(est.estimate(&r).unwrap(), first);
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
+        let before = est.store_stats();
+        assert_eq!(est.estimate(&r).unwrap(), first);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4,
+            "a third miss built a trace"
+        );
+        let after = est.store_stats();
+        let delta = |f: fn(&crate::store::StoreStats) -> crate::store::StoreCounters| {
+            let (a, b) = (f(&after), f(&before));
+            (a.hits - b.hits, a.builds - b.builds, a.entries)
+        };
+        assert_eq!(delta(|s| s.runs), (1, 0, 1), "the run came from the store");
+        assert_eq!(delta(|s| s.seasonal), (1, 0, 1));
+        assert_eq!(delta(|s| s.traces), (1, 0, 2), "only the primary's stats");
+        // A fresh estimator, whose stores are empty, agrees.
+        assert_eq!(counting_estimator().0.estimate(&r).unwrap(), first);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_run_key_fill_its_cell_once() {
+        // Eight bodies that differ only in fields the run does not read
+        // share one run key and one region-year. After one miss, the eight
+        // estimated at once run the scheduler exactly once more: the fill
+        // of the run store's cell. The others wait for it and hit.
+        let mut reqs = Vec::new();
+        for system in [SystemId::Frontier, SystemId::Lumi] {
+            for usage in [0.25, 0.5] {
+                for mut r in [req(7), seasonal(7)] {
+                    r.system = system;
+                    r.usage = hpcarbon_units::Fraction::new(usage).unwrap();
+                    reqs.push(r);
+                }
+            }
+        }
+        let (est, calls) = counting_estimator();
+        est.estimate(&reqs[0]).unwrap();
+        let barrier = std::sync::Barrier::new(reqs.len());
+        let reports: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = reqs
+                .iter()
+                .map(|r| {
+                    let (est, barrier) = (&est, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        est.estimate(r)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let runs = est.store_stats().runs;
+        assert_eq!((runs.builds, runs.hits, runs.entries), (2, 7, 1));
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "one trace fill");
+        let fresh = counting_estimator().0;
+        for (r, rep) in reqs.iter().zip(&reports) {
+            assert_eq!(*rep, fresh.estimate(r), "{r:?}");
         }
     }
 

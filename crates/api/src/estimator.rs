@@ -24,25 +24,27 @@
 //!
 //! ## What outlives a request
 //!
-//! Each estimator owns a bounded [`crate::store`] of region-year traces.
-//! A single evaluation ([`Estimator::estimate`],
-//! [`Estimator::estimate_valid`]) takes a trace from it before asking
-//! the intensity provider, so a server that answers many misses against
-//! a few region-years builds each one about twice, not once per miss.
-//! An entry is exactly what the pure provider returned, so the store
-//! changes latency, never bytes.
+//! Each estimator owns three bounded [`crate::store`]s: region-year
+//! traces, scheduling runs and seasonal-PUE years. A single evaluation
+//! ([`Estimator::estimate`], [`Estimator::estimate_valid`]) looks each
+//! of those layers up in its store before computing it, so a server that
+//! answers many misses against a few region-years, runs and seasonal
+//! years computes each one about twice, not once per miss. An entry is
+//! exactly what the layer computed from pure providers, so the stores
+//! change latency, never bytes.
 
 use crate::context::{
     EstimateContext, RequestKeys, RunKey, RunOutcome, SeasonalKey, TraceKey, TraceStats,
 };
 use crate::error::ApiError;
 use crate::providers::{
-    CatalogEmbodied, DispatchIntensity, EmbodiedSource, GeneratedJobs, IntensityProvider,
-    JobSource, PueProvider, RequestPue,
+    CatalogEmbodied, DispatchIntensity, EmbodiedSource, GeneratedJobs, IntensityProvider, JobSource,
 };
 use crate::report::{FootprintReport, OperationalSection, ShiftSection, Verdict};
 use crate::request::{EstimateRequest, ValidRequest};
-use crate::store::{TraceStore, TraceStoreStats};
+use crate::store::{
+    Found, Store, StoreStats, StoredTrace, RUN_CAPACITY, SEASONAL_CAPACITY, TRACE_CAPACITY,
+};
 use crate::types::{ForecastModel, PueSpec, StorageVariant, TraceSource};
 use hpcarbon_core::db::PartId;
 use hpcarbon_core::operational::Pue;
@@ -62,8 +64,9 @@ use hpcarbon_upgrade::savings::UpgradeScenario;
 use hpcarbon_upgrade::{Recommendation, UpgradeAdvisor};
 use hpcarbon_workloads::power::node_active_power;
 use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The span layer 4 accounts one reference node over.
 const YEAR: TimeSpan = TimeSpan::from_years(1.0);
@@ -121,7 +124,9 @@ impl EstimatorBuilder {
             embodied: self.embodied,
             threads: self.threads,
             trace_files: self.trace_files,
-            store: TraceStore::default(),
+            traces: Store::new(TRACE_CAPACITY),
+            runs: Store::new(RUN_CAPACITY),
+            seasonal: Store::new(SEASONAL_CAPACITY),
         }
     }
 }
@@ -143,13 +148,15 @@ pub struct Estimator {
     embodied: Box<dyn EmbodiedSource>,
     threads: Option<usize>,
     trace_files: BTreeMap<OperatorId, Arc<IntensityTrace>>,
-    store: TraceStore,
+    traces: Store<TraceKey, Arc<StoredTrace>>,
+    runs: Store<RunKey, RunOutcome>,
+    seasonal: Store<SeasonalKey, f64>,
 }
 
 impl Estimator {
     /// Starts a builder with the default providers ([`DispatchIntensity`],
-    /// [`CatalogEmbodied`]). PUE and job traces always come from
-    /// [`RequestPue`] and [`GeneratedJobs`].
+    /// [`CatalogEmbodied`]). Job traces always come from
+    /// [`GeneratedJobs`], and the PUE model is always the request's own.
     pub fn builder() -> EstimatorBuilder {
         EstimatorBuilder {
             intensity: Box::new(DispatchIntensity),
@@ -171,7 +178,7 @@ impl Estimator {
     /// the registered trace files already hold them. So are requests
     /// that fail [`EstimateRequest::validate`]: they never reach
     /// evaluation, and generating an oversized job trace could exhaust
-    /// memory. The estimator's trace store is neither read nor filled.
+    /// memory. The estimator's stores are neither read nor filled.
     ///
     /// The context also gets one empty cell per distinct scheduling run
     /// (layer 3) and per distinct seasonal-PUE year (layer 4) among the
@@ -197,7 +204,7 @@ impl Estimator {
             ctx.systems
                 .entry(k.system)
                 .or_insert_with(|| self.embodied.build_system(k.system));
-            let (run, seasonal) = cell_keys(r, &k, RequestPue.resolve(r.pue));
+            let (run, seasonal) = cell_keys(r, &k);
             ctx.runs.entry(run).or_default();
             if let Some(seasonal) = seasonal {
                 ctx.seasonal.entry(seasonal).or_default();
@@ -232,15 +239,15 @@ impl Estimator {
     /// the entry point for callers that need the [`ValidRequest`] anyway
     /// (the serving layer derives its cache key from it). Same pipeline,
     /// same bytes as [`Estimator::estimate`]. Both evaluate against an
-    /// empty context: traces come from the estimator's trace store or
-    /// its intensity provider, every other input from the providers, and
-    /// with no cells every layer runs. Only the store keeps anything for
-    /// the next request.
+    /// empty context: traces, scheduling runs and seasonal-PUE years come
+    /// from the estimator's stores or are computed, every other input
+    /// comes from the providers. Only the stores keep anything for the
+    /// next request.
     ///
     /// # Errors
     /// [`ApiError`] when the (valid) combination is infeasible at
     /// evaluation time — storage what-if without a source tier,
-    /// oversized shifting slack, a provider returning an unphysical PUE.
+    /// oversized shifting slack.
     pub fn estimate_valid(&self, valid: &ValidRequest) -> Result<FootprintReport, ApiError> {
         self.evaluate(valid, &EstimateContext::new(self))
     }
@@ -263,16 +270,21 @@ impl Estimator {
         par_map_workers(reqs, workers, |_, req| ctx.estimate(req))
     }
 
-    /// What the trace store has done so far: hits, provider builds and
-    /// the entries it holds now (the server's `trace_store_*` metrics).
-    pub fn trace_store_stats(&self) -> TraceStoreStats {
-        self.store.stats()
+    /// What the estimator's three stores have done so far: hits, builds
+    /// and the entries each holds now (the server's `trace_store_*`,
+    /// `run_store_*` and `seasonal_store_*` metrics).
+    pub fn store_stats(&self) -> StoreStats {
+        StoreStats {
+            traces: self.traces.counters(),
+            runs: self.runs.counters(),
+            seasonal: self.seasonal.counters(),
+        }
     }
 
-    /// The trace for `key`, with its stats when a context or the store
-    /// kept them. File-sourced keys resolve from the registered trace
-    /// files (never a provider); everything else is a context hit, a
-    /// trace-store hit, or the intensity provider.
+    /// The region-year for `key`, with its stats when a context or the
+    /// trace store kept them. File-sourced keys resolve from the
+    /// registered trace files (never a provider); everything else is a
+    /// context hit, a trace-store hit, or the intensity provider.
     ///
     /// # Errors
     /// [`ApiError::InvalidRequest`] when a file-sourced key has no
@@ -282,7 +294,7 @@ impl Estimator {
         &self,
         ctx: &EstimateContext<'_>,
         key: &TraceKey,
-    ) -> Result<(Arc<IntensityTrace>, Option<TraceStats>), ApiError> {
+    ) -> Result<(GridYear, Option<TraceStats>), ApiError> {
         if key.1 == TraceSource::File {
             let trace = self
                 .trace_files
@@ -297,34 +309,38 @@ impl Estimator {
                     reason: "does not match the registered trace file's year",
                 });
             }
-            return Ok((Arc::clone(trace), None));
+            return Ok((GridYear::Built(Arc::clone(trace)), None));
         }
         if let Some((trace, stats)) = ctx.traces.get(key) {
-            return Ok((Arc::clone(trace), Some(*stats)));
+            return Ok((GridYear::Built(Arc::clone(trace)), Some(*stats)));
         }
-        Ok(self.store.trace(*key, || {
-            self.intensity.year_trace(key.0, key.1, key.2, key.3)
-        }))
+        let build = || self.intensity.year_trace(key.0, key.1, key.2, key.3);
+        let keep = |trace: &Arc<IntensityTrace>| Arc::new(StoredTrace::of(trace));
+        Ok(match self.traces.get(*key, build, keep) {
+            Found::Unkept(trace) => (GridYear::Built(trace), None),
+            Found::Filled(trace, entry) => (GridYear::Built(trace), Some(entry.stats)),
+            Found::Stored(entry) => {
+                let stats = entry.stats;
+                (GridYear::Stored(entry, OnceCell::new()), Some(stats))
+            }
+        })
     }
 
     /// The five-layer pipeline. Mirrors the historical
     /// `sweep::run_scenario` computation exactly — the sweep now delegates
-    /// here, and its CSV/JSON output is a frozen contract. Every `ctx`
-    /// lookup falls back to the trace store or the provider, each
-    /// holding or computing the identical value, and a layer without a
-    /// cell in `ctx` runs; so neither changes bytes, only latency. `ctx`
-    /// is always one this estimator built.
+    /// here, and its CSV/JSON output is a frozen contract. Each of layers
+    /// 2–4 takes its value from `ctx`, else from the estimator's store,
+    /// else computes it; a context or store entry holds the identical
+    /// value, so neither changes bytes, only latency. `ctx` is always one
+    /// this estimator built.
     pub(crate) fn evaluate(
         &self,
         v: &ValidRequest,
         ctx: &EstimateContext<'_>,
     ) -> Result<FootprintReport, ApiError> {
         let r = v.request();
-        let pue = RequestPue.resolve(r.pue);
-        // The resolved model passes the same gate as a request's.
-        pue.validate()?;
         let keys = RequestKeys::of(r);
-        let (run_key, seasonal_key) = cell_keys(r, &keys, pue);
+        let (run_key, seasonal_key) = cell_keys(r, &keys);
 
         // Layer 1: embodied composition, with the storage what-if applied.
         let built_system;
@@ -346,33 +362,33 @@ impl Estimator {
         };
 
         // Layer 2: the regional grid year, from this request's own stream.
-        let (trace, stats) = self.trace_for(ctx, &keys.trace)?;
-        let stats = stats.unwrap_or_else(|| TraceStats::of(&trace));
+        // A trace-store hit brings its stats; its trace is rebuilt only if
+        // layer 3 or 4 below runs on it.
+        let (year, stats) = self.trace_for(ctx, &keys.trace)?;
+        let stats = stats.unwrap_or_else(|| TraceStats::of(year.trace()));
         let median = CarbonIntensity::from_g_per_kwh(stats.median_g_per_kwh);
 
-        // Layer 3: the scheduling run, once per run key the context holds.
-        let run = || self.schedule(ctx, r, &keys, pue, &trace);
-        let (operational, shift) = match ctx.runs.get(&run_key) {
-            Some(cell) => cell.get_or_init(run).clone(),
-            None => run(),
-        }?;
+        // Layer 3: the scheduling run, once per run key the context or the
+        // run store holds.
+        let (operational, shift) = held(&ctx.runs, &self.runs, run_key, || {
+            self.schedule(ctx, r, &keys, year.trace())
+        })?;
 
         // Layer 4: PUE-adjusted annual accounting of one reference node,
-        // the seasonal year once per seasonal key the context holds.
+        // the seasonal year once per seasonal key the context or the
+        // seasonal store holds.
         let it_energy = node_it_energy(r);
-        let node_annual_kg = match pue {
-            PueSpec::Constant(v) => (median * Pue::new(v).apply(it_energy)).as_kg(),
-            PueSpec::Seasonal { mean, amplitude } => {
-                // validate() above guarantees SeasonalPue's invariants.
-                let account = || {
+        let node_annual_kg = match (r.pue, seasonal_key) {
+            (PueSpec::Seasonal { mean, amplitude }, Some(key)) => {
+                held(&ctx.seasonal, &self.seasonal, key, || {
+                    // validate() guaranteed SeasonalPue's invariants.
                     let seasonal = SeasonalPue::new(mean, amplitude);
-                    account_with_seasonal_pue(&trace, &seasonal, 0, it_energy, YEAR).as_kg()
-                };
-                match seasonal_key.and_then(|k| ctx.seasonal.get(&k)) {
-                    Some(cell) => *cell.get_or_init(account),
-                    None => account(),
-                }
+                    account_with_seasonal_pue(year.trace(), &seasonal, 0, it_energy, YEAR).as_kg()
+                })
             }
+            // `cell_keys` keys every seasonal model, so this is a constant
+            // PUE: a single multiply.
+            _ => (median * Pue::new(r.pue.mean_value()).apply(it_energy)).as_kg(),
         };
 
         // Layer 5: the upgrade question at the region's median intensity.
@@ -381,7 +397,7 @@ impl Estimator {
             new: r.upgrade.to,
             suite: r.upgrade.suite,
             usage: r.usage,
-            pue: Pue::new(pue.mean_value()),
+            pue: Pue::new(r.pue.mean_value()),
         };
         let verdict = match UpgradeAdvisor::with_five_year_horizon().recommend(&upgrade, median) {
             Recommendation::Upgrade { .. } => Verdict::Upgrade,
@@ -419,11 +435,10 @@ impl Estimator {
         ctx: &EstimateContext<'_>,
         r: &EstimateRequest,
         keys: &RequestKeys,
-        pue: PueSpec,
         trace: &Arc<IntensityTrace>,
     ) -> RunOutcome {
         let mut cluster = Cluster::new(r.region.info().short, trace.clone(), r.cluster_gpus);
-        cluster.pue = pue.mean_value();
+        cluster.pue = r.pue.mean_value();
         let mut clusters = vec![cluster];
         // By default multi-region policies get a partner site (otherwise
         // the spatial axis would silently degenerate to the temporal one
@@ -434,9 +449,10 @@ impl Estimator {
         // from the same provider, seed stream and PUE — so the estimate
         // stays a pure function of the request and the providers.
         if let Some(pk) = keys.partner_trace {
-            let (partner_trace, _) = self.trace_for(ctx, &pk)?;
+            let (partner_year, _) = self.trace_for(ctx, &pk)?;
+            let partner_trace = Arc::clone(partner_year.trace());
             let mut partner = Cluster::new(pk.0.info().short, partner_trace, r.cluster_gpus);
-            partner.pue = pue.mean_value();
+            partner.pue = r.pue.mean_value();
             clusters.push(partner);
         }
         let jobs = match ctx.jobs.get(&keys.jobs) {
@@ -488,16 +504,12 @@ impl Estimator {
 }
 
 /// The cell keys of `r`'s scheduling run and, under a seasonal model,
-/// its seasonal-PUE year, for the keys `keys` and the resolved PUE
-/// `pue`. This is the one place the keys are written:
-/// [`Estimator::context_for`] creates cells under them and
-/// [`Estimator::evaluate`] looks them up, so each key holds exactly what
-/// its layer reads. Constant PUE is a single multiply and gets no cell.
-fn cell_keys(
-    r: &EstimateRequest,
-    keys: &RequestKeys,
-    pue: PueSpec,
-) -> (RunKey, Option<SeasonalKey>) {
+/// its seasonal-PUE year, for the keys `keys`. This is the one place the
+/// keys are written: [`Estimator::context_for`] creates cells under them
+/// and [`Estimator::evaluate`] looks them up in a context and in the
+/// estimator's stores, so each key holds exactly what its layer reads.
+/// Constant PUE is a single multiply and gets no key.
+fn cell_keys(r: &EstimateRequest, keys: &RequestKeys) -> (RunKey, Option<SeasonalKey>) {
     let policy = match r.policy {
         Policy::Fifo => (0, 0),
         Policy::ThresholdDefer {
@@ -514,11 +526,11 @@ fn cell_keys(
         partner_trace: keys.partner_trace,
         jobs: keys.jobs,
         cluster_gpus: r.cluster_gpus,
-        pue_mean: pue.mean_value().to_bits(),
+        pue_mean: r.pue.mean_value().to_bits(),
         policy,
         forecast: r.forecast.map(|m| (m, forecast_stream(r).seed())),
     };
-    let seasonal = match pue {
+    let seasonal = match r.pue {
         PueSpec::Constant(_) => None,
         PueSpec::Seasonal { mean, amplitude } => Some(SeasonalKey {
             trace: keys.trace,
@@ -527,6 +539,39 @@ fn cell_keys(
         }),
     };
     (run, seasonal)
+}
+
+/// Layers 3 and 4's lookup order: the context's cell for `key` when it
+/// has one, else the estimator's store, which runs `compute` on a miss.
+fn held<K: Copy + Ord, V: Clone>(
+    cells: &BTreeMap<K, OnceLock<V>>,
+    store: &Store<K, V>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> V {
+    match cells.get(&key) {
+        Some(cell) => cell.get_or_init(compute).clone(),
+        None => store.get(key, compute, V::clone).value(),
+    }
+}
+
+/// A region-year as layer 2 found it: a trace in hand, or a trace-store
+/// entry that the trace is rebuilt from on first use.
+enum GridYear {
+    /// A context hit, a registered trace file or a provider build.
+    Built(Arc<IntensityTrace>),
+    /// A trace-store hit and, once a layer has asked for it, its trace.
+    Stored(Arc<StoredTrace>, OnceCell<Arc<IntensityTrace>>),
+}
+
+impl GridYear {
+    /// The trace, rebuilt from a store entry at most once.
+    fn trace(&self) -> &Arc<IntensityTrace> {
+        match self {
+            GridYear::Built(trace) => trace,
+            GridYear::Stored(entry, trace) => trace.get_or_init(|| entry.rebuild()),
+        }
+    }
 }
 
 /// The request's `forecast` substream, which each cluster's forecast
@@ -933,8 +978,9 @@ mod tests {
     fn a_warm_store_never_changes_reported_bytes() {
         // Every region under both generated sources and three seeds, plus
         // a spatio-temporal request whose partner trace also goes through
-        // the store: the third estimate of a request is a store hit, and
-        // it must equal a fresh estimator's report.
+        // the store: the third estimate of a request takes its trace and
+        // its run from the stores, and it must equal a fresh estimator's
+        // report.
         let est = Estimator::builder().threads(1).build();
         let mut reqs = Vec::new();
         for region in OperatorId::ALL {
@@ -955,28 +1001,68 @@ mod tests {
         reqs.push(spatio);
         for r in &reqs {
             let fresh = Estimator::default().estimate(r);
-            let hits = est.trace_store_stats().hits;
+            let before = est.store_stats();
             for _ in 0..3 {
                 assert_eq!(est.estimate(r), fresh, "{r:?}");
             }
-            let traces = 1 + u64::from(RequestKeys::of(r).partner_trace.is_some());
-            assert_eq!(est.trace_store_stats().hits - hits, traces, "{r:?}");
+            // The third estimate hits the primary trace, for its stats, and
+            // the run, so a partner trace is not looked up again.
+            let after = est.store_stats();
+            assert_eq!(after.traces.hits - before.traces.hits, 1, "{r:?}");
+            assert_eq!(after.runs.hits - before.runs.hits, 1, "{r:?}");
         }
-        assert_eq!(est.trace_store_stats().entries, store::CAPACITY);
+        assert_eq!(est.store_stats().traces.entries, store::TRACE_CAPACITY);
+    }
+
+    #[test]
+    fn warm_stores_answer_every_cell_key_variant_exactly() {
+        // The stores' side of the key-completeness test above: each
+        // variant estimated three times in a row through one estimator
+        // (first sight, fill, hit in every store it reaches), in both
+        // orders, equals a fresh estimator's report. A key that dropped a
+        // field would let a variant hit the entry of the one before it.
+        let variants = cell_key_variants();
+        let fresh: Vec<_> = variants
+            .iter()
+            .map(|(_, r)| Estimator::default().estimate(r).unwrap())
+            .collect();
+        for order in [false, true] {
+            let est = Estimator::builder().threads(1).build();
+            let mut pairs: Vec<_> = variants.iter().map(|(_, r)| r).zip(&fresh).collect();
+            if order {
+                pairs.reverse();
+            }
+            for (r, rep) in pairs {
+                for _ in 0..3 {
+                    assert_eq!(est.estimate(r).as_ref(), Ok(rep), "{r:?}");
+                }
+            }
+            // The same twelve runs and seven seasonal years the context
+            // test counts, each built twice, whatever the order.
+            let stats = est.store_stats();
+            assert_eq!((stats.runs.entries, stats.runs.builds), (12, 24));
+            assert_eq!((stats.seasonal.entries, stats.seasonal.builds), (7, 14));
+        }
     }
 
     #[test]
     fn batches_leave_the_store_alone_and_skip_oversized_job_traces() {
+        // Repeated requests reaching all five layers, a seasonal year
+        // among them, touch none of the three stores: a batch's context
+        // holds every key its requests look up.
         let est = Estimator::builder().threads(1).build();
         let mut huge = req();
         huge.jobs = 1_000_000_000_000;
-        let out = est.estimate_batch(&[req(), req(), huge.clone()]);
-        assert!(out[0].is_ok() && out[1].is_ok());
+        let seasonal = cell_key_variants().swap_remove(0).1;
+        let batch = [req(), req(), seasonal.clone(), seasonal, huge.clone()];
+        let out = est.estimate_batch(&batch);
+        assert!(out[..4].iter().all(Result::is_ok));
         assert!(matches!(
-            out[2],
+            out[4],
             Err(ApiError::InvalidRequest { field: "jobs", .. })
         ));
-        assert_eq!(est.trace_store_stats(), TraceStoreStats::default());
+        est.estimate_batch(&batch);
+        assert_eq!(est.store_stats(), StoreStats::default());
         // A request that fails validation leaves no trace in a context.
         let ctx = est.context_for([&huge]);
         assert!(ctx.traces.is_empty() && ctx.jobs.is_empty() && ctx.systems.is_empty());

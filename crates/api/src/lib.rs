@@ -78,12 +78,12 @@ pub use error::{ApiError, ParseError};
 pub use estimator::{Estimator, EstimatorBuilder};
 pub use providers::{
     CatalogEmbodied, DispatchIntensity, EmbodiedSource, FlatIntensity, GeneratedJobs,
-    IntensityProvider, JobSource, PueProvider, RequestPue,
+    IntensityProvider, JobSource,
 };
 pub use report::{
     batch_from_json, batch_to_json, EmbodiedSection, FootprintReport, GridSection,
     OperationalSection, ShiftSection, UpgradeSection, Verdict,
 };
 pub use request::{EstimateRequest, ValidRequest, MAX_JOBS, POLICY_VALUES, SCHEMA_VERSION};
-pub use store::TraceStoreStats;
+pub use store::{StoreCounters, StoreStats};
 pub use types::{ForecastModel, PueSpec, StorageVariant, SystemId, TraceSource, UpgradePath};

@@ -1,10 +1,11 @@
 //! Pluggable data sources behind the estimator.
 //!
-//! Every axis a [`crate::FootprintReport`] depends on is a trait with a
-//! default implementation wrapping the in-repo models. The estimator's
+//! The data axes a [`crate::FootprintReport`] depends on are traits with
+//! a default implementation wrapping the in-repo models. The estimator's
 //! builder swaps the intensity and embodied providers, so a deployment
 //! can bring its own grid and inventory data without forking the
-//! pipeline; PUE and job traces always come from the defaults:
+//! pipeline; job traces always come from the default, and the PUE model
+//! is always the request's own:
 //!
 //! - [`IntensityProvider`] — where region-year carbon-intensity traces
 //!   come from ([`DispatchIntensity`] wraps the calibrated dispatch
@@ -12,8 +13,6 @@
 //!   is the constant-intensity stub behind `hpcarbon advisor`);
 //! - [`EmbodiedSource`] — where system inventories come from
 //!   ([`CatalogEmbodied`] wraps the Table 1/2 part catalog);
-//! - [`PueProvider`] — which PUE model applies ([`RequestPue`] honors
-//!   the request);
 //! - [`JobSource`] — where scheduling job traces come from
 //!   ([`GeneratedJobs`] wraps the seeded workload generator).
 //!
@@ -29,7 +28,7 @@
 //! *same* region-year, so the provider contract is "hand out a shared
 //! immutable value", never "copy".
 
-use crate::types::{PueSpec, SystemId, TraceSource};
+use crate::types::{SystemId, TraceSource};
 use hpcarbon_core::systems::HpcSystem;
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::sim::simulate_year;
@@ -98,14 +97,6 @@ impl<T: EmbodiedSource + ?Sized> EmbodiedSource for Arc<T> {
     fn part_spec(&self, part: hpcarbon_core::db::PartId) -> hpcarbon_core::db::PartSpec {
         (**self).part_spec(part)
     }
-}
-
-/// Resolves the PUE model a request runs under.
-pub trait PueProvider: Send + Sync {
-    /// Maps the request's PUE spec to the one actually applied. The
-    /// result is re-validated by the estimator, so a provider cannot
-    /// smuggle an unphysical model past the request gate.
-    fn resolve(&self, requested: PueSpec) -> PueSpec;
 }
 
 /// Default intensity provider: the paper's calibrated dispatch simulator
@@ -181,16 +172,6 @@ impl EmbodiedSource for CatalogEmbodied {
     }
 }
 
-/// Default PUE provider: the request's own PUE spec, unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RequestPue;
-
-impl PueProvider for RequestPue {
-    fn resolve(&self, requested: PueSpec) -> PueSpec {
-        requested
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +192,5 @@ mod tests {
         assert_eq!(t.boxplot().median, 200.0);
         assert_eq!(t.cov_percent(), 0.0);
         assert_eq!(t.series().len(), 8760);
-    }
-
-    #[test]
-    fn default_pue_provider_is_identity() {
-        let p = PueSpec::Seasonal {
-            mean: 1.2,
-            amplitude: 0.1,
-        };
-        assert_eq!(RequestPue.resolve(p), p);
     }
 }

@@ -14,13 +14,24 @@
 //! gate.
 //!
 //! `serve/estimate_miss_repeat_key` repeats one body at capacity 0: each
-//! call misses the row cache, evaluates, and takes its grid year from
-//! the estimator's trace store. Its ratio to `serve/estimate_uncached`
-//! is the trace-store speedup, held at ≥ 10x (`MIN_STORE_SPEEDUP`).
+//! call misses the row cache, evaluates, takes its grid year's stats
+//! from the estimator's trace store and its scheduling run from the run
+//! store, so no layer runs. Its ratio to `serve/estimate_uncached` is
+//! the store speedup, held at ≥ 10x (`MIN_STORE_SPEEDUP`).
+//!
+//! `serve/estimate_miss_repeat_run` and `serve/estimate_miss_new_run`
+//! are the same pair at `serve-grid`'s request shape (120 jobs,
+//! threshold-defer at 150 g/kWh, a seasonal PUE of 1.2 ± 0.1), both at
+//! capacity 0. The first repeats one body, so its trace, run and
+//! seasonal year all come from the stores; the second moves the
+//! threshold to a value no earlier call used, so every call rebuilds
+//! the stored trace and runs the scheduler. Their ratio is the run-store
+//! speedup, held at `MIN_RUN_STORE_SPEEDUP`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hpcarbon_api::{EstimateRequest, Estimator, SystemId};
+use hpcarbon_api::{EstimateRequest, Estimator, PueSpec, SystemId};
 use hpcarbon_grid::regions::OperatorId;
+use hpcarbon_sched::Policy;
 use hpcarbon_server::http::{read_request, RequestParser};
 use hpcarbon_server::{EstimateService, HttpRequest, Server, ServerConfig, ShardedLru};
 use std::hint::black_box;
@@ -37,6 +48,21 @@ fn request() -> EstimateRequest {
 
 fn request_body() -> String {
     request().to_json()
+}
+
+/// A `serve-grid` request: 120 jobs deferred below 150 g/kWh, priced
+/// under a seasonal PUE.
+fn grid_request(threshold_g_per_kwh: f64) -> EstimateRequest {
+    let mut r = request();
+    r.jobs = 120;
+    r.policy = Policy::ThresholdDefer {
+        threshold_g_per_kwh,
+    };
+    r.pue = PueSpec::Seasonal {
+        mean: 1.2,
+        amplitude: 0.1,
+    };
+    r
 }
 
 fn post(body: &str) -> HttpRequest {
@@ -65,13 +91,32 @@ fn estimate_paths(c: &mut Criterion) {
     });
 
     // One body at capacity 0: every call misses the row cache and takes
-    // its grid year from the trace store (a first sight and a fill
-    // prime it).
+    // its grid year and run from the stores (a first sight and a fill
+    // prime them).
     let repeat = EstimateService::new(Estimator::builder().build(), 0);
     let primed = repeat.handle(&req);
     assert_eq!(repeat.handle(&req).body, primed.body);
     c.bench_function("serve/estimate_miss_repeat_key", |b| {
         b.iter(|| black_box(repeat.handle(&req)))
+    });
+
+    // The same at `serve-grid`'s shape: every layer from a store.
+    let grid = EstimateService::new(Estimator::builder().build(), 0);
+    let grid_req = post(&grid_request(150.0).to_json());
+    let primed = grid.handle(&grid_req);
+    assert_eq!(grid.handle(&grid_req).body, primed.body);
+    c.bench_function("serve/estimate_miss_repeat_run", |b| {
+        b.iter(|| black_box(grid.handle(&grid_req)))
+    });
+
+    // Its region-year and seasonal year stored, but each call's threshold
+    // the next float above the last, so the run is new every time.
+    let mut threshold = 150.0_f64;
+    c.bench_function("serve/estimate_miss_new_run", |b| {
+        b.iter(|| {
+            threshold = f64::from_bits(threshold.to_bits() + 1);
+            black_box(grid.handle(&post(&grid_request(threshold).to_json())))
+        })
     });
 
     // Primed cache: every call is parse + canonical key + hit + emit.

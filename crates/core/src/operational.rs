@@ -19,9 +19,6 @@ impl Pue {
     /// fixes one constant; 1.2 is representative of recent HPC facilities).
     pub const DEFAULT: Pue = Pue(1.2);
 
-    /// An idealized free-cooled facility (Frontier reports ≈1.03).
-    pub const BEST_IN_CLASS: Pue = Pue(1.03);
-
     /// Creates a PUE value.
     ///
     /// # Panics

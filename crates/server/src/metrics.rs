@@ -12,7 +12,7 @@
 //! the README's "Serve & load-test" section; field names are a wire
 //! contract (CI greps them).
 
-use hpcarbon_api::TraceStoreStats;
+use hpcarbon_api::{StoreCounters, StoreStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -121,8 +121,8 @@ impl Metrics {
 
     /// Renders the `/metrics` document. `cache_entries` is sampled from
     /// the cache at render time (it is a gauge, not a counter), and
-    /// `store` from the estimator's trace store.
-    pub fn render(&self, cache_entries: usize, store: TraceStoreStats) -> String {
+    /// `stores` from the estimator's stores.
+    pub fn render(&self, cache_entries: usize, stores: StoreStats) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut out = String::with_capacity(1024);
         out.push_str("# hpcarbon-server metrics; counters are cumulative since boot.\n");
@@ -141,11 +141,15 @@ impl Metrics {
             ("hot_responses_total", g(&self.hot_responses)),
             ("conn_resets_total", g(&self.conn_resets)),
             ("worker_panics_total", g(&self.worker_panics)),
-            ("trace_store_hits_total", store.hits),
-            ("trace_store_builds_total", store.builds),
-            ("trace_store_entries", store.entries as u64),
         ] {
             out.push_str(&format!("{name} {value}\n"));
+        }
+        for (store, counters) in [
+            ("trace", stores.traces),
+            ("run", stores.runs),
+            ("seasonal", stores.seasonal),
+        ] {
+            store_lines(&mut out, store, counters);
         }
         if let Some(shards) = self.shards.get() {
             for (i, s) in shards.iter().enumerate() {
@@ -188,6 +192,14 @@ impl Metrics {
     }
 }
 
+/// One estimator store's lines: `{store}_store_hits_total`,
+/// `{store}_store_builds_total` and the `{store}_store_entries` gauge.
+fn store_lines(out: &mut String, store: &str, c: StoreCounters) {
+    out.push_str(&format!("{store}_store_hits_total {}\n", c.hits));
+    out.push_str(&format!("{store}_store_builds_total {}\n", c.builds));
+    out.push_str(&format!("{store}_store_entries {}\n", c.entries));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +221,7 @@ mod tests {
         m.observe_latency_us(50); // le=100
         m.observe_latency_us(800); // le=1000
         m.observe_latency_us(999_999); // +Inf
-        let text = m.render(0, TraceStoreStats::default());
+        let text = m.render(0, StoreStats::default());
         assert!(text.contains("estimate_latency_us_bucket{le=\"100\"} 1\n"));
         assert!(text.contains("estimate_latency_us_bucket{le=\"1000\"} 2\n"));
         assert!(text.contains("estimate_latency_us_bucket{le=\"100000\"} 2\n"));
@@ -221,12 +233,17 @@ mod tests {
     #[test]
     fn render_names_are_the_wire_contract() {
         // CI greps these names; a rename is a contract break.
-        let store = TraceStoreStats {
-            hits: 5,
-            builds: 3,
-            entries: 2,
+        let counters = |hits, builds, entries| StoreCounters {
+            hits,
+            builds,
+            entries,
         };
-        let text = Metrics::new().render(7, store);
+        let stores = StoreStats {
+            traces: counters(5, 3, 2),
+            runs: counters(11, 13, 17),
+            seasonal: counters(19, 23, 29),
+        };
+        let text = Metrics::new().render(7, stores);
         for name in [
             "http_requests_total 0",
             "responses_2xx_total 0",
@@ -240,6 +257,12 @@ mod tests {
             "trace_store_hits_total 5",
             "trace_store_builds_total 3",
             "trace_store_entries 2",
+            "run_store_hits_total 11",
+            "run_store_builds_total 13",
+            "run_store_entries 17",
+            "seasonal_store_hits_total 19",
+            "seasonal_store_builds_total 23",
+            "seasonal_store_entries 29",
         ] {
             assert!(text.contains(name), "missing {name:?} in:\n{text}");
         }
@@ -249,7 +272,7 @@ mod tests {
     fn shard_stats_render_labeled_lines() {
         let m = Metrics::new();
         assert!(
-            !m.render(0, TraceStoreStats::default()).contains("shard_"),
+            !m.render(0, StoreStats::default()).contains("shard_"),
             "no shard lines yet"
         );
         m.init_shards(2);
@@ -257,7 +280,7 @@ mod tests {
         m.shard(1).open_connections.store(4, Ordering::Relaxed);
         m.shard(1).readiness_events.fetch_add(9, Ordering::Relaxed);
         m.shard(0).wakeups.fetch_add(2, Ordering::Relaxed);
-        let text = m.render(0, TraceStoreStats::default());
+        let text = m.render(0, StoreStats::default());
         for line in [
             "shard_open_connections{shard=\"0\"} 3",
             "shard_open_connections{shard=\"1\"} 4",
@@ -269,7 +292,7 @@ mod tests {
         }
         // Re-initialization is a no-op (first caller wins).
         m.init_shards(5);
-        let again = m.render(0, TraceStoreStats::default());
+        let again = m.render(0, StoreStats::default());
         assert!(again.contains("shard_open_connections{shard=\"1\"} 4"));
         assert!(!again.contains("shard=\"2\""));
     }

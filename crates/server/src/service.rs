@@ -24,10 +24,11 @@
 //! impossible. The mixed case — a batch where some rows hit and some
 //! miss — therefore composes row by row without special cases.
 //!
-//! A row that misses the cache still skips most of its work when its
-//! region-year was built before: the estimator's trace store keeps
-//! recently repeated grid years (its counters are the `trace_store_*`
-//! metrics).
+//! A row that misses the cache still skips most of its work when an
+//! earlier miss shared its region-year, scheduling run or seasonal-PUE
+//! year: the estimator's stores keep the recently repeated ones (their
+//! counters are the `trace_store_*`, `run_store_*` and
+//! `seasonal_store_*` metrics).
 //!
 //! ## Panics
 //!
@@ -138,7 +139,7 @@ impl EstimateService {
     pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         // Unwind safety: a route shares only atomics, the estimator's
-        // trace store, whose lock never runs the provider, and the two
+        // stores, whose locks never run a build, and the two
         // caches, which are written after the estimate a panic would
         // come from. A panic leaves nothing shared half-done.
         let resp = panic::catch_unwind(AssertUnwindSafe(|| self.route(req))).unwrap_or_else(|_| {
@@ -155,7 +156,7 @@ impl EstimateService {
             ("GET", "/metrics") => HttpResponse::ok(
                 "text/plain; charset=utf-8",
                 self.metrics
-                    .render(self.cache.len(), self.estimator.trace_store_stats()),
+                    .render(self.cache.len(), self.estimator.store_stats()),
             ),
             ("POST", "/v1/estimate") => self.estimate(&req.body),
             ("GET", "/v1/estimate") | ("POST", "/healthz") | ("POST", "/metrics") => {
@@ -453,11 +454,18 @@ mod tests {
 
     #[test]
     fn uncached_misses_on_one_region_year_reach_the_trace_store() {
-        // Capacity 0: every call misses both caches and evaluates. The
-        // trace store builds the key's grid year twice (first sight,
-        // fill), then answers it, with the same bytes.
+        // Capacity 0: every call misses both caches and evaluates. Each
+        // store builds the body's grid year, scheduling run and
+        // seasonal-PUE year twice (first sight, fill), then answers them,
+        // with the same bytes.
         let svc = EstimateService::new(Estimator::builder().build(), 0);
-        let body = request_json();
+        let mut r = EstimateRequest::paper_baseline(SystemId::Frontier, OperatorId::Eso);
+        r.jobs = 30;
+        r.pue = hpcarbon_api::PueSpec::Seasonal {
+            mean: 1.2,
+            amplitude: 0.1,
+        };
+        let body = r.to_json();
         let answers: Vec<Vec<u8>> = (0..3).map(|_| svc.handle(&post(&body)).body).collect();
         assert!(answers.iter().all(|a| *a == answers[0]));
         let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();
@@ -466,6 +474,12 @@ mod tests {
             "trace_store_hits_total 1\n",
             "trace_store_builds_total 2\n",
             "trace_store_entries 1\n",
+            "run_store_hits_total 1\n",
+            "run_store_builds_total 2\n",
+            "run_store_entries 1\n",
+            "seasonal_store_hits_total 1\n",
+            "seasonal_store_builds_total 2\n",
+            "seasonal_store_entries 1\n",
         ] {
             assert!(metrics.contains(line), "missing {line:?} in {metrics}");
         }

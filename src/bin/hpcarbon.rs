@@ -194,7 +194,8 @@ fn gaps_flag(args: &[String]) -> Result<sustainable_hpc::grid::tracefile::GapPol
         Some(s) => match GapPolicy::parse(&s) {
             Some(p) => Ok(p),
             None => {
-                eprintln!("unknown --gaps \"{s}\" (valid values: reject, interpolate, hold)");
+                let valid = GapPolicy::VALUES.join(", ");
+                eprintln!("unknown --gaps \"{s}\" (valid values: {valid})");
                 Err(2)
             }
         },

@@ -96,8 +96,7 @@ pub use hpcarbon_workloads as workloads;
 pub mod prelude {
     pub use hpcarbon_api::{
         ApiError, EmbodiedSource, EstimateRequest, Estimator, EstimatorBuilder, FlatIntensity,
-        FootprintReport, IntensityProvider, PueProvider, PueSpec, StorageVariant, SystemId,
-        UpgradePath,
+        FootprintReport, IntensityProvider, PueSpec, StorageVariant, SystemId, UpgradePath,
     };
     pub use hpcarbon_catalog::{Catalog, CatalogSource};
     pub use hpcarbon_core::db::{PartId, PartSpec};

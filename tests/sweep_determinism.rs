@@ -253,6 +253,24 @@ fn cli_rejects_a_malformed_jobs_value() {
 }
 
 #[test]
+fn cli_lists_every_gap_policy_for_an_unknown_one() {
+    // The vocabulary comes from `GapPolicy::VALUES`, so the message and
+    // the parser cannot drift apart.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
+        .args(["trace", "stats", "tests/fixtures/traces/sample.csv"])
+        .args(["--gaps", "banana"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("hpcarbon runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "unknown --gaps \"banana\" (valid values: reject, interpolate, hold)\n"
+    );
+}
+
+#[test]
 fn cli_rejects_every_malformed_numeric_flag() {
     // Every numeric flag is strict: a value that does not parse, or is
     // out of range, exits 2 before any output exists instead of running
