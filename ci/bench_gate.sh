@@ -26,7 +26,7 @@
 #     ≥ MIN_GRID_SPEEDUP (1.3, fixed in this script) — the
 #     per-local-day grid-year contract (calendar inputs derived once per
 #     local date, not once per hour, with bit-identical traces), a pure
-#     ratio too;
+#     ratio too, its two medians taken from interleaved samples;
 #   * sched/greenest_window_place_120 must beat
 #     sched/greenest_window_place_120_reference by ≥ MIN_PLACE_SPEEDUP
 #     (1.4, fixed in this script) — the slot-rule contract (a candidate's
@@ -49,7 +49,12 @@
 #     sweep/context/scenario_contexted_cold_run by ≥ MIN_RUN_SPEEDUP (4,
 #     fixed in this script) — the run-cell contract (a contexted row whose
 #     scheduling run and seasonal-PUE year the context already holds
-#     copies their numbers instead of computing them, same bytes).
+#     copies their numbers instead of computing them, same bytes);
+#   * sim/fill_standard_normal_8760 must beat sim/standard_normal_8760 by
+#     ≥ MIN_NORMAL_BLOCK_SPEEDUP (1.2, fixed in this script) — the
+#     block-sampler contract (a year of standard-normal draws filled 64
+#     at a time with a branch-free accept, the same bits as drawing each
+#     on its own), its two medians taken from interleaved samples.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -78,6 +83,7 @@ MIN_METRIC_SPEEDUP=4
 MIN_STORE_SPEEDUP=10
 MIN_RUN_SPEEDUP=4
 MIN_RUN_STORE_SPEEDUP=3
+MIN_NORMAL_BLOCK_SPEEDUP=1.2
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -282,6 +288,22 @@ else
         fail=1
     else
         echo "OK: repeat-run misses beat new-run misses by ${run_store_speedup}x (>= ${MIN_RUN_STORE_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1j: the block-sampler speedup contract ----------------------------
+per_draw=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "sim/standard_normal_8760" { print $2 }')
+block_fill=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "sim/fill_standard_normal_8760" { print $2 }')
+if [[ -z "$per_draw" || -z "$block_fill" ]]; then
+    echo "FAIL: standard-normal sampler benchmarks missing from BENCH_trace.json"
+    fail=1
+else
+    normal_speedup=$(awk -v p="$per_draw" -v b="$block_fill" 'BEGIN { printf "%.2f", p / b }')
+    if awk -v s="$normal_speedup" -v m="$MIN_NORMAL_BLOCK_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: block standard-normal fill speedup ${normal_speedup}x < required ${MIN_NORMAL_BLOCK_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: the block standard-normal fill beats per-draw sampling by ${normal_speedup}x (>= ${MIN_NORMAL_BLOCK_SPEEDUP}x)"
     fi
 fi
 

@@ -1,7 +1,8 @@
 //! Benches for the trace layer: the strict CSV parser over a full
 //! 8760-hour year, the day-ahead harmonic forecast built and scored
-//! against its actual trace, and the dispatch simulator's grid year next
-//! to its per-hour reference.
+//! against its actual trace, the dispatch simulator's grid year next to
+//! its per-hour reference, and a year's worth of standard-normal draws
+//! filled a block at a time next to the per-draw sampler.
 //!
 //! `ci/bench_gate.sh` tracks every median against the committed
 //! baseline — parsing a year of real data sits on the CLI's hot path
@@ -9,7 +10,10 @@
 //! once per cluster per scenario under `--forecast`, and a grid year is
 //! built for every region-year a request or sweep has not seen. Its gate
 //! 1d also requires `grid/simulate_year` to beat
-//! `grid/simulate_year_per_hour` by a same-run ratio.
+//! `grid/simulate_year_per_hour` by a same-run ratio, and gate 1j
+//! `sim/fill_standard_normal_8760` to beat `sim/standard_normal_8760`.
+//! Each gated pair is measured with its samples interleaved
+//! (`bench_pair`), so load on a shared host reaches both sides alike.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_grid::forecast::day_ahead_harmonic_forecast;
@@ -17,6 +21,8 @@ use hpcarbon_grid::sim::{simulate_year, simulate_year_per_hour};
 use hpcarbon_grid::synth::synthesize_year;
 use hpcarbon_grid::tracefile::{parse_trace_csv, write_trace_csv, GapPolicy};
 use hpcarbon_grid::OperatorId;
+use hpcarbon_sim::dist::{fill_standard_normal, standard_normal};
+use hpcarbon_sim::rng::SimRng;
 use std::hint::black_box;
 
 fn trace(c: &mut Criterion) {
@@ -55,14 +61,44 @@ fn forecast(c: &mut Criterion) {
 /// reference it is checked against bit for bit.
 fn grid(c: &mut Criterion) {
     let mut g = c.benchmark_group("grid");
-    g.bench_function("simulate_year", |b| {
-        b.iter(|| black_box(simulate_year(black_box(OperatorId::Eso), 2021, 7)))
-    });
-    g.bench_function("simulate_year_per_hour", |b| {
-        b.iter(|| black_box(simulate_year_per_hour(black_box(OperatorId::Eso), 2021, 7)))
-    });
+    g.bench_pair(
+        "simulate_year",
+        |b| b.iter(|| black_box(simulate_year(black_box(OperatorId::Eso), 2021, 7))),
+        "simulate_year_per_hour",
+        |b| b.iter(|| black_box(simulate_year_per_hour(black_box(OperatorId::Eso), 2021, 7))),
+    );
     g.finish();
 }
 
-criterion_group!(benches, trace, forecast, grid);
+/// 8,760 standard-normal draws per iteration, one OU process's year,
+/// from a fresh seed-7 stream: filled a block at a time, beside the
+/// per-draw sampler whose bits the fill reproduces.
+fn sim(c: &mut Criterion) {
+    let mut out = vec![0.0f64; 8760];
+    let mut reference = vec![0.0f64; 8760];
+    let mut g = c.benchmark_group("sim");
+    g.bench_pair(
+        "fill_standard_normal_8760",
+        |b| {
+            b.iter(|| {
+                let mut rng = SimRng::seed_from(black_box(7));
+                fill_standard_normal(&mut rng, &mut out);
+                black_box(out[8759])
+            })
+        },
+        "standard_normal_8760",
+        |b| {
+            b.iter(|| {
+                let mut rng = SimRng::seed_from(black_box(7));
+                for x in reference.iter_mut() {
+                    *x = standard_normal(&mut rng);
+                }
+                black_box(reference[8759])
+            })
+        },
+    );
+    g.finish();
+}
+
+criterion_group!(benches, trace, forecast, grid, sim);
 criterion_main!(benches);

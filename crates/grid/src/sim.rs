@@ -19,15 +19,20 @@
 //! Over-supply hours curtail wind/solar (keeping must-run), like real
 //! system operators do.
 //!
-//! The calendar inputs of step 1 depend on the local date or only on the
+//! The shaping terms of steps 1–2 depend on the local date or only on the
 //! local hour. [`simulate_year`] therefore walks the year one *local* day
-//! at a time ([`HourlySeries::from_local_days`]): the weekend flag and the
-//! seasonal phase are derived once per local date, and the night-wind
-//! phase comes from a 24-entry table. Each input is the same expression
-//! on the same arguments as when it is derived from every hour's UTC
-//! stamp ([`RegionSim::step`], `simulate_year_per_hour`), so the trace
-//! is bit-identical. The OU draws, the shaping and the dispatch still run
-//! every hour.
+//! at a time ([`HourlySeries::from_local_days`]). Once per local date it
+//! derives the seasonal and weekend demand factors, the wind capacity
+//! factor before its night boost, and the solar day length, sunrise,
+//! sunset and irradiance (`DayContext`); the diurnal demand and
+//! night-wind factors come from 24-entry tables (`HourContext`). Each
+//! term is the same expression, with the same operand grouping, as when
+//! it is derived from every hour's UTC stamp ([`RegionSim::step`],
+//! `simulate_year_per_hour`), so the trace is bit-identical. Every hour
+//! still steps the four OU processes, evaluates the clear-sky elevation
+//! and dispatches. Each OU owns its substream and draws its noise 64 at
+//! a time (`hpcarbon_sim::process`), with the same values as drawing
+//! every hour's on its own.
 
 use crate::fuel::{Fuel, GenerationMix};
 use crate::regions::{OperatorId, RegionParams};
@@ -44,102 +49,126 @@ const DIURNAL_SHAPE: [f64; 24] = [
     0.70, 0.70, 0.75, 0.90, 1.00, 1.00, 0.80, 0.50, 0.00, -0.50,
 ];
 
-/// Deterministic inputs derived once per local date.
+/// A region's shaping terms that depend only on the local date.
 #[derive(Debug, Clone, Copy)]
 struct DayContext {
-    /// True on Saturday/Sunday (local).
-    weekend: bool,
-    /// Phase aligned so that 1.0 = mid-summer (Jun 21-ish), -1.0 =
-    /// mid-winter: the local day of year over the local year's length.
-    summer_phase: f64,
+    /// Demand's seasonal factor, `1 + seasonal_amp × phase`, with the
+    /// phase signed for the region's peak season.
+    seasonal: f64,
+    /// Demand's weekend factor: `weekend_factor` on a local Saturday or
+    /// Sunday, else 1.
+    weekend: f64,
+    /// Wind's capacity factor before the night boost:
+    /// `wind_cf_mean × winter`.
+    wind_base: f64,
+    /// Solar day length, hours.
+    daylen: f64,
+    /// Sunrise, local hours.
+    sunrise: f64,
+    /// Sunset, local hours.
+    sunset: f64,
+    /// Seasonal irradiance: stronger sun in summer even at equal day
+    /// length.
+    irradiance: f64,
 }
 
 impl DayContext {
-    fn on(local: CivilDate) -> DayContext {
+    fn on(params: &RegionParams, local: CivilDate) -> DayContext {
         let doy = f64::from(local.day_of_year());
         let days_in_year = f64::from(days_in_year(local.year()));
+        // 1.0 = mid-summer (Jun 21-ish), -1.0 = mid-winter: the local day
+        // of year over the local year's length.
+        let summer_phase = (std::f64::consts::TAU * (doy - 172.0) / days_in_year).cos();
+        let phase = if params.summer_peaking {
+            summer_phase
+        } else {
+            -summer_phase
+        };
+        let winter = 1.0 - params.wind_winter_boost * summer_phase;
+        let daylen = 12.0 + params.daylen_amp * summer_phase;
         DayContext {
-            weekend: local.weekday().is_weekend(),
-            summer_phase: (std::f64::consts::TAU * (doy - 172.0) / days_in_year).cos(),
+            seasonal: 1.0 + params.seasonal_amp * phase,
+            weekend: if local.weekday().is_weekend() {
+                params.weekend_factor
+            } else {
+                1.0
+            },
+            wind_base: params.wind_cf_mean * winter,
+            daylen,
+            sunrise: 12.0 - daylen / 2.0,
+            sunset: 12.0 + daylen / 2.0,
+            irradiance: 0.75 + 0.25 * summer_phase,
         }
     }
 }
 
-/// Phase of the night-wind boost at a local hour: 1.0 around 02:00,
-/// -1.0 around 14:00.
-fn night_phase(local_hour: usize) -> f64 {
-    (std::f64::consts::TAU * (local_hour as f64 - 2.0) / 24.0).cos()
-}
-
-/// Deterministic per-hour inputs derived from the calendar.
+/// A region's shaping terms that depend only on the local hour.
 struct HourContext {
     /// Local hour of day.
     local_hour: usize,
-    /// [`night_phase`] of the local hour.
-    night_phase: f64,
-    /// The local date's inputs.
-    day: DayContext,
+    /// Demand's diurnal factor, `1 + diurnal_amp × DIURNAL_SHAPE[hour]`.
+    diurnal: f64,
+    /// Wind's night factor: the boost peaks around 02:00 local and dips
+    /// around 14:00.
+    night: f64,
 }
 
 impl HourContext {
-    /// Every input derived from one UTC stamp: the per-hour reference
-    /// for the per-day walk in [`simulate_year`].
-    fn at(params: &RegionParams, utc: HourStamp) -> HourContext {
-        let local = params.tz.from_utc(utc);
-        let local_hour = local.hour() as usize;
+    fn at(params: &RegionParams, local_hour: usize) -> HourContext {
+        let night_phase = (std::f64::consts::TAU * (local_hour as f64 - 2.0) / 24.0).cos();
         HourContext {
             local_hour,
-            night_phase: night_phase(local_hour),
-            day: DayContext::on(local.date()),
+            diurnal: 1.0 + params.diurnal_amp * DIURNAL_SHAPE[local_hour],
+            night: 1.0 + params.wind_night_boost * night_phase,
         }
     }
 }
 
+/// Every shaping term derived from one UTC stamp: the per-hour reference
+/// for the per-day walk in [`simulate_year`].
+fn calendar(params: &RegionParams, utc: HourStamp) -> (DayContext, HourContext) {
+    let local = params.tz.from_utc(utc);
+    (
+        DayContext::on(params, local.date()),
+        HourContext::at(params, usize::from(local.hour())),
+    )
+}
+
 /// Demand in units of average demand.
-fn demand(params: &RegionParams, ctx: &HourContext, noise: f64) -> f64 {
-    let diurnal = 1.0 + params.diurnal_amp * DIURNAL_SHAPE[ctx.local_hour];
-    let phase = if params.summer_peaking {
-        ctx.day.summer_phase
-    } else {
-        -ctx.day.summer_phase
-    };
-    let seasonal = 1.0 + params.seasonal_amp * phase;
-    let weekend = if ctx.day.weekend {
-        params.weekend_factor
-    } else {
-        1.0
-    };
-    (diurnal * seasonal * weekend * (1.0 + noise)).max(0.05)
+fn demand(day: &DayContext, hour: &HourContext, noise: f64) -> f64 {
+    (hour.diurnal * day.seasonal * day.weekend * (1.0 + noise)).max(0.05)
 }
 
 /// Wind generation (units of average demand).
-fn wind_generation(params: &RegionParams, ctx: &HourContext, cf_dev: f64) -> f64 {
+fn wind_generation(
+    params: &RegionParams,
+    day: &DayContext,
+    hour: &HourContext,
+    cf_dev: f64,
+) -> f64 {
     if params.wind_cap <= 0.0 {
         return 0.0;
     }
-    let winter = 1.0 - params.wind_winter_boost * ctx.day.summer_phase;
-    // Night boost peaks around 02:00 local, dips around 14:00.
-    let night = 1.0 + params.wind_night_boost * ctx.night_phase;
-    let cf = (params.wind_cf_mean * winter * night + cf_dev).clamp(0.02, 0.95);
+    let cf = (day.wind_base * hour.night + cf_dev).clamp(0.02, 0.95);
     params.wind_cap * cf
 }
 
 /// Solar generation (units of average demand).
-fn solar_generation(params: &RegionParams, ctx: &HourContext, cloud_dev: f64) -> f64 {
+fn solar_generation(
+    params: &RegionParams,
+    day: &DayContext,
+    hour: &HourContext,
+    cloud_dev: f64,
+) -> f64 {
     if params.solar_cap <= 0.0 {
         return 0.0;
     }
-    let daylen = 12.0 + params.daylen_amp * ctx.day.summer_phase;
-    let rise = 12.0 - daylen / 2.0;
-    let set = 12.0 + daylen / 2.0;
-    let h = ctx.local_hour as f64 + 0.5; // mid-hour sun position
-    if h <= rise || h >= set {
+    let h = hour.local_hour as f64 + 0.5; // mid-hour sun position
+    if h <= day.sunrise || h >= day.sunset {
         return 0.0;
     }
-    let elevation = (std::f64::consts::PI * (h - rise) / daylen).sin();
-    // Seasonal irradiance: stronger sun in summer even at equal day length.
-    let irradiance = 0.75 + 0.25 * ctx.day.summer_phase;
-    let clear_sky = elevation.powf(1.2) * irradiance;
+    let elevation = (std::f64::consts::PI * (h - day.sunrise) / day.daylen).sin();
+    let clear_sky = elevation.powf(1.2) * day.irradiance;
     let cloud = (1.0 - (params.cloud_mean + cloud_dev)).clamp(0.10, 1.0);
     params.solar_cap * clear_sky * cloud
 }
@@ -189,16 +218,12 @@ fn dispatch(
 }
 
 /// A stateful per-region simulator: a deterministic stream of hourly
-/// generation mixes. [`RegionSim::step`] derives the hour's calendar
-/// inputs from its UTC stamp; `simulate_year_per_hour` loops over it.
+/// generation mixes. [`RegionSim::step`] derives the hour's shaping terms
+/// from its UTC stamp; `simulate_year_per_hour` loops over it.
 /// [`simulate_year`] feeds the same per-hour model from a walk over local
 /// days instead.
 pub struct RegionSim {
     params: RegionParams,
-    demand_rng: SimRng,
-    wind_rng: SimRng,
-    cloud_rng: SimRng,
-    outage_rng: SimRng,
     demand_ou: OrnsteinUhlenbeck,
     wind_ou: OrnsteinUhlenbeck,
     cloud_ou: OrnsteinUhlenbeck,
@@ -210,46 +235,24 @@ impl RegionSim {
     pub fn new(operator: OperatorId, seed: u64) -> RegionSim {
         let params = operator.params();
         let root = SimRng::seed_from(seed).substream(operator.info().short);
-        let mut demand_rng = root.substream("demand");
-        let mut wind_rng = root.substream("wind");
-        let mut cloud_rng = root.substream("cloud");
-        let mut outage_rng = root.substream("outage");
 
         // Region parameters specify the *stationary* standard deviation of
         // each OU process; convert to the volatility parameter
-        // (sd = σ/√(2θ)).
-        let vol = |sd: f64, theta: f64| sd * (2.0 * theta).sqrt();
-        let mut demand_ou = OrnsteinUhlenbeck::new(
-            0.0,
-            params.demand_theta,
-            vol(params.demand_sigma, params.demand_theta),
-            1.0,
-        );
-        let mut wind_ou = OrnsteinUhlenbeck::new(
-            0.0,
-            params.wind_theta,
-            vol(params.wind_sigma, params.wind_theta),
-            1.0,
-        );
-        let mut cloud_ou = OrnsteinUhlenbeck::new(
-            0.0,
-            params.cloud_theta,
-            vol(params.cloud_sigma, params.cloud_theta),
-            1.0,
-        );
+        // (sd = σ/√(2θ)). Each process draws from its own substream.
+        let process = |label: &str, sd: f64, theta: f64| {
+            let vol = sd * (2.0 * theta).sqrt();
+            let mut ou = OrnsteinUhlenbeck::new(0.0, theta, vol, 1.0, root.substream(label));
+            ou.reset_stationary();
+            ou
+        };
+        let demand_ou = process("demand", params.demand_sigma, params.demand_theta);
+        let wind_ou = process("wind", params.wind_sigma, params.wind_theta);
+        let cloud_ou = process("cloud", params.cloud_sigma, params.cloud_theta);
         // Nuclear fleet availability: multi-week planned/forced outage
         // excursions (theta 0.004/h ≈ 250 h correlation time).
-        let mut outage_ou = OrnsteinUhlenbeck::new(0.0, 0.004, vol(0.06, 0.004), 1.0);
-        demand_ou.reset_stationary(&mut demand_rng);
-        wind_ou.reset_stationary(&mut wind_rng);
-        cloud_ou.reset_stationary(&mut cloud_rng);
-        outage_ou.reset_stationary(&mut outage_rng);
+        let outage_ou = process("outage", 0.06, 0.004);
         RegionSim {
             params,
-            demand_rng,
-            wind_rng,
-            cloud_rng,
-            outage_rng,
             demand_ou,
             wind_ou,
             cloud_ou,
@@ -264,15 +267,16 @@ impl RegionSim {
 
     /// Advances one hour and returns the dispatched generation mix.
     pub fn step(&mut self, stamp: HourStamp) -> GenerationMix {
-        self.step_in(&HourContext::at(&self.params, stamp))
+        let (day, hour) = calendar(&self.params, stamp);
+        self.step_in(&day, &hour)
     }
 
-    /// Advances one hour whose calendar inputs are already derived.
-    fn step_in(&mut self, ctx: &HourContext) -> GenerationMix {
-        let d = demand(&self.params, ctx, self.demand_ou.step(&mut self.demand_rng));
-        let w = wind_generation(&self.params, ctx, self.wind_ou.step(&mut self.wind_rng));
-        let s = solar_generation(&self.params, ctx, self.cloud_ou.step(&mut self.cloud_rng));
-        let avail = (1.0 + self.outage_ou.step(&mut self.outage_rng)).clamp(0.75, 1.0);
+    /// Advances one hour whose shaping terms are already derived.
+    fn step_in(&mut self, day: &DayContext, hour: &HourContext) -> GenerationMix {
+        let d = demand(day, hour, self.demand_ou.step());
+        let w = wind_generation(&self.params, day, hour, self.wind_ou.step());
+        let s = solar_generation(&self.params, day, hour, self.cloud_ou.step());
+        let avail = (1.0 + self.outage_ou.step()).clamp(0.75, 1.0);
         dispatch(&self.params, d, w, s, avail)
     }
 }
@@ -281,22 +285,24 @@ impl RegionSim {
 /// trace. Deterministic in `(operator, year, seed)`.
 pub fn simulate_year(operator: OperatorId, year: i32, seed: u64) -> IntensityTrace {
     let mut sim = RegionSim::new(operator, seed);
-    let import_intensity = sim.params().import_intensity;
-    let tz = sim.params().tz;
-    let night: [f64; 24] = std::array::from_fn(night_phase);
-    let series = HourlySeries::from_local_days(year, tz, DayContext::on, |day, hour| {
-        let local_hour = usize::from(hour);
-        let ctx = HourContext {
-            local_hour,
-            night_phase: night[local_hour],
-            day: *day,
-        };
-        sim.step_in(&ctx).intensity(import_intensity).as_g_per_kwh()
-    });
+    // The day walk reads the parameters while `step_in` borrows `sim`.
+    let params = sim.params().clone();
+    let import_intensity = params.import_intensity;
+    let hours: [HourContext; 24] = std::array::from_fn(|h| HourContext::at(&params, h));
+    let series = HourlySeries::from_local_days(
+        year,
+        params.tz,
+        |date| DayContext::on(&params, date),
+        |day, hour| {
+            sim.step_in(day, &hours[usize::from(hour)])
+                .intensity(import_intensity)
+                .as_g_per_kwh()
+        },
+    );
     IntensityTrace::new(operator, series)
 }
 
-/// [`simulate_year`] with every calendar input re-derived from each hour's
+/// [`simulate_year`] with every shaping term re-derived from each hour's
 /// UTC stamp through [`RegionSim::step`]. Bit-identical and slower: the
 /// reference that the proptests compare against and the bench gate's
 /// baseline.
@@ -368,23 +374,25 @@ mod tests {
         let params = OperatorId::Ciso.params();
         let midnight_utc = HourStamp::new(CivilDate::new(2021, 6, 15).unwrap(), 8).unwrap();
         // UTC 08:00 = midnight PST.
-        let ctx = HourContext::at(&params, midnight_utc);
-        assert_eq!(ctx.local_hour, 0);
-        assert_eq!(solar_generation(&params, &ctx, 0.0), 0.0);
+        let (day, hour) = calendar(&params, midnight_utc);
+        assert_eq!(hour.local_hour, 0);
+        assert_eq!(solar_generation(&params, &day, &hour, 0.0), 0.0);
         // Local noon (UTC 20:00) in June: strong solar.
         let noon_utc = HourStamp::new(CivilDate::new(2021, 6, 15).unwrap(), 20).unwrap();
-        let ctx = HourContext::at(&params, noon_utc);
-        assert_eq!(ctx.local_hour, 12);
-        assert!(solar_generation(&params, &ctx, 0.0) > 0.4);
+        let (day, hour) = calendar(&params, noon_utc);
+        assert_eq!(hour.local_hour, 12);
+        assert!(solar_generation(&params, &day, &hour, 0.0) > 0.4);
     }
 
     #[test]
     fn solar_stronger_in_summer_than_winter() {
         let params = OperatorId::Ciso.params();
-        let summer = HourStamp::new(CivilDate::new(2021, 6, 21).unwrap(), 20).unwrap();
-        let winter = HourStamp::new(CivilDate::new(2021, 12, 21).unwrap(), 20).unwrap();
-        let s = solar_generation(&params, &HourContext::at(&params, summer), 0.0);
-        let w = solar_generation(&params, &HourContext::at(&params, winter), 0.0);
+        let solar_at = |utc: HourStamp| {
+            let (day, hour) = calendar(&params, utc);
+            solar_generation(&params, &day, &hour, 0.0)
+        };
+        let s = solar_at(HourStamp::new(CivilDate::new(2021, 6, 21).unwrap(), 20).unwrap());
+        let w = solar_at(HourStamp::new(CivilDate::new(2021, 12, 21).unwrap(), 20).unwrap());
         assert!(s > w, "summer {s} vs winter {w}");
     }
 
@@ -393,8 +401,8 @@ mod tests {
         let params = OperatorId::Ercot.params();
         let day = CivilDate::new(2021, 7, 14).unwrap(); // a Wednesday
         let at = |utc_hour: u8| {
-            let ctx = HourContext::at(&params, HourStamp::new(day, utc_hour).unwrap());
-            demand(&params, &ctx, 0.0)
+            let (day, hour) = calendar(&params, HourStamp::new(day, utc_hour).unwrap());
+            demand(&day, &hour, 0.0)
         };
         // CST: local 18:00 = UTC 0:00 next day; use UTC hours mapping to
         // local 3 AM (UTC 9) vs local 18:00 (UTC 0 of the same civil UTC day
@@ -408,18 +416,12 @@ mod tests {
     #[test]
     fn weekend_demand_is_lower() {
         let params = OperatorId::Eso.params();
-        let saturday = CivilDate::new(2021, 7, 17).unwrap();
-        let wednesday = CivilDate::new(2021, 7, 14).unwrap();
-        let d_sat = demand(
-            &params,
-            &HourContext::at(&params, HourStamp::new(saturday, 12).unwrap()),
-            0.0,
-        );
-        let d_wed = demand(
-            &params,
-            &HourContext::at(&params, HourStamp::new(wednesday, 12).unwrap()),
-            0.0,
-        );
+        let demand_at = |date: CivilDate| {
+            let (day, hour) = calendar(&params, HourStamp::new(date, 12).unwrap());
+            demand(&day, &hour, 0.0)
+        };
+        let d_sat = demand_at(CivilDate::new(2021, 7, 17).unwrap());
+        let d_wed = demand_at(CivilDate::new(2021, 7, 14).unwrap());
         assert!(d_sat < d_wed);
     }
 

@@ -116,12 +116,12 @@ impl SyntheticSpec {
     /// `(self, year, seed)` — see the module-level determinism contract.
     pub fn generate(&self, year: i32, seed: u64) -> IntensityTrace {
         let p = self.operator.params();
-        let mut rng = SimRng::seed_from(seed)
+        let rng = SimRng::seed_from(seed)
             .substream("synth")
             .substream(self.operator.info().short);
         let vol = self.noise_sd * (2.0 * self.noise_theta).sqrt();
-        let mut ou = OrnsteinUhlenbeck::new(0.0, self.noise_theta, vol, 1.0);
-        ou.reset_stationary(&mut rng);
+        let mut ou = OrnsteinUhlenbeck::new(0.0, self.noise_theta, vol, 1.0, rng);
+        ou.reset_stationary();
         let days = f64::from(days_in_year(year));
 
         let series = HourlySeries::from_fn(year, |stamp| {
@@ -139,7 +139,7 @@ impl SyntheticSpec {
             } else {
                 0.0
             };
-            let noise = ou.step(&mut rng);
+            let noise = ou.step();
             let v = self.mean_g_per_kwh * (1.0 + diurnal + seasonal + weekend + noise);
             v.clamp(self.floor_g_per_kwh, 850.0)
         });
