@@ -1,7 +1,8 @@
 //! Benches for the streaming scenario-sweep engine: rows evaluated
 //! through a per-run [`EstimateContext`] vs. the cold per-scenario path,
-//! serial vs. parallel streaming of the same grid, plus expansion and
-//! emission costs.
+//! one worker vs. the available parallelism over the same grid (both go
+//! through `par_map_workers` a block of rows at a time), plus expansion
+//! and emission costs.
 //!
 //! The contract gated in CI (`ci/bench_gate.sh`): a scenario evaluated
 //! through a pre-built context must beat the uncontexted `run_scenario`

@@ -1,9 +1,10 @@
 //! Structured data-parallel helpers over `std` scoped threads.
 //!
-//! The workspace's heavy computations (per-region year traces, per-policy
-//! scheduler sweeps, parameter grids) are embarrassingly parallel across
-//! independent work items. `par_map` provides a Rayon-like `map` with two
-//! guarantees the guides call out:
+//! The workspace's heavy computations (per-region year traces, the
+//! distinct traces of a batch, the rows of a sweep) are embarrassingly
+//! parallel across independent work items. `par_map` is the workspace's
+//! one parallel map: every data-parallel computation goes through it,
+//! and it gives two guarantees:
 //!
 //! 1. **Determinism** — results are returned in input order and any
 //!    randomness must be derived per-item (see [`crate::rng::SimRng::fork`]),
@@ -49,7 +50,8 @@ where
 /// affects only wall-clock time, never outputs (results return in input
 /// order and randomness must be forked per item, not per thread). Sweep
 /// determinism tests exercise exactly this property; `workers` is clamped
-/// to `[1, items.len()]`. A worker panic re-raises on the caller once every
+/// to `[1, items.len()]`. A worker that panics stops the others after the
+/// item each is running, and the panic re-raises on the caller once every
 /// worker has stopped.
 pub fn par_map_workers<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
@@ -71,6 +73,10 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let _stop = StopOnPanic {
+                        cursor: &cursor,
+                        end: n,
+                    };
                     let mut mine = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -91,6 +97,22 @@ where
     // restores input order.
     claimed.sort_unstable_by_key(|&(i, _)| i);
     claimed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Moves the cursor to the end of the items when its worker unwinds, so
+/// the other workers claim nothing more and the panic reaches the caller
+/// without the rest of the items being computed for nothing.
+struct StopOnPanic<'a> {
+    cursor: &'a AtomicUsize,
+    end: usize,
+}
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.cursor.store(self.end, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +222,25 @@ mod tests {
             })
         });
         assert!(result.is_err(), "a worker panic must not be swallowed");
+    }
+
+    #[test]
+    fn a_worker_panic_stops_the_other_workers() {
+        // Item 0 panics at once; every other item takes 1 ms. Without the
+        // stop, the surviving worker runs all 999 of them before the
+        // panic reaches the caller.
+        let ran = AtomicU64::new(0);
+        let items: Vec<u64> = (0..1000).collect();
+        let result = std::panic::catch_unwind(|| {
+            par_map_workers(&items, 2, |_, &x| {
+                assert!(x != 0, "injected fault on item 0");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        });
+        assert!(result.is_err(), "a worker panic must not be swallowed");
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran < 100, "{ran} of 999 items ran after item 0 panicked");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The streaming sweep executor: evaluate a grid over worker threads,
-//! restore grid order, and feed pluggable sinks.
+//! The sweep executor: evaluate a grid a block of rows at a time over
+//! worker threads and feed the rows to pluggable sinks in grid order.
 //!
 //! ## Architecture
 //!
@@ -27,26 +27,20 @@
 //! also holds one empty cell per distinct scheduling run and seasonal-PUE
 //! year among those rows; the first row to reach one fills it and every
 //! later row copies it, so the paper grid's 420 feasible rows make 21
-//! scheduling runs, not 420. Then it evaluates the shard's id range:
+//! scheduling runs, not 420. Then it evaluates the shard's id range one
+//! block of `64 × workers` ids at a time:
 //!
-//! - **workers** claim scenario ids from an atomic cursor, decode them
-//!   with [`ScenarioGrid::scenario_at`] (no grid materialization), and
-//!   push `(id, row)` results into a bounded channel;
-//! - the **merge** (caller thread) holds out-of-order arrivals in a
-//!   pending min-heap and forwards rows to the sinks in strictly
-//!   ascending id order;
-//! - a **reorder window** throttles workers: nobody may run more than
-//!   `window` ids ahead of the last forwarded row, so the heap, the
-//!   channel and the in-flight rows are all bounded by
-//!   O(threads + window) — sweep memory is independent of grid size.
+//! - [`par_map_workers`] spreads the block's ids over the workers, each
+//!   id decoded with [`ScenarioGrid::scenario_at`] (no grid
+//!   materialization) and evaluated, and returns the rows in id order;
+//! - the caller hands those rows to the sinks and the summary before the
+//!   next block starts, so at most one block of rows is held at a time
+//!   and sweep memory is independent of grid size.
 //!
 //! Determinism: rows are pure functions of their scenario (randomness
 //! forks from the seed dimension, never thread state) and sinks see
 //! them in grid order, so emitted bytes are **identical for every
 //! thread count and shard split** — the property CI `cmp`s.
-//!
-//! `threads(1)` bypasses the machinery entirely (a plain in-order loop)
-//! and is the byte reference the streaming path is tested against.
 
 use crate::grid::ScenarioGrid;
 use crate::scenario::ScenarioOutcome;
@@ -56,15 +50,17 @@ use crate::summary::SummaryAccumulator;
 use crate::table::{summary_markdown, MetricSummary, SweepRow};
 use hpcarbon_api::providers::EmbodiedSource;
 use hpcarbon_api::{Estimator, EstimatorBuilder, ForecastModel};
-use hpcarbon_sim::par::worker_count;
-use std::cmp::{Ordering as CmpOrdering, Reverse};
-use std::collections::BinaryHeap;
+use hpcarbon_sim::par::{par_map_workers, worker_count};
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
+
+/// Rows per worker in one block. A block of `BLOCK_ROWS_PER_WORKER ×
+/// workers` rows bounds what a run holds, and grows with the worker
+/// count so that each block's thread start-up stays a small share of
+/// its rows' work.
+const BLOCK_ROWS_PER_WORKER: usize = 64;
 
 /// Per-scenario workload knobs shared by every grid point.
 #[derive(Debug, Clone, Copy)]
@@ -222,7 +218,8 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Forces the worker count (1 = the serial byte-reference path).
+    /// Forces the worker count (default: the available parallelism).
+    /// The rows and their bytes are the same for every count.
     pub fn threads(mut self, threads: usize) -> Sweep<'a> {
         self.threads = Some(threads.max(1));
         self
@@ -324,13 +321,12 @@ impl<'a> Sweep<'a> {
         for sink in self.sinks.iter_mut() {
             sink.begin().map_err(SweepError::Sink)?;
         }
-        if workers == 1 {
-            for id in range.clone() {
-                deliver(&mut self.sinks, &mut acc, &row_at(id)).map_err(SweepError::Sink)?;
+        let block = BLOCK_ROWS_PER_WORKER * workers;
+        for start in range.clone().step_by(block) {
+            let ids: Vec<usize> = (start..range.end.min(start + block)).collect();
+            for row in par_map_workers(&ids, workers, |_, &id| row_at(id)) {
+                deliver(&mut self.sinks, &mut acc, &row).map_err(SweepError::Sink)?;
             }
-        } else {
-            stream(&row_at, range.clone(), workers, &mut self.sinks, &mut acc)
-                .map_err(SweepError::Sink)?;
         }
         for sink in self.sinks.iter_mut() {
             sink.finish().map_err(SweepError::Sink)?;
@@ -359,237 +355,12 @@ fn deliver(
     acc.row(row)
 }
 
-/// A worker result awaiting its turn in the merge heap, ordered by id.
-struct Pending(usize, SweepRow);
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Pending) -> bool {
-        self.0 == other.0
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Pending) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Pending) -> CmpOrdering {
-        self.0.cmp(&other.0)
-    }
-}
-
-/// The order-restoring merge: rows arrive in any completion order, come
-/// out in strictly ascending id order. Rows ahead of the next expected
-/// id wait in a min-heap; [`ReorderBuffer::pop_ready`] releases the
-/// contiguous run as soon as the gap closes. The proptest suite drives
-/// this with arbitrary permutations.
-pub(crate) struct ReorderBuffer {
-    pending: BinaryHeap<Reverse<Pending>>,
-    expected: usize,
-}
-
-impl ReorderBuffer {
-    /// A buffer expecting `start` as its first id.
-    pub(crate) fn new(start: usize) -> ReorderBuffer {
-        ReorderBuffer {
-            pending: BinaryHeap::new(),
-            expected: start,
-        }
-    }
-
-    /// The next id the merge will release.
-    pub(crate) fn expected(&self) -> usize {
-        self.expected
-    }
-
-    /// Rows currently held out of order.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn held(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Accepts one completed row (any order, each id exactly once).
-    pub(crate) fn push(&mut self, id: usize, row: SweepRow) {
-        debug_assert!(id >= self.expected, "id {id} released already");
-        self.pending.push(Reverse(Pending(id, row)));
-    }
-
-    /// Releases the next in-order row, if it has arrived.
-    pub(crate) fn pop_ready(&mut self) -> Option<SweepRow> {
-        if self
-            .pending
-            .peek()
-            .is_some_and(|Reverse(p)| p.0 == self.expected)
-        {
-            // `?` is unreachable here (the heap was just peeked Some)
-            // but keeps this path panic-free.
-            let Reverse(Pending(_, row)) = self.pending.pop()?;
-            self.expected += 1;
-            Some(row)
-        } else {
-            None
-        }
-    }
-}
-
-/// The multi-threaded streaming engine: evaluates `row_at(id)` for every
-/// id of `range`. See the module docs for the design; the invariants
-/// that keep it live and bounded:
-///
-/// - the reorder gate admits any id within `window` of the oldest
-///   unforwarded row, so the worker holding the row the merge is
-///   waiting for is never gated (its `id - start` is exactly the
-///   forwarded count);
-/// - the merge thread always drains the channel, so senders blocked on
-///   a full channel always progress;
-/// - on abort (sink error) the flag is raised under the gate lock and
-///   the receiver is dropped, releasing workers from both the gate and
-///   the channel;
-/// - a worker or merge that panics raises the same flag as it unwinds
-///   ([`AbortOnUnwind`]), so the other workers leave the gate, the
-///   channel disconnects once they have, the merge ends, and
-///   `std::thread::scope` panics on the caller.
-fn stream(
-    row_at: &(impl Fn(usize) -> SweepRow + Sync),
-    range: Range<usize>,
-    workers: usize,
-    sinks: &mut [&mut dyn RowSink],
-    acc: &mut SummaryAccumulator,
-) -> io::Result<()> {
-    let start = range.start;
-    let window = (workers * 4).max(64);
-    let cursor = AtomicUsize::new(start);
-    // Count of rows forwarded to sinks; the condvar gate wakes workers
-    // as it advances.
-    let forwarded = Mutex::new(0usize);
-    let gate = Condvar::new();
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = sync_channel::<Pending>(window);
-
-    let stop = AbortOnUnwind {
-        forwarded: &forwarded,
-        gate: &gate,
-        abort: &abort,
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let forwarded = &forwarded;
-            let gate = &gate;
-            let abort = &abort;
-            let range = range.clone();
-            let unwind = stop.clone();
-            scope.spawn(move || {
-                let _unwind = unwind;
-                loop {
-                    let id = cursor.fetch_add(1, Ordering::Relaxed);
-                    if id >= range.end {
-                        break;
-                    }
-                    {
-                        // The gate guards a plain u64 watermark that is
-                        // written in one store, so recovering a poisoned
-                        // lock can never observe torn state.
-                        let mut fwd = forwarded.lock().unwrap_or_else(PoisonError::into_inner);
-                        while !abort.load(Ordering::Relaxed) && id - start >= *fwd + window {
-                            fwd = gate.wait(fwd).unwrap_or_else(PoisonError::into_inner);
-                        }
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    if tx.send(Pending(id, row_at(id))).is_err() {
-                        break; // receiver gone: the run was aborted
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let _unwind = stop.clone();
-        let mut merge = ReorderBuffer::new(start);
-        let mut failure: Option<io::Error> = None;
-        'merge: while merge.expected() < range.end {
-            let Pending(id, row) = match rx.recv() {
-                Ok(item) => item,
-                // All workers exited early; the scope join below will
-                // propagate whatever panicked.
-                Err(_) => break,
-            };
-            merge.push(id, row);
-            let before = merge.expected();
-            while let Some(row) = merge.pop_ready() {
-                if let Err(e) = deliver(sinks, acc, &row) {
-                    failure = Some(e);
-                    break 'merge;
-                }
-            }
-            if merge.expected() != before {
-                let mut fwd = forwarded.lock().unwrap_or_else(PoisonError::into_inner);
-                *fwd = merge.expected() - start;
-                drop(fwd);
-                gate.notify_all();
-            }
-        }
-        // Tear down: raise the abort flag and drop the receiver to
-        // unblock senders. On the success path every worker has already
-        // exited via cursor exhaustion.
-        stop.raise();
-        drop(rx);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
-}
-
-/// The reorder gate's abort switch. [`AbortOnUnwind::raise`] sets the
-/// abort flag under the gate lock, so no worker re-checks it between
-/// testing and waiting, and wakes every gated worker. Held by each worker
-/// and by the merge, it also raises the flag when its holder unwinds:
-/// without that, a panicking row leaves the merge waiting for a row that
-/// never comes while the other workers wait at the gate, still holding
-/// their senders, so the channel never disconnects.
-#[derive(Clone)]
-struct AbortOnUnwind<'a> {
-    forwarded: &'a Mutex<usize>,
-    gate: &'a Condvar,
-    abort: &'a AtomicBool,
-}
-
-impl AbortOnUnwind<'_> {
-    /// Stops every worker at its next gate check.
-    fn raise(&self) {
-        {
-            let _fwd = self
-                .forwarded
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.abort.store(true, Ordering::Relaxed);
-        }
-        self.gate.notify_all();
-    }
-}
-
-impl Drop for AbortOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.raise();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::run_scenario;
     use crate::sink::{CollectSink, CsvSink, JsonSink};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn run_bytes(threads: usize, shard: Option<(usize, usize)>) -> (Vec<u8>, Vec<u8>, SweepReport) {
         let grid = ScenarioGrid::quick();
@@ -724,6 +495,83 @@ mod tests {
         }
     }
 
+    /// The built-in embodied source, counting `part_spec` calls: every
+    /// all-flash row makes exactly one, as its evaluation starts.
+    struct CountingSource(AtomicUsize);
+
+    impl EmbodiedSource for CountingSource {
+        fn build_system(&self, system: crate::SystemId) -> hpcarbon_core::systems::HpcSystem {
+            system.build()
+        }
+        fn part_spec(&self, part: hpcarbon_core::db::PartId) -> hpcarbon_core::db::PartSpec {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            part.spec()
+        }
+    }
+
+    /// Records how many rows evaluation ever ran ahead of this sink,
+    /// and fails at row `fail_at` when one is given.
+    struct LeadSink {
+        started: Arc<CountingSource>,
+        received: usize,
+        max_lead: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl RowSink for LeadSink {
+        fn row(&mut self, _: &SweepRow) -> io::Result<()> {
+            if self.fail_at == Some(self.received) {
+                return Err(io::Error::other("injected sink fault"));
+            }
+            let started = self.started.0.load(Ordering::Relaxed);
+            self.max_lead = self.max_lead.max(started - self.received);
+            self.received += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn evaluation_runs_at_most_one_block_ahead_of_the_sinks() {
+        let grid = ScenarioGrid::paper_default().storage([crate::StorageVariant::AllFlash]);
+        let sweep = |workers: usize, fail_at: Option<usize>| {
+            let started = Arc::new(CountingSource(AtomicUsize::new(0)));
+            let mut sink = LeadSink {
+                started: Arc::clone(&started),
+                received: 0,
+                max_lead: 0,
+                fail_at,
+            };
+            let result = Sweep::over(&grid)
+                .config(SweepConfig::fast())
+                .threads(workers)
+                .embodied(started)
+                .sink(&mut sink)
+                .run();
+            (result.map(|r| r.len()), sink)
+        };
+        for workers in [2, 3] {
+            let block = BLOCK_ROWS_PER_WORKER * workers;
+            assert!(grid.len() > block, "the grid must span more than one block");
+
+            let (rows, sink) = sweep(workers, None);
+            assert_eq!(rows.unwrap(), grid.len());
+            assert_eq!(sink.received, grid.len());
+            assert!(
+                sink.max_lead <= block,
+                "workers={workers}: evaluation ran {} rows ahead of a {block}-row block",
+                sink.max_lead
+            );
+
+            let (rows, sink) = sweep(workers, Some(10));
+            assert!(matches!(rows, Err(SweepError::Sink(_))));
+            let evaluated = sink.started.0.load(Ordering::Relaxed);
+            assert!(
+                evaluated <= block,
+                "workers={workers}: {evaluated} rows evaluated after the sink failed at row 10"
+            );
+        }
+    }
+
     /// Runs `sweep` on a thread of its own and waits at most a minute
     /// for it to panic: a sweep with a panicking row or sink must abort,
     /// and a hang fails this test instead of blocking the suite.
@@ -743,8 +591,7 @@ mod tests {
     fn a_panicking_row_aborts_the_sweep_instead_of_hanging() {
         // The first all-flash row (id 84) asks the embodied source for
         // the replacement SSD, and the source panics on that first call
-        // only. The other worker runs on to the reorder window's edge
-        // and waits at the gate.
+        // only. The other worker stops after the row it is running.
         struct PanicsOnce(AtomicBool);
         impl EmbodiedSource for PanicsOnce {
             fn build_system(&self, system: crate::SystemId) -> hpcarbon_core::systems::HpcSystem {
@@ -886,83 +733,6 @@ mod tests {
                     let e = r.outcome.as_ref().unwrap_err().to_string();
                     assert!(e.contains("no trace file registered"), "{e}");
                 }
-            }
-        }
-    }
-
-    mod reorder_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// A cheap marker row: the scenario id doubles as the payload.
-        fn marker(id: usize) -> SweepRow {
-            let mut sc = ScenarioGrid::quick().scenario_at(0);
-            sc.id = id;
-            SweepRow {
-                scenario: sc,
-                outcome: Err(crate::ScenarioError::InvalidPue(crate::PueSpec::Constant(
-                    0.5,
-                ))),
-            }
-        }
-
-        /// A seeded Fisher–Yates permutation of `0..n` (the vendored
-        /// proptest has no shuffle strategy).
-        fn permutation(n: usize, seed: u64) -> Vec<usize> {
-            let mut rng = hpcarbon_sim::rng::SimRng::seed_from(seed);
-            let mut perm: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                let j = rng.index(i + 1);
-                perm.swap(i, j);
-            }
-            perm
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            /// The merge restores serial order from ANY completion
-            /// order: pushing a random permutation of `start..start+n`
-            /// releases exactly `start..start+n`, ascending.
-            #[test]
-            fn any_completion_order_releases_serial_order(
-                start in 0usize..1000,
-                n in 0usize..64,
-                seed in 0u64..u64::MAX,
-            ) {
-                let perm = permutation(n, seed);
-                let mut merge = ReorderBuffer::new(start);
-                let mut released = Vec::new();
-                for &offset in &perm {
-                    merge.push(start + offset, marker(start + offset));
-                    while let Some(row) = merge.pop_ready() {
-                        released.push(row.scenario.id);
-                    }
-                }
-                let expected: Vec<usize> = (start..start + n).collect();
-                prop_assert_eq!(&released, &expected);
-                prop_assert_eq!(merge.held(), 0);
-                prop_assert_eq!(merge.expected(), start + n);
-            }
-
-            /// The buffer holds exactly the arrived-but-unreleasable
-            /// rows — the quantity the live engine's reorder window
-            /// bounds.
-            #[test]
-            fn held_rows_track_the_reorder_gap(seed in 0u64..u64::MAX) {
-                let perm = permutation(48, seed);
-                let mut merge = ReorderBuffer::new(0);
-                for (step, &id) in perm.iter().enumerate() {
-                    merge.push(id, marker(id));
-                    while merge.pop_ready().is_some() {}
-                    // Everything pushed so far that is >= expected is held.
-                    let held_expected = perm[..=step]
-                        .iter()
-                        .filter(|&&v| v >= merge.expected())
-                        .count();
-                    prop_assert_eq!(merge.held(), held_expected);
-                }
-                prop_assert_eq!(merge.expected(), 48);
             }
         }
     }

@@ -18,11 +18,11 @@
 //!   need (intensity traces, catalogs, job traces) once per run through
 //!   [`hpcarbon_api::Estimator::context_for`], whose cells also hold each
 //!   distinct scheduling run and seasonal-PUE year once the first row
-//!   has computed it; workers fan scenario ids out, an order-restoring
-//!   merge forwards rows **in grid order** to pluggable [`RowSink`]s, a
-//!   bounded reorder window keeps memory at O(threads), independent of
-//!   grid size, and a row or sink that panics aborts the run with that
-//!   panic ([`exec`], [`sink`]);
+//!   has computed it; it evaluates the rows a block of `64 × workers`
+//!   at a time through [`hpcarbon_sim::par::par_map_workers`] and
+//!   forwards each block **in grid order** to pluggable [`RowSink`]s, so
+//!   memory stays at O(threads), independent of grid size, and a row or
+//!   sink that panics aborts the run with that panic ([`exec`], [`sink`]);
 //! - [`CsvSink`] / [`JsonSink`] stream the frozen CSV/JSON documents,
 //!   [`SummaryAccumulator`] folds summary statistics and a top-k ranking
 //!   online ([`summary`]), and the returned [`SweepReport`] carries the
@@ -37,7 +37,7 @@
 //! Every scenario derives its randomness from its **own** parameters
 //! (seed dimension + fixed substream labels via
 //! [`hpcarbon_sim::rng::SimRng::substream`]), never from thread-local or
-//! shared state, and the merge forwards rows in grid order. Sweeping the
+//! shared state, and the executor forwards rows in grid order. Sweeping the
 //! same grid therefore produces **byte-identical CSV/JSON output for any
 //! worker count and any shard split** — `--threads 1`, `--threads N`, and
 //! sharded-then-merged runs all `cmp` equal in CI. The contract is

@@ -68,8 +68,8 @@ pub struct SinkDigest {
 ///   sweep had zero rows), and must flush;
 /// - a sink must not retain rows (O(1) memory in row count) unless
 ///   collecting is its documented purpose;
-/// - any error aborts the sweep — workers are torn down and the error
-///   surfaces from [`crate::Sweep::run`].
+/// - any error aborts the sweep — no further block of rows is evaluated
+///   and the error surfaces from [`crate::Sweep::run`].
 pub trait RowSink {
     /// Starts the stream (headers, array brackets, …).
     fn begin(&mut self) -> io::Result<()> {

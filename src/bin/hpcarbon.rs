@@ -935,12 +935,6 @@ fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
             return Ok(1);
         }
     };
-    if let Err(e) = std::io::Write::flush(&mut csv.into_inner())
-        .and_then(|()| std::io::Write::flush(&mut json.into_inner()))
-    {
-        eprintln!("cannot write {}: {e}", dir.display());
-        return Ok(1);
-    }
 
     if let Some(spec) = shard {
         writeln!(

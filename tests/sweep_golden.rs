@@ -16,13 +16,14 @@
 use sustainable_hpc::prelude::*;
 use sustainable_hpc::sweep::fnv1a64;
 
-/// Streams `grid` serially and returns the full (csv, json) documents.
-fn documents(grid: &ScenarioGrid) -> (Vec<u8>, Vec<u8>) {
+/// Streams `grid` over `threads` workers and returns the full (csv,
+/// json) documents.
+fn documents(grid: &ScenarioGrid, threads: usize) -> (Vec<u8>, Vec<u8>) {
     let mut csv = CsvSink::new(Vec::new());
     let mut json = JsonSink::new(Vec::new());
     Sweep::over(grid)
         .config(SweepConfig::fast())
-        .threads(1)
+        .threads(threads)
         .sink(&mut csv)
         .sink(&mut json)
         .run()
@@ -32,7 +33,7 @@ fn documents(grid: &ScenarioGrid) -> (Vec<u8>, Vec<u8>) {
 
 #[test]
 fn quick_grid_reproduces_the_committed_fixtures() {
-    let (csv, json) = documents(&ScenarioGrid::quick());
+    let (csv, json) = documents(&ScenarioGrid::quick(), 1);
     assert_eq!(
         csv,
         include_bytes!("fixtures/sweep_quick.csv"),
@@ -75,12 +76,17 @@ fn all_named_grids_match_their_recorded_digests() {
             0x34d6_9b5d_9618_ec0d,
         ),
     ];
+    // At 2 and 3 threads the 504-row default grid spans several blocks
+    // of rows, the last one partial.
     for (name, grid, csv_len, csv_fnv, json_len, json_fnv) in golden {
-        let (csv, json) = documents(&grid);
-        assert_eq!(csv.len(), csv_len, "{name} csv length");
-        assert_eq!(fnv1a64(&csv), csv_fnv, "{name} csv digest");
-        assert_eq!(json.len(), json_len, "{name} json length");
-        assert_eq!(fnv1a64(&json), json_fnv, "{name} json digest");
+        for threads in [1, 2, 3] {
+            let (csv, json) = documents(&grid, threads);
+            let at = format!("{name} at {threads} threads");
+            assert_eq!(csv.len(), csv_len, "{at}: csv length");
+            assert_eq!(fnv1a64(&csv), csv_fnv, "{at}: csv digest");
+            assert_eq!(json.len(), json_len, "{at}: json length");
+            assert_eq!(fnv1a64(&json), json_fnv, "{at}: json digest");
+        }
     }
 }
 
