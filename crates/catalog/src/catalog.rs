@@ -23,7 +23,7 @@ use std::path::Path;
 /// Construction goes through [`Catalog::load`], which is strict — a
 /// `Catalog` value **is** the proof that the directory passed every
 /// schema, cross-reference, and completeness check. Use
-/// [`crate::CatalogSource`] for the memoized provider form.
+/// [`crate::CatalogSource`] for the provider form.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     parts: Vec<PartEntity>,

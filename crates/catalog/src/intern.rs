@@ -5,9 +5,10 @@
 //! tables are literals and `PartSpec` stays `Copy`. Catalog-loaded
 //! strings get the same lifetime by interning: each distinct string is
 //! leaked **once** into a process-wide table and reused forever after.
-//! The leak is bounded — catalogs are memoized per directory (see
-//! [`crate::CatalogSource`]) and the intern table deduplicates across
-//! reloads, so repeated loads of the same catalog allocate nothing new.
+//! The leak is bounded by the distinct strings ever loaded: the table
+//! deduplicates across loads, so loading the same catalog again (a
+//! second [`crate::CatalogSource`], a `catalog` subcommand) allocates
+//! nothing new.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock, PoisonError};

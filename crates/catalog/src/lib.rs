@@ -27,7 +27,7 @@
 //!
 //! ## Pipeline
 //!
-//! Loading is strict — **load → validate → memoize**:
+//! Loading is strict — **load → validate**:
 //!
 //! 1. [`Catalog::load`] parses every entity file and validates field
 //!    schemas, vocabularies, cross-entity links, and estimation-grade
@@ -38,10 +38,9 @@
 //!    built-in tables produce ([`hpcarbon_core::db::PartSpec`],
 //!    [`hpcarbon_core::systems::HpcSystem`]), so every model downstream
 //!    runs unchanged.
-//! 3. [`CatalogSource::load`] memoizes catalogs per canonical directory
-//!    path and implements [`hpcarbon_api::providers::EmbodiedSource`],
-//!    plugging a catalog into the estimator, the sweep engine, and the
-//!    server.
+//! 3. [`CatalogSource::load`] wraps a loaded catalog in an `Arc` and
+//!    implements [`hpcarbon_api::providers::EmbodiedSource`], plugging
+//!    a catalog into the estimator, the sweep engine, and the server.
 //!
 //! ## Byte-identity guarantee
 //!

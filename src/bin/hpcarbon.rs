@@ -1,39 +1,30 @@
 //! `hpcarbon` — command-line front end to the sustainable-hpc framework.
 //!
-//! ```text
-//! hpcarbon estimate --request FILE [--threads N] [--out FILE] [--catalog DIR]
-//! hpcarbon serve    [--addr A] [--shards N] [--workers N] [--cache N] [--max-body BYTES]
-//!                   [--catalog DIR]
-//! hpcarbon loadgen  [--addr A] [--requests N] [--concurrency C] [--seed N]
-//!                   [--grid quick|shifting|default] [--jobs N] [--request FILE]
-//!                   [--wait S] [--connect-retries N] [--out FILE] [--save-response FILE]
-//! hpcarbon figures  [--seed N] [--out DIR]      regenerate all paper artifacts
-//! hpcarbon parts                                 embodied-carbon catalog review
-//! hpcarbon systems                               Fig. 5 composition of Table 2 systems
-//! hpcarbon regions  [--seed N]                   Fig. 6 regional intensity summary
-//! hpcarbon advisor  --from <node> --to <node> [--suite S] [--intensity G | --region R] [--usage F]
-//! hpcarbon schedule [--jobs N] [--seed N] [--slack H] [--synthetic] [--forecast M]
-//! hpcarbon sweep    [--seed N] [--seeds N] [--jobs N] [--threads N] [--out DIR]
-//!                   [--top K] [--quick | --shifting] [--shard i/N] [--catalog DIR]
-//!                   [--trace-file FILE]... [--forecast M] [--gaps P]
-//! hpcarbon sweep    --merge DIR... [--out DIR]
-//! hpcarbon trace    validate|stats|import       real-trace CSV ingestion
-//! hpcarbon catalog  validate|list|show|export   plain-text hardware catalogs
-//! ```
+//! `hpcarbon --help` prints `USAGE`, whose synopsis is also the argument
+//! grammar: each subcommand's arguments are checked against its usage
+//! entry before it runs (see `Entry`). An undeclared flag, a flag
+//! without its value, a repeated flag, two alternatives given together
+//! or a stray argument is one stderr line and exit 2, before anything is
+//! written.
 //!
 //! Argument parsing is hand-rolled (the offline dependency set has no CLI
 //! crate); every subcommand prints plain text suitable for terminals and
 //! pipelines, through one locked stdout handle. When the reader closes
 //! the pipe early (`| head`, `| grep -q`), the command ends quietly with
-//! exit 0; any other failure to write stdout is an error, exit 1. Estimation itself — `estimate`, `advisor`, `schedule`,
-//! `sweep` — routes through the versioned front-door API
+//! exit 0; any other failure to write stdout is an error, exit 1.
+//! Estimation itself — `estimate`, `advisor`, `schedule`, `sweep` —
+//! routes through the versioned front-door API
 //! ([`sustainable_hpc::api`]): the CLI only translates flags and files
 //! into [`EstimateRequest`]s and renders the returned
 //! [`FootprintReport`]s.
 
+use std::fmt::Display;
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use sustainable_hpc::api::{batch_to_json, parse as api_parse, FlatIntensity, TraceSource};
 use sustainable_hpc::grid::analysis::regional_summary;
+use sustainable_hpc::grid::tracefile::{GapPolicy, ParsedTrace};
 use sustainable_hpc::prelude::*;
 use sustainable_hpc::sweep::{
     grid_fingerprint, merge_sweep_outputs, OutputDigest, ShardManifest, ShardSpec, CSV_FILE,
@@ -41,17 +32,115 @@ use sustainable_hpc::sweep::{
 };
 use sustainable_hpc::upgrade::savings::UsageLevel;
 
+/// The `--help` text. Its synopsis declares every subcommand's
+/// arguments (see `Entry`), so what `--help` shows and what a command
+/// accepts cannot drift apart.
+const USAGE: &str = "\
+hpcarbon — carbon footprint estimation for HPC systems (SC'23 reproduction)
+
+USAGE:
+  hpcarbon estimate --request FILE [--threads N] [--out FILE] [--catalog DIR]
+  hpcarbon serve    [--addr A] [--shards N] [--workers N] [--cache N] [--max-body BYTES]
+                    [--catalog DIR]
+  hpcarbon loadgen  [--addr A] [--requests N] [--concurrency C] [--seed N]
+                    [--grid quick|shifting|default] [--jobs N] [--request FILE]
+                    [--wait S] [--connect-retries N] [--out FILE] [--save-response FILE]
+  hpcarbon figures  [--seed N] [--out DIR]
+  hpcarbon parts
+  hpcarbon systems
+  hpcarbon regions  [--seed N]
+  hpcarbon advisor  --from <p100|v100|a100> --to <p100|v100|a100>
+                    [--suite nlp|vision|candle] [--intensity G | --region R] [--usage F]
+  hpcarbon schedule [--jobs N] [--seed N] [--slack H] [--synthetic] [--forecast M]
+  hpcarbon sweep    [--seed N] [--seeds N] [--jobs N] [--threads N] [--out DIR]
+                    [--top K] [--quick | --shifting] [--shard i/N] [--catalog DIR]
+                    [--trace-file FILE]... [--forecast M] [--gaps reject|interpolate|hold]
+  hpcarbon sweep    --merge DIR... [--out DIR]
+  hpcarbon trace    validate FILE [--gaps P]
+  hpcarbon trace    stats    FILE [--gaps P]
+  hpcarbon trace    import   FILE --out FILE [--gaps P]
+  hpcarbon catalog  validate [--catalog DIR]
+  hpcarbon catalog  list     [--catalog DIR]
+  hpcarbon catalog  show ID  [--catalog DIR]
+  hpcarbon catalog  export   [--out DIR]
+
+serve puts the same front door behind a std-only epoll event
+loop (--shards readiness loops, cache hits answered in place;
+uncached estimation on --workers threads): POST /v1/estimate
+takes the estimate subcommand's exact request documents and
+answers with byte-identical reports; a sharded LRU cache keyed
+on canonical request bytes skips simulation for repeated
+queries without changing a byte. GET /healthz and GET /metrics
+expose liveness and counters (incl. per-shard gauges); SIGTERM
+drains in-flight requests and exits 0.
+
+loadgen fires N concurrent requests (sampled from a scenario
+grid under a fixed seed, or one --request file repeated) at a
+running server and reports throughput and latency percentiles;
+it exits nonzero on any non-2xx, refused connect, or transport
+error, which makes it CI's smoke client.
+
+estimate is the front door: it reads a schema-versioned JSON
+EstimateRequest (one object or an array) from --request, evaluates
+the batch in parallel, and emits one FootprintReport per request
+(to stdout, or to --out). Output is byte-identical for every
+--threads value; infeasible requests become {\"error\": ...} rows.
+
+sweep streams the full scenario grid (system x storage x region x
+trace source x PUE x policy x upgrade path; 504 scenarios by
+default, 16 with --quick, 20 carbon-shifting scenarios with
+--shifting; --seeds N multiplies any grid by N seeds) through the
+same API in parallel and writes sweep.csv + sweep.json under --out
+(default out/sweep) in bounded memory. Output is byte-identical
+for every --threads value and every shard split: --shard i/N
+evaluates the i-th of N deterministic grid slices as document
+fragments plus a digest manifest (re-running a completed shard is
+a verified no-op), and --merge DIR... validates a full partition
+and reassembles the canonical single-machine documents.
+
+schedule compares every policy (incl. the indexed temporal and
+spatio-temporal shifting pair at --slack hours) via one API batch
+on a fixed GB+CA topology (partner site forced for every row, so
+rows differ only by policy) and reports per-policy carbon savings
+vs the run-at-arrival baseline; --synthetic swaps in synthetic
+region-years.
+
+trace ingests real hourly carbon-intensity CSVs (ElectricityMaps/
+EIA-style; format spec docs/TRACES.md): validate prints every
+{file}:{line}: diagnostic at once, stats prints a deterministic
+summary, import re-emits the canonical normalized form. sweep and
+schedule accept --forecast oracle|persistence|day-ahead|noisy:<pct>
+to plan shifting on a forecast instead of the actual trace (the
+output then adds realized-vs-oracle savings columns), and sweep
+accepts repeatable --trace-file FILE to evaluate the file source
+dimension against ingested measured data (--gaps picks the gap
+policy: reject, interpolate, or hold).
+
+advisor answers the upgrade question through the API: --intensity
+pins a flat grid (a FlatIntensity provider), --region evaluates
+at a simulated region's median intensity instead.
+
+catalog manages plain-text hardware catalogs (docs/CATALOG.md):
+validate loads a directory strictly and prints every
+line-numbered diagnostic; list and show browse the loaded
+entities (show traces a system's bill of materials to its
+entity files); export writes the built-in Table 1/2/3 data as
+a canonical catalog tree whose reload is bit-identical to the
+shipped tables. estimate, sweep, and serve accept --catalog DIR
+to swap that catalog in as the embodied-carbon source.";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every subcommand writes its output through this one handle.
     let mut stdout = io::stdout().lock();
-    let code = match run(&mut stdout, &args).and_then(|code| stdout.flush().map(|()| code)) {
-        Ok(code) => code,
+    let code = match run(&mut stdout, &args).and_then(|()| Ok(stdout.flush()?)) {
+        Ok(()) => 0,
+        Err(Stop::Exit(code)) => code,
         // The reader stopped reading (`| head`, `| grep -q`) and has what
         // it asked for: end quietly, as a finished command would, so a
         // `pipefail` pipeline does not fail on it.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
-        Err(e) => {
+        Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(Stop::Stdout(e)) => {
             eprintln!("hpcarbon: cannot write to standard output: {e}");
             1
         }
@@ -59,249 +148,373 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Runs the subcommand `args` names, writing its output to `stdout`.
-fn run(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    match args.first().map(String::as_str) {
-        Some("estimate") => cmd_estimate(stdout, &args[1..]),
-        Some("serve") => cmd_serve(stdout, &args[1..]),
-        Some("loadgen") => cmd_loadgen(stdout, &args[1..]),
-        Some("figures") => cmd_figures(stdout, &args[1..]),
-        Some("parts") => cmd_parts(stdout),
-        Some("systems") => cmd_systems(stdout),
-        Some("regions") => cmd_regions(stdout, &args[1..]),
-        Some("advisor") => cmd_advisor(stdout, &args[1..]),
-        Some("schedule") => cmd_schedule(stdout, &args[1..]),
-        Some("sweep") => cmd_sweep(stdout, &args[1..]),
-        Some("trace") => cmd_trace(stdout, &args[1..]),
-        Some("catalog") => cmd_catalog(stdout, &args[1..]),
-        Some("--help") | Some("-h") | None => print_usage(stdout).map(|()| 0),
-        Some(other) => {
-            eprintln!("unknown subcommand: {other}\n");
-            // Help for the error above, not the command's output: the
-            // status stays 2 whether or not it can be written.
-            let _ = print_usage(stdout);
-            Ok(2)
-        }
+/// Why a subcommand ended other than by finishing.
+enum Stop {
+    /// End with this exit status; the reason, if any, is on stderr.
+    Exit(i32),
+    /// Writing standard output failed.
+    Stdout(io::Error),
+}
+
+/// `?` on a stdout write. Errors of other I/O go through [`fail`].
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Stdout(e)
     }
 }
 
-fn print_usage(stdout: &mut impl Write) -> io::Result<()> {
-    writeln!(
-        stdout,
-        "hpcarbon — carbon footprint estimation for HPC systems (SC'23 reproduction)\n\n\
-         USAGE:\n  hpcarbon estimate --request FILE [--threads N] [--out FILE] [--catalog DIR]\n  \
-         hpcarbon serve    [--addr A] [--shards N] [--workers N] [--cache N] [--max-body BYTES]\n                    \
-         [--catalog DIR]\n  \
-         hpcarbon loadgen  [--addr A] [--requests N] [--concurrency C] [--seed N]\n                    \
-         [--grid quick|shifting|default] [--jobs N] [--request FILE]\n                    \
-         [--wait S] [--connect-retries N] [--out FILE] [--save-response FILE]\n  \
-         hpcarbon figures  [--seed N] [--out DIR]\n  hpcarbon parts\n  \
-         hpcarbon systems\n  hpcarbon regions  [--seed N]\n  hpcarbon advisor  --from <p100|v100|a100> --to <p100|v100|a100>\n                    \
-         [--suite nlp|vision|candle] [--intensity G | --region R] [--usage F]\n  \
-         hpcarbon schedule [--jobs N] [--seed N] [--slack H] [--synthetic] [--forecast M]\n  \
-         hpcarbon sweep    [--seed N] [--seeds N] [--jobs N] [--threads N] [--out DIR]\n                    \
-         [--top K] [--quick | --shifting] [--shard i/N] [--catalog DIR]\n                    \
-         [--trace-file FILE]... [--forecast M] [--gaps reject|interpolate|hold]\n  \
-         hpcarbon sweep    --merge DIR... [--out DIR]\n  \
-         hpcarbon trace    validate FILE [--gaps P]\n  \
-         hpcarbon trace    stats    FILE [--gaps P]\n  \
-         hpcarbon trace    import   FILE --out FILE [--gaps P]\n  \
-         hpcarbon catalog  validate [--catalog DIR]\n  \
-         hpcarbon catalog  list     [--catalog DIR]\n  \
-         hpcarbon catalog  show ID  [--catalog DIR]\n  \
-         hpcarbon catalog  export   [--out DIR]\n\n\
-         serve puts the same front door behind a std-only epoll event\n\
-         loop (--shards readiness loops, cache hits answered in place;\n\
-         uncached estimation on --workers threads): POST /v1/estimate\n\
-         takes the estimate subcommand's exact request documents and\n\
-         answers with byte-identical reports; a sharded LRU cache keyed\n\
-         on canonical request bytes skips simulation for repeated\n\
-         queries without changing a byte. GET /healthz and GET /metrics\n\
-         expose liveness and counters (incl. per-shard gauges); SIGTERM\n\
-         drains in-flight requests and exits 0.\n\n\
-         loadgen fires N concurrent requests (sampled from a scenario\n\
-         grid under a fixed seed, or one --request file repeated) at a\n\
-         running server and reports throughput and latency percentiles;\n\
-         it exits nonzero on any non-2xx, refused connect, or transport\n\
-         error, which makes it CI's smoke client.\n\n\
-         estimate is the front door: it reads a schema-versioned JSON\n\
-         EstimateRequest (one object or an array) from --request, evaluates\n\
-         the batch in parallel, and emits one FootprintReport per request\n\
-         (to stdout, or to --out). Output is byte-identical for every\n\
-         --threads value; infeasible requests become {{\"error\": ...}} rows.\n\n\
-         sweep streams the full scenario grid (system x storage x region x\n\
-         trace source x PUE x policy x upgrade path; 504 scenarios by\n\
-         default, 16 with --quick, 20 carbon-shifting scenarios with\n\
-         --shifting; --seeds N multiplies any grid by N seeds) through the\n\
-         same API in parallel and writes sweep.csv + sweep.json under --out\n\
-         (default out/sweep) in bounded memory. Output is byte-identical\n\
-         for every --threads value and every shard split: --shard i/N\n\
-         evaluates the i-th of N deterministic grid slices as document\n\
-         fragments plus a digest manifest (re-running a completed shard is\n\
-         a verified no-op), and --merge DIR... validates a full partition\n\
-         and reassembles the canonical single-machine documents.\n\n\
-         schedule compares every policy (incl. the indexed temporal and\n\
-         spatio-temporal shifting pair at --slack hours) via one API batch\n\
-         on a fixed GB+CA topology (partner site forced for every row, so\n\
-         rows differ only by policy) and reports per-policy carbon savings\n\
-         vs the run-at-arrival baseline; --synthetic swaps in synthetic\n\
-         region-years.\n\n\
-         trace ingests real hourly carbon-intensity CSVs (ElectricityMaps/\n\
-         EIA-style; format spec docs/TRACES.md): validate prints every\n\
-         {{file}}:{{line}}: diagnostic at once, stats prints a deterministic\n\
-         summary, import re-emits the canonical normalized form. sweep and\n\
-         schedule accept --forecast oracle|persistence|day-ahead|noisy:<pct>\n\
-         to plan shifting on a forecast instead of the actual trace (the\n\
-         output then adds realized-vs-oracle savings columns), and sweep\n\
-         accepts repeatable --trace-file FILE to evaluate the file source\n\
-         dimension against ingested measured data (--gaps picks the gap\n\
-         policy: reject, interpolate, or hold).\n\n\
-         advisor answers the upgrade question through the API: --intensity\n\
-         pins a flat grid (a FlatIntensity provider), --region evaluates\n\
-         at a simulated region's median intensity instead.\n\n\
-         catalog manages plain-text hardware catalogs (docs/CATALOG.md):\n\
-         validate loads a directory strictly and prints every\n\
-         line-numbered diagnostic; list and show browse the loaded\n\
-         entities (show traces a system's bill of materials to its\n\
-         entity files); export writes the built-in Table 1/2/3 data as\n\
-         a canonical catalog tree whose reload is bit-identical to the\n\
-         shipped tables. estimate, sweep, and serve accept --catalog DIR\n\
-         to swap that catalog in as the embodied-carbon source."
-    )
+/// Prints `msg` as a stderr line and stops with exit status `code`.
+fn fail(code: i32, msg: impl Display) -> Stop {
+    eprintln!("{msg}");
+    Stop::Exit(code)
 }
 
-/// Reads `--flag value` from an argument list.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Runs the subcommand `args` names, writing its output to `stdout`.
+fn run(stdout: &mut impl Write, args: &[String]) -> Result<(), Stop> {
+    let entries = entries();
+    match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => return Ok(writeln!(stdout, "{USAGE}")?),
+        Some(cmd) if !entries.iter().any(|e| e.key[0] == cmd) => {
+            eprintln!("unknown subcommand: {cmd}\n");
+            // Help for the error above, not the command's output: the
+            // status stays 2 whether or not it can be written.
+            let _ = writeln!(stdout, "{USAGE}");
+            return Err(Stop::Exit(2));
+        }
+        Some(_) => {}
+    }
+    let Some(args) = Args::parse(&entries, args)? else {
+        return Ok(writeln!(stdout, "{USAGE}")?);
+    };
+    match args.entry.key[..] {
+        ["estimate"] => cmd_estimate(stdout, &args),
+        ["serve"] => cmd_serve(stdout, &args),
+        ["loadgen"] => cmd_loadgen(stdout, &args),
+        ["figures"] => cmd_figures(stdout, &args),
+        ["parts"] => cmd_parts(stdout),
+        ["systems"] => cmd_systems(stdout),
+        ["regions"] => cmd_regions(stdout, &args),
+        ["advisor"] => cmd_advisor(stdout, &args),
+        ["schedule"] => cmd_schedule(stdout, &args),
+        ["sweep"] => cmd_sweep(stdout, &args),
+        ["sweep", "--merge"] => cmd_sweep_merge(stdout, &args),
+        ["trace", sub] => cmd_trace(stdout, sub, &args),
+        ["catalog", sub] => cmd_catalog(stdout, sub, &args),
+        ref key => unreachable!("nothing runs `hpcarbon {}`", key.join(" ")),
+    }
 }
 
-/// Reads every occurrence of a repeatable `--flag value`.
-fn flags(args: &[String], name: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
+/// One `hpcarbon …` line of the `USAGE` synopsis, with its continuation
+/// lines: what that subcommand accepts.
+///
+/// - Its key is the command words (`sweep`, `trace stats`) plus a
+///   switch outside brackets, which selects a mode (`sweep --merge`).
+/// - A `--flag` followed by a placeholder (`N`, `<p100|v100|a100>`,
+///   `quick|shifting|default`) takes one value; a flag closed by `]` or
+///   followed by `|` is a switch. `[--flag V]...` may repeat.
+/// - Flags in one `[a | b]` bracket are alternatives.
+/// - A placeholder after no flag is a positional (`FILE`, `ID`); a list
+///   (`DIR...`) takes any number of them.
+struct Entry {
+    key: Vec<&'static str>,
+    flags: Vec<Flag>,
+    positionals: usize,
+}
+
+/// A flag that an [`Entry`] declares.
+#[derive(Default)]
+struct Flag {
+    name: &'static str,
+    takes_value: bool,
+    repeats: bool,
+    /// The `[…]` it is declared in, counted from 1 within its entry.
+    bracket: Option<usize>,
+}
+
+/// Every entry of the `USAGE` synopsis.
+fn entries() -> Vec<Entry> {
+    let synopsis = USAGE.split("\n\n").nth(1).unwrap_or_default();
+    synopsis
+        .split("hpcarbon ")
+        .skip(1)
+        .map(Entry::parse)
         .collect()
 }
 
-/// Parses `--gaps reject|interpolate|hold` (default reject).
-fn gaps_flag(args: &[String]) -> Result<sustainable_hpc::grid::tracefile::GapPolicy, i32> {
-    use sustainable_hpc::grid::tracefile::GapPolicy;
-    match flag(args, "--gaps") {
-        None => Ok(GapPolicy::Reject),
-        Some(s) => match GapPolicy::parse(&s) {
-            Some(p) => Ok(p),
-            None => {
-                let valid = GapPolicy::VALUES.join(", ");
-                eprintln!("unknown --gaps \"{s}\" (valid values: {valid})");
-                Err(2)
+impl Entry {
+    fn parse(text: &'static str) -> Entry {
+        let mut tokens = text.split_whitespace().peekable();
+        let mut key = Vec::new();
+        while let Some(word) = tokens.next_if(|t| t.bytes().all(|b| b.is_ascii_lowercase())) {
+            key.push(word);
+        }
+        let (mut flags, mut positionals) = (Vec::<Flag>::new(), 0usize);
+        let (mut brackets, mut bracket) = (0, None);
+        // The flag whose value placeholder may come next.
+        let mut last = None;
+        for token in tokens {
+            if token.starts_with('[') {
+                brackets += 1;
+                bracket = Some(brackets);
             }
-        },
-    }
-}
-
-/// Parses `--forecast oracle|persistence|day-ahead|noisy:<pct>`;
-/// `Ok(None)` when absent (plan on the actual trace, the historical
-/// behaviour).
-fn forecast_flag(args: &[String]) -> Result<Option<sustainable_hpc::api::ForecastModel>, i32> {
-    match flag(args, "--forecast") {
-        None => Ok(None),
-        Some(s) => match api_parse::forecast_model("forecast", &s) {
-            Ok(m) => Ok(Some(m)),
-            Err(e) => {
-                eprintln!("{e}");
-                Err(2)
+            let (closes, list) = (token.contains(']'), token.ends_with("..."));
+            let name = token.trim_matches(['[', ']', '.']);
+            if name == "|" {
+                last = None;
+            } else if name.starts_with("--") {
+                last = (!closes).then_some(flags.len());
+                flags.push(Flag {
+                    name,
+                    bracket,
+                    ..Flag::default()
+                });
+            } else if let Some(i) = last.take().filter(|_| closes || !list) {
+                flags[i].takes_value = true;
+                flags[i].repeats = list;
+            } else {
+                positionals = positionals.saturating_add(if list { usize::MAX } else { 1 });
             }
-        },
-    }
-}
-
-/// Loads one trace file, printing every `{file}:{line}:` diagnostic and
-/// the validate-style summary line on failure — the shared ingestion
-/// path of `trace validate|stats|import` and `--trace-file`.
-fn load_trace_cli(
-    path: &str,
-    gaps: sustainable_hpc::grid::tracefile::GapPolicy,
-) -> Result<sustainable_hpc::grid::tracefile::ParsedTrace, i32> {
-    match sustainable_hpc::grid::tracefile::load_trace_file(path, gaps) {
-        Ok(p) => Ok(p),
-        Err(errors) => {
-            let n = errors.0.len();
-            eprintln!("{errors}");
-            eprintln!("{path}: {n} trace error(s)");
-            Err(1)
+            if closes {
+                bracket = None;
+            }
+        }
+        let modes = flags
+            .iter()
+            .filter(|f| f.bracket.is_none() && !f.takes_value);
+        key.extend(modes.map(|f| f.name));
+        Entry {
+            key,
+            flags,
+            positionals,
         }
     }
 }
 
-/// Loads `--catalog DIR` as an embodied source; `Ok(None)` when the flag
-/// is absent (the built-in tables apply). A failing load prints every
-/// line-numbered diagnostic — the same strict validation as
-/// `hpcarbon catalog validate`.
-fn catalog_flag(args: &[String]) -> Result<Option<CatalogSource>, i32> {
-    match flag(args, "--catalog") {
-        None => Ok(None),
-        Some(dir) => match CatalogSource::load(&dir) {
-            Ok(source) => Ok(Some(source)),
-            Err(errors) => {
-                let n = errors.0.len();
-                eprintln!("{errors}");
-                eprintln!("{dir}: {n} catalog error(s)");
-                Err(1)
+/// The arguments of one invocation, checked against its usage entry.
+struct Args<'a> {
+    entry: &'a Entry,
+    /// Each flag given, in order, with its value (`None` for a switch).
+    given: Vec<(&'a Flag, Option<&'a str>)>,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Finds the entry that `args` invoke and checks the rest of `args`
+    /// against it; `Ok(None)` when they ask for `--help`. Each failure is
+    /// one stderr line and exit 2.
+    fn parse(entries: &'a [Entry], args: &'a [String]) -> Result<Option<Args<'a>>, Stop> {
+        let cmd = args[0].as_str();
+        let invoked = |e: &&Entry| {
+            e.key
+                .iter()
+                .enumerate()
+                .all(|(i, w)| match w.starts_with('-') {
+                    true => args.iter().any(|a| a == w),
+                    false => args.get(i).is_some_and(|a| a == w),
+                })
+        };
+        // A mode (`sweep --merge`) wins over its command's plain entry.
+        let Some(entry) = entries.iter().filter(invoked).max_by_key(|e| e.key.len()) else {
+            // Only a command with subcommands has no entry for its word.
+            let family = entries.iter().filter(|e| e.key[0] == cmd);
+            let subs: Vec<&str> = family.filter_map(|e| e.key.get(1).copied()).collect();
+            let msg = match args.get(1).map(String::as_str) {
+                Some("--help" | "-h") => return Ok(None),
+                None => format!("{cmd} requires a subcommand"),
+                Some(sub) if cmd == "trace" => format!("unknown trace subcommand: {sub}"),
+                Some(sub) => format!("unknown {cmd} subcommand \"{sub}\""),
+            };
+            let valid = subs.join(", ");
+            return Err(fail(2, format_args!("{msg} (valid values: {valid})")));
+        };
+        let invocation = entry.key.join(" ");
+        let mut parsed = Args {
+            entry,
+            given: Vec::new(),
+            positionals: Vec::new(),
+        };
+        // The arguments after the command words of its key.
+        let words = entry.key.iter().take_while(|w| !w.starts_with('-'));
+        let mut rest = args[words.count()..].iter();
+        while let Some(arg) = rest.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
             }
-        },
+            if !arg.starts_with("--") {
+                if parsed.positionals.len() == entry.positionals {
+                    let msg = format!("unexpected argument \"{arg}\" for `hpcarbon {invocation}`");
+                    return Err(fail(2, msg));
+                }
+                parsed.positionals.push(arg);
+                continue;
+            }
+            let Some(flag) = entry.flags.iter().find(|f| f.name == arg) else {
+                let msg =
+                    format!("unknown flag {arg} for `hpcarbon {invocation}` (see hpcarbon --help)");
+                return Err(fail(2, msg));
+            };
+            for (other, _) in &parsed.given {
+                if other.name == flag.name && !flag.repeats {
+                    return Err(fail(2, format_args!("{arg} given more than once")));
+                }
+                if other.name != flag.name
+                    && other.bracket.is_some()
+                    && other.bracket == flag.bracket
+                {
+                    let msg = format!("{} and {arg} cannot be given together", other.name);
+                    return Err(fail(2, msg));
+                }
+            }
+            let value = match flag.takes_value {
+                false => None,
+                true => match rest.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.as_str()),
+                    _ => return Err(fail(2, format_args!("{arg} requires a value"))),
+                },
+            };
+            parsed.given.push((flag, value));
+        }
+        Ok(Some(parsed))
+    }
+
+    /// The value of each occurrence of flag `name`, in order (`None` for
+    /// a switch).
+    fn occurrences(&self, name: &str) -> Vec<Option<&'a str>> {
+        debug_assert!(
+            self.entry.flags.iter().any(|f| f.name == name),
+            "USAGE declares no {name} for `hpcarbon {}`",
+            self.entry.key.join(" ")
+        );
+        self.given
+            .iter()
+            .filter(|(f, _)| f.name == name)
+            .map(|&(_, v)| v)
+            .collect()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        !self.occurrences(name).is_empty()
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.occurrences(name).first().copied().flatten()
+    }
+
+    /// Parses flag `name`'s value with `parse`, whose error names the
+    /// flag and what it accepts; `Ok(None)` when the flag is absent. A
+    /// bad value is exit 2, never a silent fallback to the default.
+    fn parsed<T, E: Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&'a str) -> Result<T, E>,
+    ) -> Result<Option<T>, Stop> {
+        self.value(name)
+            .map(parse)
+            .transpose()
+            .map_err(|e| fail(2, e))
+    }
+
+    /// Parses flag `name`'s value as a `T` that `accept` admits,
+    /// printing `invalid {name} "{raw}" (expected {expected})` otherwise:
+    /// falling back to the default silently would, say, sweep seed 2021
+    /// when `--seed 2O21` was asked for, or a `--threads 1` reference run
+    /// at full width.
+    fn checked<T: FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+        accept: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, Stop> {
+        self.parsed(name, |raw| match raw.parse() {
+            Ok(v) if accept(&v) => Ok(v),
+            _ => Err(format!("invalid {name} \"{raw}\" (expected {expected})")),
+        })
+    }
+
+    /// [`Args::checked`] for an unsigned integer of any width: every
+    /// value that parses is valid.
+    fn unsigned<T: FromStr>(&self, name: &str) -> Result<Option<T>, Stop> {
+        self.checked(name, "a non-negative integer", |_| true)
+    }
+
+    /// [`Args::checked`] for a positive integer.
+    fn positive(&self, name: &str) -> Result<Option<usize>, Stop> {
+        self.checked(name, "a positive integer", |&n| n >= 1)
+    }
+
+    /// `--gaps reject|interpolate|hold`, by default reject.
+    fn gaps(&self) -> Result<GapPolicy, Stop> {
+        let gaps = self.parsed("--gaps", |s| {
+            let valid = GapPolicy::VALUES.join(", ");
+            GapPolicy::parse(s)
+                .ok_or_else(|| format!("unknown --gaps \"{s}\" (valid values: {valid})"))
+        })?;
+        Ok(gaps.unwrap_or(GapPolicy::Reject))
+    }
+
+    /// `--forecast oracle|persistence|day-ahead|noisy:<pct>`; `None`
+    /// plans on the actual trace, the historical behaviour.
+    fn forecast(&self) -> Result<Option<sustainable_hpc::api::ForecastModel>, Stop> {
+        self.parsed("--forecast", |s| api_parse::forecast_model("forecast", s))
+    }
+
+    /// `--catalog DIR` as an embodied source; `None` when absent (the
+    /// built-in tables apply). A failing load prints every line-numbered
+    /// diagnostic, the same strict validation as `hpcarbon catalog
+    /// validate`.
+    fn catalog(&self) -> Result<Option<CatalogSource>, Stop> {
+        let load =
+            |dir| CatalogSource::load(dir).map_err(|e| load_failed(dir, "catalog", &e, e.0.len()));
+        self.value("--catalog").map(load).transpose()
     }
 }
 
-fn cmd_estimate(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let Some(path) = flag(args, "--request") else {
-        eprintln!("estimate requires --request FILE (a JSON EstimateRequest or array of them)");
-        return Ok(2);
+/// Prints the diagnostics of a failed catalog or trace load and their
+/// count, and stops with exit 1.
+fn load_failed(path: &str, what: &str, errors: impl Display, n: usize) -> Stop {
+    eprintln!("{errors}");
+    fail(1, format_args!("{path}: {n} {what} error(s)"))
+}
+
+/// Loads one trace file: the shared ingestion path of `trace
+/// validate|stats|import` and `--trace-file`.
+fn load_trace(path: &str, gaps: GapPolicy) -> Result<ParsedTrace, Stop> {
+    sustainable_hpc::grid::tracefile::load_trace_file(path, gaps)
+        .map_err(|e| load_failed(path, "trace", &e, e.0.len()))
+}
+
+/// Writes `bytes` to the file `path`, creating its parent directory
+/// (for a bare file name, the parent is `""`, which already exists).
+fn write_file(path: &str, bytes: &str) -> Result<(), Stop> {
+    if let Some(parent) = Path::new(path).parent() {
+        std::fs::create_dir_all(parent)
+            .map_err(|e| fail(1, format_args!("cannot create {}: {e}", parent.display())))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| fail(1, format_args!("cannot write {path}: {e}")))
+}
+
+fn cmd_estimate(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let Some(path) = args.value("--request") else {
+        let msg = "estimate requires --request FILE (a JSON EstimateRequest or array of them)";
+        return Err(fail(2, msg));
     };
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return Ok(1);
-        }
-    };
-    let requests = match EstimateRequest::batch_from_json(&src) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return Ok(2);
-        }
-    };
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| fail(1, format_args!("cannot read {path}: {e}")))?;
+    let requests =
+        EstimateRequest::batch_from_json(&src).map_err(|e| fail(2, format_args!("{path}: {e}")))?;
     let mut builder = Estimator::builder();
-    match positive_flag(args, "--threads") {
-        Ok(Some(n)) => builder = builder.threads(n),
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.positive("--threads")? {
+        builder = builder.threads(n);
     }
-    match catalog_flag(args) {
-        Ok(Some(source)) => builder = builder.embodied(source),
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(source) = args.catalog()? {
+        builder = builder.embodied(source);
     }
     let results = builder.build().estimate_batch(&requests);
     let json = batch_to_json(&results);
     let errors = results.iter().filter(|r| r.is_err()).count();
-    match flag(args, "--out") {
+    match args.value("--out") {
         Some(out) => {
-            if let Some(parent) = std::path::Path::new(&out).parent() {
-                if !parent.as_os_str().is_empty() {
-                    if let Err(e) = std::fs::create_dir_all(parent) {
-                        eprintln!("cannot create {}: {e}", parent.display());
-                        return Ok(1);
-                    }
-                }
-            }
-            if let Err(e) = std::fs::write(&out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                return Ok(1);
-            }
+            write_file(out, &json)?;
             eprintln!(
                 "estimated {} request(s) ({} ok, {errors} infeasible); wrote {out}",
                 results.len(),
@@ -310,94 +523,39 @@ fn cmd_estimate(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
         }
         None => write!(stdout, "{json}")?,
     }
-    Ok(0)
+    Ok(())
 }
 
-/// Parses `--flag value` as a `T` that `accept` admits; `Ok(None)` when
-/// the flag is absent. Every numeric flag goes through here, so a value
-/// that does not parse or is out of range prints `invalid {name}
-/// "{raw}" (expected {expected})` and exits 2: falling back to the
-/// default silently would, say, sweep seed 2021 when `--seed 2O21` was
-/// asked for, or a `--threads 1` reference run at full width.
-fn checked_flag<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    expected: &str,
-    accept: impl Fn(&T) -> bool,
-) -> Result<Option<T>, i32> {
-    let Some(raw) = flag(args, name) else {
-        return Ok(None);
-    };
-    match raw.parse::<T>() {
-        Ok(v) if accept(&v) => Ok(Some(v)),
-        _ => {
-            eprintln!("invalid {name} \"{raw}\" (expected {expected})");
-            Err(2)
-        }
-    }
-}
-
-/// [`checked_flag`] for an unsigned integer of any width: every value
-/// that parses is valid.
-fn unsigned_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, i32> {
-    checked_flag(args, name, "a non-negative integer", |_| true)
-}
-
-/// [`checked_flag`] for a positive integer.
-fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, i32> {
-    checked_flag(args, name, "a positive integer", |&n| n >= 1)
-}
-
-fn cmd_serve(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
+fn cmd_serve(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:8080");
     let mut config = sustainable_hpc::server::ServerConfig::default();
-    match positive_flag(args, "--shards") {
-        Ok(Some(n)) => config.shards = n,
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.positive("--shards")? {
+        config.shards = n;
     }
-    match positive_flag(args, "--workers") {
-        Ok(Some(n)) => config.workers = n,
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.positive("--workers")? {
+        config.workers = n;
     }
     // 0 is meaningful here: it disables the cache.
-    match unsigned_flag(args, "--cache") {
-        Ok(Some(n)) => config.cache_capacity = n,
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.unsigned("--cache")? {
+        config.cache_capacity = n;
     }
-    match positive_flag(args, "--max-body") {
-        Ok(Some(n)) => config.max_body_bytes = n,
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.positive("--max-body")? {
+        config.max_body_bytes = n;
     }
-
-    let estimator = match catalog_flag(args) {
-        Ok(Some(source)) => Estimator::builder().embodied(source).build(),
-        Ok(None) => Estimator::builder().build(),
-        Err(c) => return Ok(c),
-    };
-    let server = match Server::bind_with(&addr, config.clone(), estimator) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return Ok(1);
-        }
-    };
-    let bound = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot resolve the bound address: {e}");
-            return Ok(1);
-        }
-    };
+    let mut estimator = Estimator::builder();
+    if let Some(source) = args.catalog()? {
+        estimator = estimator.embodied(source);
+    }
+    let server = Server::bind_with(addr, config.clone(), estimator.build())
+        .map_err(|e| fail(1, format_args!("cannot bind {addr}: {e}")))?;
+    let bound = server
+        .local_addr()
+        .map_err(|e| fail(1, format_args!("cannot resolve the bound address: {e}")))?;
 
     // SIGTERM/SIGINT → the shutdown handle, polled by a watcher thread
     // (the handler itself only sets an atomic flag).
     sustainable_hpc::server::signal::install_handlers();
-    let handle = server.shutdown_handle();
-    let watcher = handle.clone();
+    let watcher = server.shutdown_handle();
     std::thread::spawn(move || loop {
         if sustainable_hpc::server::signal::termination_requested() {
             watcher.shutdown();
@@ -415,76 +573,48 @@ fn cmd_serve(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
         stdout,
         "routes: POST /v1/estimate | GET /healthz | GET /metrics — SIGTERM drains and exits 0"
     )?;
-    match server.run() {
-        Ok(s) => {
-            writeln!(
-                stdout,
-                "graceful shutdown: drained; served {} http requests ({} estimate calls, {} cache hits / {} misses)",
-                s.http_requests, s.estimate_calls, s.cache_hits, s.cache_misses
-            )?;
-            Ok(0)
-        }
-        Err(e) => {
-            eprintln!("server failed: {e}");
-            Ok(1)
-        }
-    }
+    let s = server
+        .run()
+        .map_err(|e| fail(1, format_args!("server failed: {e}")))?;
+    writeln!(
+        stdout,
+        "graceful shutdown: drained; served {} http requests ({} estimate calls, {} cache hits / {} misses)",
+        s.http_requests, s.estimate_calls, s.cache_hits, s.cache_misses
+    )?;
+    Ok(())
 }
 
-fn cmd_loadgen(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
-    let requests = match positive_flag(args, "--requests") {
-        Ok(n) => n.unwrap_or(64),
-        Err(c) => return Ok(c),
-    };
-    let concurrency = match positive_flag(args, "--concurrency") {
-        Ok(n) => n.unwrap_or(8),
-        Err(c) => return Ok(c),
-    };
-    let wait_s = match positive_flag(args, "--wait") {
-        Ok(n) => n.unwrap_or(10),
-        Err(c) => return Ok(c),
-    };
+fn cmd_loadgen(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:8080");
+    let requests = args.positive("--requests")?.unwrap_or(64);
+    let concurrency = args.positive("--concurrency")?.unwrap_or(8);
+    let wait_s = args.positive("--wait")?.unwrap_or(10);
     // 0 is meaningful (fail fast on the first refused connect), so this
-    // is not a positive_flag.
-    let connect_retries: u32 = match unsigned_flag(args, "--connect-retries") {
-        Ok(n) => n.unwrap_or(2),
-        Err(c) => return Ok(c),
-    };
-    let seed: u64 = match unsigned_flag(args, "--seed") {
-        Ok(s) => s.unwrap_or(2021),
-        Err(c) => return Ok(c),
-    };
+    // is not a positive integer.
+    let connect_retries: u32 = args.unsigned("--connect-retries")?.unwrap_or(2);
+    let seed: u64 = args.unsigned("--seed")?.unwrap_or(2021);
 
     // The workload: one file repeated (a single entry, cycled by the
     // workers), or requests sampled from a grid under the fixed seed
     // (reproducible request-for-request).
-    let bodies: Vec<String> = match flag(args, "--request") {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(src) => vec![src],
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return Ok(1);
-            }
-        },
+    let bodies: Vec<String> = match args.value("--request") {
+        Some(path) => vec![std::fs::read_to_string(path)
+            .map_err(|e| fail(1, format_args!("cannot read {path}: {e}")))?],
         None => {
-            let grid_name = flag(args, "--grid").unwrap_or_else(|| "quick".into());
-            let grid = match grid_name.as_str() {
+            let grid = match args.value("--grid").unwrap_or("quick") {
                 "quick" => ScenarioGrid::quick(),
                 "shifting" => ScenarioGrid::shifting(),
                 "default" => ScenarioGrid::paper_default(),
                 other => {
-                    eprintln!(
+                    let msg = format!(
                         "unknown --grid \"{other}\" (valid values: quick, shifting, default)"
                     );
-                    return Ok(2);
+                    return Err(fail(2, msg));
                 }
             };
             let mut cfg = SweepConfig::fast();
-            match positive_flag(args, "--jobs") {
-                Ok(Some(n)) => cfg.jobs_per_scenario = n,
-                Ok(None) => {}
-                Err(c) => return Ok(c),
+            if let Some(n) = args.positive("--jobs")? {
+                cfg.jobs_per_scenario = n;
             }
             grid.sample_requests(requests, &cfg, seed)
                 .iter()
@@ -493,81 +623,54 @@ fn cmd_loadgen(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
         }
     };
 
-    if !sustainable_hpc::server::wait_healthz(&addr, std::time::Duration::from_secs(wait_s as u64))
-    {
-        eprintln!("server at {addr} did not answer /healthz within {wait_s}s");
-        return Ok(1);
+    let wait = std::time::Duration::from_secs(wait_s as u64);
+    if !sustainable_hpc::server::wait_healthz(addr, wait) {
+        let msg = format!("server at {addr} did not answer /healthz within {wait_s}s");
+        return Err(fail(1, msg));
     }
-    let (summary, first_body) = match sustainable_hpc::server::loadgen::run(&LoadGenConfig {
-        addr: addr.clone(),
+    let (summary, first_body) = sustainable_hpc::server::loadgen::run(&LoadGenConfig {
+        addr: addr.to_string(),
         concurrency,
         bodies,
         requests,
         connect_retries,
-    }) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            return Ok(1);
-        }
-    };
+    })
+    .map_err(|e| fail(1, format_args!("loadgen failed: {e}")))?;
 
     write!(stdout, "{}", summary.render())?;
-    if let Some(path) = flag(args, "--save-response") {
-        let Some(body) = first_body else {
-            eprintln!("no response captured to save to {path}");
-            return Ok(1);
-        };
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("cannot write {path}: {e}");
-            return Ok(1);
-        }
+    if let Some(path) = args.value("--save-response") {
+        let body = first_body
+            .ok_or_else(|| fail(1, format_args!("no response captured to save to {path}")))?;
+        std::fs::write(path, body)
+            .map_err(|e| fail(1, format_args!("cannot write {path}: {e}")))?;
         eprintln!("saved the first response body to {path}");
     }
-    if let Some(path) = flag(args, "--out") {
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("cannot create {}: {e}", parent.display());
-                    return Ok(1);
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(&path, summary.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return Ok(1);
-        }
+    if let Some(path) = args.value("--out") {
+        write_file(path, &summary.to_json())?;
         eprintln!("wrote the latency summary to {path}");
     }
     if summary.all_ok() {
-        Ok(0)
-    } else {
-        eprintln!(
-            "loadgen observed failures: {} non-2xx, {} connect errors, {} i/o errors",
-            summary.non_2xx, summary.connect_errors, summary.io_errors
-        );
-        Ok(1)
+        return Ok(());
     }
+    let (non_2xx, connect, io) = (summary.non_2xx, summary.connect_errors, summary.io_errors);
+    let msg = format!(
+        "loadgen observed failures: {non_2xx} non-2xx, {connect} connect errors, {io} i/o errors"
+    );
+    Err(fail(1, msg))
 }
 
-fn cmd_figures(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let seed: u64 = match unsigned_flag(args, "--seed") {
-        Ok(s) => s.unwrap_or(2021),
-        Err(c) => return Ok(c),
-    };
-    let out = flag(args, "--out").unwrap_or_else(|| "out/paper".into());
-    let dir = std::path::Path::new(&out);
+fn cmd_figures(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let seed: u64 = args.unsigned("--seed")?.unwrap_or(2021);
+    let dir = Path::new(args.value("--out").unwrap_or("out/paper"));
     for a in sustainable_hpc::report::render_all(seed) {
-        if let Err(e) = a.write_to(dir) {
-            eprintln!("cannot write {}: {e}", dir.display());
-            return Ok(1);
-        }
+        a.write_to(dir)
+            .map_err(|e| fail(1, format_args!("cannot write {}: {e}", dir.display())))?;
         writeln!(stdout, "wrote {}/{}.{{txt,csv}}", dir.display(), a.id)?;
     }
-    Ok(0)
+    Ok(())
 }
 
-fn cmd_parts(stdout: &mut impl Write) -> io::Result<i32> {
+fn cmd_parts(stdout: &mut impl Write) -> Result<(), Stop> {
     writeln!(
         stdout,
         "{:<28} {:>9} {:>12} {:>13} {:>7}",
@@ -589,10 +692,10 @@ fn cmd_parts(stdout: &mut impl Write) -> io::Result<i32> {
             s.embodied().packaging_share().percent(),
         )?;
     }
-    Ok(0)
+    Ok(())
 }
 
-fn cmd_systems(stdout: &mut impl Write) -> io::Result<i32> {
+fn cmd_systems(stdout: &mut impl Write) -> Result<(), Stop> {
     for sys in HpcSystem::table2() {
         writeln!(
             stdout,
@@ -611,14 +714,11 @@ fn cmd_systems(stdout: &mut impl Write) -> io::Result<i32> {
             sys.memory_storage_share().percent()
         )?;
     }
-    Ok(0)
+    Ok(())
 }
 
-fn cmd_regions(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let seed: u64 = match unsigned_flag(args, "--seed") {
-        Ok(s) => s.unwrap_or(2021),
-        Err(c) => return Ok(c),
-    };
+fn cmd_regions(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let seed: u64 = args.unsigned("--seed")?.unwrap_or(2021);
     let traces = simulate_all_regions(2021, seed);
     writeln!(
         stdout,
@@ -636,55 +736,29 @@ fn cmd_regions(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
             s.cov_percent
         )?;
     }
-    Ok(0)
+    Ok(())
 }
 
-fn cmd_advisor(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
+fn cmd_advisor(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
     // The typed parsers are shared with the API's JSON request decoder:
     // a typo'd value gets an error naming the flag and listing the
     // accepted vocabulary instead of a silent fallback.
-    let node = |name: &'static str| -> Result<Option<NodeGen>, i32> {
-        match flag(args, name) {
-            None => Ok(None),
-            Some(v) => match api_parse::node_gen(name, &v) {
-                Ok(n) => Ok(Some(n)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    Err(2)
-                }
-            },
-        }
+    let from = args.parsed("--from", |v| api_parse::node_gen("--from", v))?;
+    let to = args.parsed("--to", |v| api_parse::node_gen("--to", v))?;
+    let (Some(from), Some(to)) = (from, to) else {
+        return Err(fail(2, "advisor requires --from and --to (p100|v100|a100)"));
     };
-    let (from, to) = match (node("--from"), node("--to")) {
-        (Ok(Some(f)), Ok(Some(t))) => (f, t),
-        (Err(c), _) | (_, Err(c)) => return Ok(c),
-        _ => {
-            eprintln!("advisor requires --from and --to (p100|v100|a100)");
-            return Ok(2);
-        }
-    };
-    let suite = match flag(args, "--suite") {
-        None => Suite::Nlp,
-        Some(v) => match api_parse::suite("--suite", &v) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return Ok(2);
-            }
-        },
-    };
+    let suite = args.parsed("--suite", |v| api_parse::suite("--suite", v))?;
+    let suite = suite.unwrap_or(Suite::Nlp);
     let in_unit = |&u: &f64| Fraction::new(u).is_some();
-    let usage = match checked_flag(args, "--usage", "a fraction in [0, 1]", in_unit) {
-        Ok(u) => u
-            .and_then(Fraction::new)
-            .unwrap_or(UsageLevel::Medium.fraction()),
-        Err(c) => return Ok(c),
-    };
+    let usage = args
+        .checked("--usage", "a fraction in [0, 1]", in_unit)?
+        .and_then(Fraction::new)
+        .unwrap_or(UsageLevel::Medium.fraction());
     let physical = |&g: &f64| g.is_finite() && g >= 0.0;
-    let intensity = match checked_flag(args, "--intensity", "a finite number ≥ 0", physical) {
-        Ok(g) => g.unwrap_or(200.0),
-        Err(c) => return Ok(c),
-    };
+    let intensity = args.checked("--intensity", "a finite number ≥ 0", physical)?;
+    let intensity = intensity.unwrap_or(200.0);
+    let region = args.parsed("--region", |r| api_parse::region("--region", r))?;
 
     // Build the request once; --region routes it at a simulated region's
     // grid, --intensity (the default, 200 g/kWh) pins a flat grid via a
@@ -693,15 +767,8 @@ fn cmd_advisor(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     req.upgrade = UpgradePath { from, to, suite };
     req.usage = usage;
     req.jobs = 8; // the advisor reads the upgrade section, not the sched run
-    let (estimator, grid_label) = match flag(args, "--region") {
-        Some(r) => {
-            let op = match api_parse::region("--region", &r) {
-                Ok(op) => op,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(2);
-                }
-            };
+    let (estimator, grid_label) = match region {
+        Some(op) => {
             req.region = op;
             (
                 Estimator::builder().build(),
@@ -715,13 +782,9 @@ fn cmd_advisor(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
             format!("flat {intensity:.0} gCO2/kWh"),
         ),
     };
-    let report = match estimator.estimate(&req) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("estimate failed: {e}");
-            return Ok(1);
-        }
-    };
+    let report = estimator
+        .estimate(&req)
+        .map_err(|e| fail(1, format_args!("estimate failed: {e}")))?;
 
     // Catalog facts of the upgrade itself (grid-independent).
     let scenario = UpgradeScenario {
@@ -776,92 +839,56 @@ fn cmd_advisor(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
         "  verdict           : {}",
         report.upgrade.verdict.label()
     )?;
-    Ok(0)
+    Ok(())
 }
 
-fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    if let Some(pos) = args.iter().position(|a| a == "--merge") {
-        return cmd_sweep_merge(stdout, args, pos);
-    }
-    let mut grid = if args.iter().any(|a| a == "--quick") {
+fn cmd_sweep(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let mut grid = if args.switch("--quick") {
         ScenarioGrid::quick()
-    } else if args.iter().any(|a| a == "--shifting") {
+    } else if args.switch("--shifting") {
         ScenarioGrid::shifting()
     } else {
         ScenarioGrid::paper_default()
     };
-    let seed = match unsigned_flag::<u64>(args, "--seed") {
-        Ok(s) => s,
-        Err(c) => return Ok(c),
-    };
-    let seeds = match unsigned_flag::<u64>(args, "--seeds") {
-        Ok(n) => n,
-        Err(c) => return Ok(c),
-    };
-    if let Some(n) = seeds {
+    let seed = args.unsigned::<u64>("--seed")?;
+    if let Some(n) = args.unsigned::<u64>("--seeds")? {
         // N consecutive seeds starting at --seed (default 0): the knob
         // that scales any grid to 10^5+ rows for sharded runs.
         let base = seed.unwrap_or(0);
         let seeds: Option<Vec<u64>> = (0..n).map(|i| base.checked_add(i)).collect();
         let Some(seeds) = seeds else {
-            eprintln!("invalid --seeds \"{n}\" (--seed {base} plus {n} seeds passes u64::MAX)");
-            return Ok(2);
+            let msg =
+                format!("invalid --seeds \"{n}\" (--seed {base} plus {n} seeds passes u64::MAX)");
+            return Err(fail(2, msg));
         };
         grid = grid.seeds(seeds);
     } else if let Some(s) = seed {
         grid = grid.seeds([s]);
     }
     let mut config = SweepConfig::paper_default();
-    match positive_flag(args, "--jobs") {
-        Ok(Some(n)) => config.jobs_per_scenario = n,
-        Ok(None) => {}
-        Err(c) => return Ok(c),
+    if let Some(n) = args.positive("--jobs")? {
+        config.jobs_per_scenario = n;
     }
-    config.forecast = match forecast_flag(args) {
-        Ok(f) => f,
-        Err(c) => return Ok(c),
-    };
+    config.forecast = args.forecast()?;
     // Ingested trace files swap the grid onto the `file` source
     // dimension: each file backs its own zone's region; rows for
     // regions without a file fail soft as error rows.
-    let gaps = match gaps_flag(args) {
-        Ok(g) => g,
-        Err(c) => return Ok(c),
-    };
+    let gaps = args.gaps()?;
     let mut trace_files = Vec::new();
-    for path in flags(args, "--trace-file") {
-        match load_trace_cli(&path, gaps) {
-            Ok(p) => trace_files.push((p.operator, std::sync::Arc::new(p.trace))),
-            Err(c) => return Ok(c),
-        }
+    for path in args.occurrences("--trace-file").into_iter().flatten() {
+        let parsed = load_trace(path, gaps)?;
+        trace_files.push((parsed.operator, std::sync::Arc::new(parsed.trace)));
     }
     if !trace_files.is_empty() {
         grid = grid.sources([TraceSource::File]);
     }
-    let shard = match flag(args, "--shard") {
-        Some(s) => match ShardSpec::parse(&s) {
-            Ok(spec) => Some(spec),
-            Err(e) => {
-                eprintln!("invalid --shard: {e}");
-                return Ok(2);
-            }
-        },
-        None => None,
-    };
-    let threads = match positive_flag(args, "--threads") {
-        Ok(t) => t,
-        Err(c) => return Ok(c),
-    };
-    let top: usize = match unsigned_flag(args, "--top") {
-        Ok(k) => k.unwrap_or(5),
-        Err(c) => return Ok(c),
-    };
-    let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
-    let dir = std::path::Path::new(&out);
-    let catalog = match catalog_flag(args) {
-        Ok(c) => c,
-        Err(code) => return Ok(code),
-    };
+    let shard = args.parsed("--shard", |s| {
+        ShardSpec::parse(s).map_err(|e| format!("invalid --shard: {e}"))
+    })?;
+    let threads = args.positive("--threads")?;
+    let top: usize = args.unsigned("--top")?.unwrap_or(5);
+    let dir = Path::new(args.value("--out").unwrap_or("out/sweep"));
+    let catalog = args.catalog()?;
 
     let fingerprint = grid_fingerprint(&grid, &config);
     if let Some(spec) = shard {
@@ -875,25 +902,17 @@ fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                     dir.display(),
                     m.rows.len()
                 )?;
-                return Ok(0);
+                return Ok(());
             }
         }
     }
 
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return Ok(1);
-    }
-    let (csv_file, json_file) = match (
-        std::fs::File::create(dir.join(CSV_FILE)),
-        std::fs::File::create(dir.join(JSON_FILE)),
-    ) {
-        (Ok(c), Ok(j)) => (std::io::BufWriter::new(c), std::io::BufWriter::new(j)),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cannot write {}: {e}", dir.display());
-            return Ok(1);
-        }
-    };
+    let cannot_write = |e: io::Error| fail(1, format_args!("cannot write {}: {e}", dir.display()));
+    std::fs::create_dir_all(dir)
+        .map_err(|e| fail(1, format_args!("cannot create {}: {e}", dir.display())))?;
+    let csv_file = std::fs::File::create(dir.join(CSV_FILE)).map_err(cannot_write)?;
+    let json_file = std::fs::File::create(dir.join(JSON_FILE)).map_err(cannot_write)?;
+    let (csv_file, json_file) = (io::BufWriter::new(csv_file), io::BufWriter::new(json_file));
     // Shards emit document fragments that `--merge` concatenates; a
     // shard that continues earlier rows leads with the JSON separator.
     let mut csv = match shard {
@@ -928,13 +947,9 @@ fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     if let Some(spec) = shard {
         sweep = sweep.shard(spec.index, spec.count);
     }
-    let report = match sweep.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            return Ok(1);
-        }
-    };
+    let report = sweep
+        .run()
+        .map_err(|e| fail(1, format_args!("sweep failed: {e}")))?;
 
     if let Some(spec) = shard {
         writeln!(
@@ -986,10 +1001,7 @@ fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                 })
                 .collect(),
         };
-        if let Err(e) = manifest.write(dir) {
-            eprintln!("cannot write {}: {e}", dir.display());
-            return Ok(1);
-        }
+        manifest.write(dir).map_err(cannot_write)?;
         writeln!(
             stdout,
             "\nwrote {}/{{{CSV_FILE},{JSON_FILE},manifest.json}} (fragment)",
@@ -998,45 +1010,33 @@ fn cmd_sweep(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     } else {
         writeln!(stdout, "\nwrote {}/sweep.{{csv,json}}", dir.display())?;
     }
-    Ok(0)
+    Ok(())
 }
 
 /// `hpcarbon sweep --merge DIR...`: validate a complete shard partition
 /// and reassemble the canonical single-machine documents.
-fn cmd_sweep_merge(stdout: &mut impl Write, args: &[String], pos: usize) -> io::Result<i32> {
-    let dirs: Vec<std::path::PathBuf> = args[pos + 1..]
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .map(std::path::PathBuf::from)
-        .collect();
+fn cmd_sweep_merge(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let dirs: Vec<PathBuf> = args.positionals.iter().map(PathBuf::from).collect();
     if dirs.is_empty() {
-        eprintln!("--merge requires one directory per shard");
-        return Ok(2);
+        return Err(fail(2, "--merge requires one directory per shard"));
     }
-    let out = flag(args, "--out").unwrap_or_else(|| "out/sweep".into());
-    let out_dir = std::path::Path::new(&out);
-    match merge_sweep_outputs(&dirs, out_dir) {
-        Ok((rows, digests)) => {
-            writeln!(
-                stdout,
-                "merged {} shards ({rows} rows) -> {}/sweep.{{csv,json}}",
-                dirs.len(),
-                out_dir.display()
-            )?;
-            for d in &digests {
-                writeln!(
-                    stdout,
-                    "  {:<10} {:>9} bytes  fnv64 {:#018x}",
-                    d.path, d.bytes, d.fnv64
-                )?;
-            }
-            Ok(0)
-        }
-        Err(e) => {
-            eprintln!("merge failed: {e}");
-            Ok(1)
-        }
+    let out_dir = Path::new(args.value("--out").unwrap_or("out/sweep"));
+    let (rows, digests) = merge_sweep_outputs(&dirs, out_dir)
+        .map_err(|e| fail(1, format_args!("merge failed: {e}")))?;
+    writeln!(
+        stdout,
+        "merged {} shards ({rows} rows) -> {}/sweep.{{csv,json}}",
+        dirs.len(),
+        out_dir.display()
+    )?;
+    for d in &digests {
+        writeln!(
+            stdout,
+            "  {:<10} {:>9} bytes  fnv64 {:#018x}",
+            d.path, d.bytes, d.fnv64
+        )?;
     }
+    Ok(())
 }
 
 /// `hpcarbon trace validate|stats|import` — ingest real hourly
@@ -1048,36 +1048,23 @@ fn cmd_sweep_merge(stdout: &mut impl Write, args: &[String], pos: usize) -> io::
 ///   trace, suitable for golden `cmp` in CI;
 /// - `import FILE --out FILE` re-emits the canonical CSV form
 ///   (UTC stamps, gCO2/kWh, sorted hours) after validation.
-fn cmd_trace(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let Some(sub) = args.first().map(String::as_str) else {
-        eprintln!("trace requires a subcommand (valid values: validate, stats, import)");
-        return Ok(2);
+fn cmd_trace(stdout: &mut impl Write, sub: &str, args: &Args) -> Result<(), Stop> {
+    let Some(&path) = args.positionals.first() else {
+        return Err(fail(
+            2,
+            format_args!("trace {sub} requires a FILE argument"),
+        ));
     };
-    let rest = &args[1..];
-    let Some(path) = rest.first().filter(|a| !a.starts_with("--")).cloned() else {
-        eprintln!("trace {sub} requires a FILE argument");
-        return Ok(2);
-    };
-    let gaps = match gaps_flag(rest) {
-        Ok(g) => g,
-        Err(c) => return Ok(c),
-    };
-    let parsed = match load_trace_cli(&path, gaps) {
-        Ok(p) => p,
-        Err(c) => return Ok(c),
-    };
+    let parsed = load_trace(path, args.gaps()?)?;
     let zone = sustainable_hpc::grid::tracefile::zone_label(parsed.operator);
     match sub {
-        "validate" => {
-            writeln!(
-                stdout,
-                "{path}: ok — zone {zone}, year {}, {} hours ({} filled)",
-                parsed.year,
-                parsed.trace.series().len(),
-                parsed.filled_hours
-            )?;
-            Ok(0)
-        }
+        "validate" => writeln!(
+            stdout,
+            "{path}: ok — zone {zone}, year {}, {} hours ({} filled)",
+            parsed.year,
+            parsed.trace.series().len(),
+            parsed.filled_hours
+        )?,
         "stats" => {
             let b = parsed.trace.boxplot();
             writeln!(stdout, "zone       : {zone}")?;
@@ -1091,63 +1078,34 @@ fn cmd_trace(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
             writeln!(stdout, "q3         : {:.4}", b.q3)?;
             writeln!(stdout, "max        : {:.4}", b.max)?;
             writeln!(stdout, "cov %      : {:.4}", parsed.trace.cov_percent())?;
-            Ok(0)
         }
-        "import" => {
-            let Some(out) = flag(rest, "--out") else {
-                eprintln!("trace import requires --out FILE");
-                return Ok(2);
+        _ => {
+            let Some(out) = args.value("--out") else {
+                return Err(fail(2, "trace import requires --out FILE"));
             };
             let canonical = sustainable_hpc::grid::tracefile::write_trace_csv(&parsed.trace);
-            if let Some(parent) = std::path::Path::new(&out).parent() {
-                if !parent.as_os_str().is_empty() {
-                    if let Err(e) = std::fs::create_dir_all(parent) {
-                        eprintln!("cannot create {}: {e}", parent.display());
-                        return Ok(1);
-                    }
-                }
-            }
-            if let Err(e) = std::fs::write(&out, &canonical) {
-                eprintln!("cannot write {out}: {e}");
-                return Ok(1);
-            }
+            write_file(out, &canonical)?;
             writeln!(
                 stdout,
                 "wrote {out} — zone {zone}, year {}, {} hours (canonical form)",
                 parsed.year,
                 parsed.trace.series().len()
             )?;
-            Ok(0)
-        }
-        other => {
-            eprintln!("unknown trace subcommand: {other} (valid values: validate, stats, import)");
-            Ok(2)
         }
     }
+    Ok(())
 }
 
-fn cmd_schedule(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
-    let jobs_n = match positive_flag(args, "--jobs") {
-        Ok(n) => n.unwrap_or(300),
-        Err(c) => return Ok(c),
-    };
-    let seed: u64 = match unsigned_flag(args, "--seed") {
-        Ok(s) => s.unwrap_or(7),
-        Err(c) => return Ok(c),
-    };
-    let slack: u32 = match unsigned_flag(args, "--slack") {
-        Ok(h) => h.unwrap_or(24),
-        Err(c) => return Ok(c),
-    };
-    let source = if args.iter().any(|a| a == "--synthetic") {
+fn cmd_schedule(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
+    let jobs_n = args.positive("--jobs")?.unwrap_or(300);
+    let seed: u64 = args.unsigned("--seed")?.unwrap_or(7);
+    let slack: u32 = args.unsigned("--slack")?.unwrap_or(24);
+    let source = if args.switch("--synthetic") {
         TraceSource::Synthetic
     } else {
         TraceSource::Paper
     };
-    let forecast = match forecast_flag(args) {
-        Ok(f) => f,
-        Err(c) => return Ok(c),
-    };
+    let forecast = args.forecast()?;
     // One API batch: the same GB-anchored request under every policy,
     // with the CA partner site forced for ALL rows (`partner: true`) so
     // the table compares policies on one fixed topology rather than
@@ -1179,13 +1137,7 @@ fn cmd_schedule(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let results = Estimator::builder().build().estimate_batch(&requests);
     let mut rows = Vec::new();
     for (policy, result) in policies.iter().zip(results) {
-        let report = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}: {e}", policy.label());
-                return Ok(1);
-            }
-        };
+        let report = result.map_err(|e| fail(1, format_args!("{}: {e}", policy.label())))?;
         rows.push(sustainable_hpc::report::tables::ShiftingRow {
             policy: policy.label().to_string(),
             carbon_kg: report.operational.sched_kg,
@@ -1202,61 +1154,36 @@ fn cmd_schedule(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
         "{}",
         sustainable_hpc::report::tables::shifting_comparison(&rows)
     )?;
-    Ok(0)
+    Ok(())
 }
 
 /// `hpcarbon catalog validate|list|show|export` — manage plain-text
 /// hardware catalogs (format spec: docs/CATALOG.md).
-fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
+fn cmd_catalog(stdout: &mut impl Write, sub: &str, args: &Args) -> Result<(), Stop> {
     use sustainable_hpc::catalog::{export_builtin, node_slug, part_slug, region_slug};
-
-    let Some(sub) = args.first().map(String::as_str) else {
-        eprintln!("catalog requires a subcommand (valid values: validate, list, show, export)");
-        return Ok(2);
-    };
-    let rest = &args[1..];
 
     // export writes the built-in tables; it does not read a catalog.
     if sub == "export" {
-        let out = flag(rest, "--out").unwrap_or_else(|| "catalog".into());
-        return match export_builtin(&out) {
-            Ok(()) => {
-                writeln!(
-                    stdout,
-                    "exported the built-in tables to {out}/ (13 parts, 5 process nodes, 3 systems, 7 regions)"
-                )?;
-                Ok(0)
-            }
-            Err(e) => {
-                eprintln!("cannot write {out}: {e}");
-                Ok(1)
-            }
-        };
+        let out = args.value("--out").unwrap_or("catalog");
+        export_builtin(out).map_err(|e| fail(1, format_args!("cannot write {out}: {e}")))?;
+        writeln!(
+            stdout,
+            "exported the built-in tables to {out}/ (13 parts, 5 process nodes, 3 systems, 7 regions)"
+        )?;
+        return Ok(());
     }
 
-    let dir = flag(rest, "--catalog").unwrap_or_else(|| "catalog".into());
-    let catalog = match Catalog::load(&dir) {
-        Ok(c) => c,
-        Err(errors) => {
-            let n = errors.0.len();
-            eprintln!("{errors}");
-            eprintln!("{dir}: {n} catalog error(s)");
-            return Ok(1);
-        }
-    };
-
+    let dir = args.value("--catalog").unwrap_or("catalog");
+    let catalog = Catalog::load(dir).map_err(|e| load_failed(dir, "catalog", &e, e.0.len()))?;
     match sub {
-        "validate" => {
-            writeln!(
-                stdout,
-                "{dir}: OK ({} parts, {} process nodes, {} systems, {} regions)",
-                catalog.parts().len(),
-                catalog.nodes().len(),
-                catalog.systems().len(),
-                catalog.regions().len()
-            )?;
-            Ok(0)
-        }
+        "validate" => writeln!(
+            stdout,
+            "{dir}: OK ({} parts, {} process nodes, {} systems, {} regions)",
+            catalog.parts().len(),
+            catalog.nodes().len(),
+            catalog.systems().len(),
+            catalog.regions().len()
+        )?,
         "list" => {
             for p in catalog.parts() {
                 writeln!(
@@ -1285,14 +1212,15 @@ fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                     r.source
                 )?;
             }
-            Ok(0)
         }
-        "show" => {
-            let Some(id) = rest.first().filter(|a| !a.starts_with("--")) else {
-                eprintln!("show requires an entity id (try `hpcarbon catalog list`)");
-                return Ok(2);
+        _ => {
+            let Some(&id) = args.positionals.first() else {
+                return Err(fail(
+                    2,
+                    "show requires an entity id (try `hpcarbon catalog list`)",
+                ));
             };
-            if let Some(p) = catalog.parts().iter().find(|p| part_slug(p.spec.id) == *id) {
+            if let Some(p) = catalog.parts().iter().find(|p| part_slug(p.spec.id) == id) {
                 let spec = &p.spec;
                 writeln!(stdout, "part {id} ({})", p.source)?;
                 writeln!(stdout, "  part-name : {}", spec.part_name)?;
@@ -1310,7 +1238,7 @@ fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                     spec.embodied().total().as_kg(),
                     spec.embodied().packaging_share().percent()
                 )?;
-            } else if let Some(n) = catalog.nodes().iter().find(|n| node_slug(n.node) == *id) {
+            } else if let Some(n) = catalog.nodes().iter().find(|n| node_slug(n.node) == id) {
                 writeln!(stdout, "process-node {id} ({})", n.source)?;
                 writeln!(stdout, "  label : {}", n.label)?;
                 writeln!(
@@ -1320,7 +1248,7 @@ fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                     n.densities.gpa.as_g_per_cm2(),
                     n.densities.mpa.as_g_per_cm2()
                 )?;
-            } else if let Some(s) = catalog.systems().iter().find(|s| s.id == *id) {
+            } else if let Some(s) = catalog.systems().iter().find(|s| s.id == id) {
                 let sys = &s.system;
                 writeln!(stdout, "system {id} ({})", s.source)?;
                 writeln!(stdout, "  name     : {} — {}", sys.name, sys.location)?;
@@ -1351,22 +1279,17 @@ fn cmd_catalog(stdout: &mut impl Write, args: &[String]) -> io::Result<i32> {
                     "  embodied total : {:.1} tCO2",
                     sys.embodied_total().as_t()
                 )?;
-            } else if let Some(r) = catalog.regions().iter().find(|r| region_slug(r.id) == *id) {
+            } else if let Some(r) = catalog.regions().iter().find(|r| region_slug(r.id) == id) {
                 writeln!(stdout, "region {id} ({})", r.source)?;
                 writeln!(stdout, "  short   : {}", r.short)?;
                 writeln!(stdout, "  name    : {}", r.name)?;
                 writeln!(stdout, "  country : {} ({})", r.country, r.region)?;
             } else {
-                eprintln!("{dir}: no entity with id \"{id}\" (try `hpcarbon catalog list`)");
-                return Ok(1);
+                let msg =
+                    format!("{dir}: no entity with id \"{id}\" (try `hpcarbon catalog list`)");
+                return Err(fail(1, msg));
             }
-            Ok(0)
-        }
-        other => {
-            eprintln!(
-                "unknown catalog subcommand \"{other}\" (valid values: validate, list, show, export)"
-            );
-            Ok(2)
         }
     }
+    Ok(())
 }

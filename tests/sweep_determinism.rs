@@ -239,11 +239,13 @@ fn cli_rejects_a_malformed_jobs_value() {
     for (cmd, bad) in [("sweep", "four"), ("sweep", "0"), ("schedule", "four")] {
         let dir =
             std::env::temp_dir().join(format!("hpcarbon-jobs-{cmd}-{bad}-{}", std::process::id()));
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
-            .args([cmd, "--quick", "--jobs", bad, "--out"])
-            .arg(&dir)
-            .output()
-            .expect("hpcarbon runs");
+        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"));
+        command.args([cmd, "--jobs", bad]);
+        // Only `sweep` declares the quick grid and an output directory.
+        if cmd == "sweep" {
+            command.args(["--quick", "--out"]).arg(&dir);
+        }
+        let out = command.output().expect("hpcarbon runs");
         assert_eq!(out.status.code(), Some(2), "{cmd} --jobs {bad}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         let want = format!("invalid --jobs \"{bad}\" (expected a positive integer)");
@@ -296,12 +298,13 @@ fn cli_rejects_every_malformed_numeric_flag() {
     ];
     for (i, (cmd, name, bad, expected)) in cases.into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("hpcarbon-flag-{i}-{}", std::process::id()));
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"))
-            .args(cmd)
-            .args([name, bad, "--out"])
-            .arg(&dir)
-            .output()
-            .expect("hpcarbon runs");
+        let mut command = std::process::Command::new(env!("CARGO_BIN_EXE_hpcarbon"));
+        command.args(cmd).args([name, bad]);
+        // `--out` goes only to the subcommands that declare it.
+        if ["sweep", "figures", "loadgen"].contains(&cmd[0]) {
+            command.arg("--out").arg(&dir);
+        }
+        let out = command.output().expect("hpcarbon runs");
         assert_eq!(out.status.code(), Some(2), "{cmd:?} {name} {bad}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         let want = format!("invalid {name} \"{bad}\" (expected {expected})");
