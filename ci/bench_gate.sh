@@ -13,10 +13,13 @@
 #     suggesting a baseline refresh (never fails);
 #   * window_index/argmin_indexed must beat window_index/argmin_naive by
 #     ≥ MIN_ARGMIN_SPEEDUP (10, fixed in this script) — the indexed-query
-#     contract, a pure ratio and therefore machine-independent;
+#     contract, a pure ratio and therefore machine-independent, its two
+#     medians taken from interleaved samples;
 #   * serve/estimate_uncached must beat serve/estimate_cached_hit by
-#     ≥ MIN_CACHE_SPEEDUP (5, fixed in this script) — the
-#     canonical-request cache contract, likewise a pure ratio;
+#     ≥ MIN_CACHE_SPEEDUP (5, fixed in this script) — the response-cache
+#     contract (a repeated body that reaches EstimateService::handle is
+#     answered from the cache, not parsed and estimated again), likewise
+#     a pure ratio;
 #   * sweep/context/scenario_uncontexted must beat
 #     sweep/context/scenario_contexted by ≥ MIN_SWEEP_SPEEDUP (2, fixed
 #     in this script) — the per-run context contract (trace simulation,
@@ -37,12 +40,12 @@
 #     std's formatter;
 #   * serve/estimate_miss_repeat_key must beat serve/estimate_uncached by
 #     ≥ MIN_STORE_SPEEDUP (10, fixed in this script) — the trace-store
-#     contract (a row-cache miss on an already-built region-year takes
+#     contract (a response-cache miss on an already-built region-year takes
 #     its grid year from the estimator's bounded store instead of a
 #     dispatch simulation, same bytes);
 #   * serve/estimate_miss_repeat_run must beat serve/estimate_miss_new_run
 #     by ≥ MIN_RUN_STORE_SPEEDUP (3, fixed in this script) — the
-#     run-store contract (a row-cache miss whose scheduling run and
+#     run-store contract (a response-cache miss whose scheduling run and
 #     seasonal-PUE year an earlier miss computed copies them from the
 #     estimator's stores, and rebuilds no trace, same bytes);
 #   * sweep/context/scenario_contexted_seasonal must beat
@@ -164,7 +167,7 @@ else
     fi
 fi
 
-# --- gate 1b: the canonical-cache speedup contract -------------------------
+# --- gate 1b: the response-cache speedup contract --------------------------
 uncached=$(extract "$OUT_DIR/BENCH_serve.json" | awk '$1 == "serve/estimate_uncached" { print $2 }')
 cached=$(extract "$OUT_DIR/BENCH_serve.json" | awk '$1 == "serve/estimate_cached_hit" { print $2 }')
 if [[ -z "$uncached" || -z "$cached" ]]; then

@@ -52,11 +52,10 @@
 //!
 //! - provider traits are `Send + Sync`, so one [`Estimator`] can be
 //!   shared by a pool of worker threads;
-//! - [`request::ValidRequest::canonical_json`] gives every validated
-//!   request a canonical byte form that is injective over request
-//!   semantics — with estimation pure, equal canonical bytes imply
-//!   byte-identical report emissions, so a cache keyed on them can never
-//!   change a response. The determinism-under-caching contract is
+//! - estimation is a pure function of the request and the providers, so
+//!   one request document always renders, through [`batch_to_json`], to
+//!   the same bytes, and a cache keyed on the document's exact bytes can
+//!   never change a response. The determinism-under-caching contract is
 //!   specified in `DESIGN.md` §9.
 
 #![forbid(unsafe_code)]

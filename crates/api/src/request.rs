@@ -344,9 +344,9 @@ impl ValidRequest {
     /// requests share canonical bytes exactly when every field is equal —
     /// and estimation is a pure function of the request and the
     /// providers, so equal canonical bytes imply byte-identical
-    /// [`crate::FootprintReport`] emissions. That makes this string the
-    /// cache key of the serving layer: a response answered from cache is
-    /// indistinguishable from a freshly computed one.
+    /// [`crate::FootprintReport`] emissions. Two documents that differ
+    /// only in spelling (field order, whitespace, number form) therefore
+    /// share this form and their reports.
     pub fn canonical_json(&self) -> String {
         self.req.to_json()
     }

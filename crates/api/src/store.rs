@@ -50,10 +50,10 @@
 //!
 //! The trace store holds at most [`TRACE_CAPACITY`] entries (~2.2 MiB).
 //! The run and seasonal stores hold at most [`RUN_CAPACITY`] and
-//! [`SEASONAL_CAPACITY`] entries of a few hundred bytes each, ~0.1 MiB
+//! [`SEASONAL_CAPACITY`] entries of a few hundred bytes each, ~0.2 MiB
 //! together. Each store evicts the least recently used entry first, and
-//! each admission FIFO holds at most [`SEEN`] keys (under 40 KB for the
-//! run store's, the largest keys).
+//! each admission FIFO holds at most [`SEEN`] keys (~75 KB with its
+//! index for the run store's, the largest keys).
 //!
 //! ## Fill
 //!
@@ -73,8 +73,8 @@
 use crate::context::TraceStats;
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::trace::IntensityTrace;
+use hpcarbon_sim::lru::Lru;
 use hpcarbon_timeseries::series::HourlySeries;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -119,10 +119,11 @@ impl StoredTrace {
 type Cell<V> = Arc<OnceLock<V>>;
 
 struct Slots<K, V> {
-    /// Keys missed once and not yet admitted, oldest first.
-    seen: VecDeque<K>,
-    /// Admitted keys, least recently used first.
-    cells: VecDeque<(K, Cell<V>)>,
+    /// Admitted keys and their cells.
+    cells: Lru<K, Cell<V>>,
+    /// Keys missed once and not yet admitted. Never promoted, so it
+    /// evicts the oldest first sight: a FIFO.
+    seen: Lru<K, ()>,
 }
 
 /// What one store has done since its estimator was built.
@@ -170,20 +171,18 @@ impl<V> Found<V, V> {
 /// A bounded store an [`crate::Estimator`] owns: second-sight admission,
 /// least-recently-used eviction, one fill per admitted key.
 pub(crate) struct Store<K, V> {
-    capacity: usize,
     slots: Mutex<Slots<K, V>>,
     hits: AtomicU64,
     builds: AtomicU64,
 }
 
-impl<K: Copy + Eq, V: Clone> Store<K, V> {
+impl<K: Copy + Ord, V: Clone> Store<K, V> {
     /// An empty store of at most `capacity` entries.
     pub(crate) fn new(capacity: usize) -> Store<K, V> {
         Store {
-            capacity,
             slots: Mutex::new(Slots {
-                seen: VecDeque::new(),
-                cells: VecDeque::new(),
+                cells: Lru::new(capacity),
+                seen: Lru::new(SEEN),
             }),
             hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
@@ -228,24 +227,15 @@ impl<K: Copy + Eq, V: Clone> Store<K, V> {
     /// entry when full. A first sight is remembered and gets `None`.
     fn admit(&self, key: K) -> Option<Cell<V>> {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(i) = slots.cells.iter().position(|(k, _)| *k == key) {
-            let (key, cell) = slots.cells.remove(i)?;
-            slots.cells.push_back((key, Arc::clone(&cell)));
-            return Some(cell);
+        if let Some(cell) = slots.cells.get(&key) {
+            return Some(Arc::clone(cell));
         }
-        if let Some(i) = slots.seen.iter().position(|k| *k == key) {
-            slots.seen.remove(i);
-            if slots.cells.len() == self.capacity {
-                slots.cells.pop_front();
-            }
+        if slots.seen.remove(&key).is_some() {
             let cell = Cell::default();
-            slots.cells.push_back((key, Arc::clone(&cell)));
+            slots.cells.insert(key, Arc::clone(&cell));
             return Some(cell);
         }
-        if slots.seen.len() == SEEN {
-            slots.seen.pop_front();
-        }
-        slots.seen.push_back(key);
+        slots.seen.insert(key, ());
         None
     }
 
@@ -255,11 +245,7 @@ impl<K: Copy + Eq, V: Clone> Store<K, V> {
         StoreCounters {
             hits: self.hits.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
-            entries: slots
-                .cells
-                .iter()
-                .filter(|(_, c)| c.get().is_some())
-                .count(),
+            entries: slots.cells.values().filter(|c| c.get().is_some()).count(),
         }
     }
 }
@@ -424,6 +410,99 @@ mod tests {
                 store.get(k, || k, u64::clone);
             }
             assert_eq!(store.counters().entries, capacity);
+        }
+    }
+
+    /// The naive reference: the admission the store ran before it was
+    /// built on [`Lru`], a FIFO of [`SEEN`] first sights and an LRU of
+    /// filled cells, each a queue searched by a linear scan.
+    struct ModelStore {
+        capacity: usize,
+        /// Keys missed once and not yet admitted, oldest first.
+        seen: Vec<u64>,
+        /// Admitted keys and their values, least recently used first.
+        cells: Vec<(u64, u64)>,
+        hits: u64,
+        builds: u64,
+    }
+
+    impl ModelStore {
+        fn new(capacity: usize) -> ModelStore {
+            ModelStore {
+                capacity,
+                seen: Vec::new(),
+                cells: Vec::new(),
+                hits: 0,
+                builds: 0,
+            }
+        }
+
+        /// What [`Store::get`] finds for `key` when `built` is what its
+        /// build would return, as (variant, value).
+        fn get(&mut self, key: u64, built: u64) -> (&'static str, u64) {
+            if let Some(i) = self.cells.iter().position(|&(k, _)| k == key) {
+                let cell = self.cells.remove(i);
+                self.cells.push(cell);
+                self.hits += 1;
+                return ("stored", cell.1);
+            }
+            self.builds += 1;
+            if let Some(i) = self.seen.iter().position(|&k| k == key) {
+                self.seen.remove(i);
+                if self.cells.len() == self.capacity {
+                    self.cells.remove(0);
+                }
+                self.cells.push((key, built));
+                return ("filled", built);
+            }
+            if self.seen.len() == SEEN {
+                self.seen.remove(0);
+            }
+            self.seen.push(key);
+            ("unkept", built)
+        }
+    }
+
+    mod model_props {
+        use super::*;
+        use proptest::collection;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            // A quarter of the lookups repeat a dozen hot keys, so
+            // admissions fill and evict up to 8 cells; the rest spread
+            // over a thousand keys, so first sights overflow the 256-key
+            // FIFO and some keys come back just after falling out of it.
+            // Every lookup builds a distinct value, so a hit names the
+            // fill it returns.
+            #[test]
+            fn admission_matches_the_naive_model(
+                capacity in 1usize..9,
+                picks in collection::vec((0u8..4, 0u64..1_000), 300..1_500),
+            ) {
+                let store = Store::<u64, u64>::new(capacity);
+                let mut model = ModelStore::new(capacity);
+                for (step, &(pick, k)) in picks.iter().enumerate() {
+                    let key = if pick == 0 { k % 12 } else { k };
+                    let built = step as u64;
+                    let found = match store.get(key, || built, u64::clone) {
+                        Found::Unkept(b) => ("unkept", b),
+                        Found::Filled(b, kept) => {
+                            prop_assert_eq!(b, kept);
+                            ("filled", b)
+                        }
+                        Found::Stored(v) => ("stored", v),
+                    };
+                    prop_assert_eq!((step, found), (step, model.get(key, built)));
+                }
+                let c = store.counters();
+                prop_assert_eq!(
+                    (c.hits, c.builds, c.entries),
+                    (model.hits, model.builds, model.cells.len())
+                );
+            }
         }
     }
 

@@ -4,17 +4,19 @@
 //!
 //! `serve/estimate_cached_hit` and `serve/estimate_uncached` measure the
 //! same handler on the same request shape — the differences are the
-//! cache capacity (primed 64-entry cache vs capacity 0) and the seed,
-//! which the uncached arm draws fresh each iteration so that every call
-//! also builds its grid year. Their ratio is the cache-hit speedup, a
-//! **machine-independent contract** the bench gate holds at ≥ 5x
-//! (`ci/bench_gate.sh`, `MIN_CACHE_SPEEDUP`); in practice a hit skips a
-//! multi-millisecond simulation for microseconds of parse + lookup +
-//! emission, so the observed ratio is orders of magnitude above the
-//! gate.
+//! cache capacity (primed 64-entry response cache vs capacity 0) and the
+//! seed, which the uncached arm draws fresh each iteration so that every
+//! call also builds its grid year. A hit is what answers a repeated body
+//! that reaches a worker: `handle` finds the body in the response cache
+//! and copies its rendered bytes out. Their ratio is the cache-hit
+//! speedup, a **machine-independent contract** the bench gate holds at
+//! ≥ 5x (`ci/bench_gate.sh`, `MIN_CACHE_SPEEDUP`); in practice a hit
+//! skips parsing, a multi-millisecond simulation and emission for one
+//! lookup and one copy, so the observed ratio is orders of magnitude
+//! above the gate.
 //!
 //! `serve/estimate_miss_repeat_key` repeats one body at capacity 0: each
-//! call misses the row cache, evaluates, takes its grid year's stats
+//! call misses the response cache, evaluates, takes its grid year's stats
 //! from the estimator's trace store and its scheduling run from the run
 //! store, so no layer runs. Its ratio to `serve/estimate_uncached` is
 //! the store speedup, held at ≥ 10x (`MIN_STORE_SPEEDUP`).
@@ -33,10 +35,12 @@ use hpcarbon_api::{EstimateRequest, Estimator, PueSpec, SystemId};
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_sched::Policy;
 use hpcarbon_server::http::{read_request, RequestParser};
-use hpcarbon_server::{EstimateService, HttpRequest, Server, ServerConfig, ShardedLru};
+use hpcarbon_server::{EstimateService, HttpRequest, Server, ServerConfig};
+use hpcarbon_sim::lru::Lru;
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
 
 /// The benchmark workload: the paper-baseline Frontier/GB request at the
 /// sweep's fast job count (the smoke fixtures' shape).
@@ -90,7 +94,7 @@ fn estimate_paths(c: &mut Criterion) {
         })
     });
 
-    // One body at capacity 0: every call misses the row cache and takes
+    // One body at capacity 0: every call misses the response cache and takes
     // its grid year and run from the stores (a first sight and a fill
     // prime them).
     let repeat = EstimateService::new(Estimator::builder().build(), 0);
@@ -119,7 +123,8 @@ fn estimate_paths(c: &mut Criterion) {
         })
     });
 
-    // Primed cache: every call is parse + canonical key + hit + emit.
+    // Primed cache: every call is a lookup of the raw body and a copy of
+    // the rendered answer.
     let cached = EstimateService::new(Estimator::builder().build(), 64);
     let primed = cached.handle(&req);
     assert_eq!(primed.status, 200);
@@ -129,20 +134,20 @@ fn estimate_paths(c: &mut Criterion) {
 }
 
 fn cache_ops(c: &mut Criterion) {
-    // The raw shard cost at serving shape: ~canonical-key-sized string
-    // keys, Arc'd values, a mixed get/insert pattern.
-    let cache: ShardedLru<u64> = ShardedLru::new(1024);
+    // The raw cost of the response cache's lock and lookup at serving
+    // shape: request-body-sized string keys, 256 of them held.
+    let cache: Mutex<Lru<String, u64>> = Mutex::new(Lru::new(1024));
     let keys: Vec<String> = (0..256)
         .map(|i| format!("{}-{i}", request_body()))
         .collect();
     for (i, k) in keys.iter().enumerate() {
-        cache.insert(k.clone(), i as u64);
+        cache.lock().unwrap().insert(k.clone(), i as u64);
     }
     let mut i = 0;
     c.bench_function("serve/cache_get_hit", |b| {
         b.iter(|| {
             i = (i + 1) % keys.len();
-            black_box(cache.get(&keys[i]))
+            black_box(cache.lock().unwrap().get(keys[i].as_str()).copied())
         })
     });
 }
@@ -178,8 +183,8 @@ fn http_parse(c: &mut Criterion) {
     });
 }
 
-/// The on-loop fast path: a hot rendered-response lookup — exactly what a
-/// shard pays per cache-hit request before copying the Arc'd bytes out.
+/// The on-loop fast path: a response-cache lookup — exactly what a shard
+/// pays per cache-hit request before queueing the Arc'd bytes.
 fn hot_response(c: &mut Criterion) {
     let body = request_body();
     let service = EstimateService::new(Estimator::builder().build(), 64);
@@ -187,7 +192,7 @@ fn hot_response(c: &mut Criterion) {
     assert_eq!(primed.status, 200);
     assert!(
         service.try_hot(body.as_bytes()).is_some(),
-        "the handled request must prime the hot rendered-response cache"
+        "the handled request must prime the response cache"
     );
     c.bench_function("serve/hot_response_hit", |b| {
         b.iter(|| black_box(service.try_hot(body.as_bytes()).unwrap()))

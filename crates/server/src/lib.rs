@@ -22,16 +22,16 @@
 //! - `GET /metrics` — request counts, latency histogram, cache hits in a
 //!   plain-text format (glossary in the README).
 //!
-//! ## The canonical-request cache
+//! ## The response cache
 //!
-//! In front of the estimator sits a sharded LRU cache keyed by each
-//! validated request's canonical bytes
-//! ([`hpcarbon_api::request::ValidRequest::canonical_json`]). Estimation
-//! is a pure function of the request and the providers, and the canonical
-//! form is injective over request semantics — so a cache hit returns the
-//! exact bytes the uncached path would have computed. Repeated scenario
-//! queries skip simulation entirely; determinism is never traded away.
-//! The contract is specified in `DESIGN.md` §9.
+//! In front of the estimator sits one bounded LRU cache
+//! ([`hpcarbon_sim::lru::Lru`]) that maps a request body's exact bytes
+//! to its rendered all-`Ok` answer. Estimation is a pure function of the
+//! request and the providers, so one body always renders to one answer
+//! and a cache hit returns the exact bytes the uncached path would have
+//! computed. Repeated scenario queries skip parsing and simulation
+//! entirely; determinism is never traded away. The contract is specified
+//! in `DESIGN.md` §9.
 //!
 //! ## Graceful shutdown
 //!
@@ -44,7 +44,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 #[cfg(target_os = "linux")]
 pub mod conn;
 #[cfg(target_os = "linux")]
@@ -59,7 +58,6 @@ pub mod service;
 pub mod signal;
 pub mod slab;
 
-pub use cache::ShardedLru;
 pub use http::{HttpError, HttpRequest, HttpResponse};
 pub use loadgen::{wait_healthz, LoadGenConfig, LoadSummary};
 pub use metrics::Metrics;

@@ -51,13 +51,14 @@ pub struct Metrics {
     pub reports_ok: AtomicU64,
     /// Individual error rows inside estimate batches.
     pub report_errors: AtomicU64,
-    /// Batch rows answered from the canonical-request cache.
+    /// Batch rows answered from the response cache, on the event loop
+    /// or in a worker.
     pub cache_hits: AtomicU64,
-    /// Batch rows that had to run the estimator.
+    /// Validated batch rows that ran the estimator.
     pub cache_misses: AtomicU64,
-    /// Whole responses served from the hot rendered-response cache
-    /// (answered on the event loop, zero body copies). Each also counts
-    /// its rows into `cache_hits`, so row-level invariants hold.
+    /// Whole responses served from the response cache on the event loop
+    /// itself (zero body copies). Each also counts its rows into
+    /// `cache_hits`, so row-level invariants hold.
     pub hot_responses: AtomicU64,
     /// Connections dropped by peer reset/disconnect mid-request or
     /// mid-response (never counts clean keep-alive closes).

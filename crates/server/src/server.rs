@@ -55,7 +55,7 @@ pub struct ServerConfig {
     /// Event-loop shards (Linux epoll core only; the blocking fallback
     /// ignores this).
     pub shards: usize,
-    /// Canonical-request cache capacity, entries (0 disables).
+    /// Response-cache capacity: rendered answers held (0 disables).
     pub cache_capacity: usize,
     /// Request-body limit, bytes.
     pub max_body_bytes: usize,

@@ -8,21 +8,21 @@
 //!
 //! `POST /v1/estimate` answers must be **byte-identical** to
 //! `hpcarbon estimate` for the same document, cached or not. The chain
-//! that guarantees it:
+//! that guarantees it runs body → parse → rows → rendered bytes:
 //!
-//! 1. each batch row validates to a [`ValidRequest`] whose
-//!    [`canonical_json`](ValidRequest::canonical_json) is injective over
-//!    request semantics;
-//! 2. the cache maps canonical bytes → the computed [`FootprintReport`]
-//!    **struct** (not rendered text), so assembly goes through the same
-//!    [`batch_to_json`] emitter whether rows were computed or recalled;
-//! 3. estimation is a pure function of the request and the (fixed,
-//!    default) providers.
+//! 1. the body parses to its batch of requests, and each row validates
+//!    and estimates on its own;
+//! 2. estimation is a pure function of the request and the (fixed,
+//!    default) providers, so the rows are the CLI's rows;
+//! 3. the rows render through the same [`batch_to_json`] emitter as the
+//!    CLI's.
 //!
-//! Only `Ok` reports are cached; error rows are cheap to recompute and
-//! keeping them out makes cache poisoning by malformed traffic
-//! impossible. The mixed case — a batch where some rows hit and some
-//! miss — therefore composes row by row without special cases.
+//! So one body always renders to one answer, and the response cache maps
+//! the raw body to those rendered bytes ([`HotResponse`]). It is keyed
+//! on the body's exact bytes, so a hit can only repeat the answer its
+//! body already got. Only all-`Ok` answers are kept: error rows are
+//! cheap to recompute, and keeping them out makes cache poisoning by
+//! malformed traffic impossible.
 //!
 //! A row that misses the cache still skips most of its work when an
 //! earlier miss shared its region-year, scheduling run or seasonal-PUE
@@ -34,16 +34,18 @@
 //!
 //! [`EstimateService::handle`] catches a panic under any route and
 //! answers `500` with an `internal` error payload, so a panicking
-//! provider costs one response, never a worker thread.
+//! provider costs one response, never a worker thread. No panic can
+//! happen under the cache's lock; should one poison it all the same, the
+//! next caller empties the cache and clears the poison, so a fault costs
+//! the cached answers, never the answers themselves.
 
-use crate::cache::ShardedLru;
 use crate::http::{HttpError, HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
-use hpcarbon_api::request::ValidRequest;
-use hpcarbon_api::{batch_to_json, ApiError, EstimateRequest, Estimator, FootprintReport};
+use hpcarbon_api::{batch_to_json, EstimateRequest, Estimator};
+use hpcarbon_sim::lru::Lru;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default request-body limit (1 MiB — thousands of batch rows).
@@ -57,38 +59,36 @@ pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
 /// is answered on the loop thread by queueing the shared bytes — no
 /// parse, no estimation, no body copy. Keyed on the **raw** body, it only
 /// ever hits for byte-identical requests, whose responses are identical
-/// by the determinism contract (same bytes → same parse → same canonical
-/// rows → same rendered answer), so it can never change served bytes.
+/// by the determinism contract (same bytes → same parse → same rows →
+/// same rendered answer), so it can never change served bytes.
 #[derive(Debug, Clone)]
 pub struct HotResponse {
     /// Rendered JSON response body.
     pub body: Arc<Vec<u8>>,
-    /// Batch rows inside; a hot hit counts each as a cache hit so the
+    /// Batch rows inside; a hit counts each as a cache hit so the
     /// row-level invariants (`cache_hits + cache_misses == rows seen`)
     /// survive the short-circuit.
     pub rows: u64,
 }
 
 /// The server's request handler: routes, the estimator, and the
-/// canonical-request cache.
+/// response cache.
 pub struct EstimateService {
     estimator: Estimator,
-    cache: ShardedLru<Arc<FootprintReport>>,
     /// Raw body → rendered all-`Ok` response (see [`HotResponse`]).
-    hot: ShardedLru<HotResponse>,
+    hot: Mutex<Lru<String, HotResponse>>,
     metrics: Metrics,
     max_body_bytes: usize,
 }
 
 impl EstimateService {
-    /// A service over `estimator` with a canonical-request cache of
+    /// A service over `estimator` with a response cache of
     /// `cache_capacity` entries (0 disables caching) and the default body
     /// limit.
     pub fn new(estimator: Estimator, cache_capacity: usize) -> EstimateService {
         EstimateService {
             estimator,
-            cache: ShardedLru::new(cache_capacity),
-            hot: ShardedLru::new(cache_capacity),
+            hot: Mutex::new(Lru::new(cache_capacity)),
             metrics: Metrics::new(),
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
         }
@@ -111,20 +111,17 @@ impl EstimateService {
     }
 
     /// The event loop's fast path: answers a `POST /v1/estimate` body
-    /// straight from the hot-response cache, doing **all** the metric
+    /// straight from the response cache, doing **all** the metric
     /// accounting the slow path would ([`handle`](Self::handle) must NOT
     /// also run for this request). Returns `None` on a miss — the caller
     /// hands the request to the worker pool, whose
     /// [`handle`](Self::handle) call populates the cache.
     pub fn try_hot(&self, body: &[u8]) -> Option<HotResponse> {
-        let src = std::str::from_utf8(body).ok()?;
         let started = Instant::now();
-        let hit = self.hot.get(src)?;
+        let hit = self.cached(body)?;
         let m = &self.metrics;
         m.http_requests.fetch_add(1, Ordering::Relaxed);
         m.estimate_calls.fetch_add(1, Ordering::Relaxed);
-        m.reports_ok.fetch_add(hit.rows, Ordering::Relaxed);
-        m.cache_hits.fetch_add(hit.rows, Ordering::Relaxed);
         m.hot_responses.fetch_add(1, Ordering::Relaxed);
         m.count_response(200);
         let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -139,9 +136,9 @@ impl EstimateService {
     pub fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         // Unwind safety: a route shares only atomics, the estimator's
-        // stores, whose locks never run a build, and the two
-        // caches, which are written after the estimate a panic would
-        // come from. A panic leaves nothing shared half-done.
+        // stores, whose locks never run a build, and the response
+        // cache, which is written after the estimate a panic would come
+        // from. A panic leaves nothing shared half-done.
         let resp = panic::catch_unwind(AssertUnwindSafe(|| self.route(req))).unwrap_or_else(|_| {
             self.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             error_payload(500, "internal", "the request handler panicked")
@@ -153,11 +150,11 @@ impl EstimateService {
     fn route(&self, req: &HttpRequest) -> HttpResponse {
         match (req.method.as_str(), req.target.as_str()) {
             ("GET", "/healthz") => HttpResponse::ok("text/plain; charset=utf-8", "ok\n"),
-            ("GET", "/metrics") => HttpResponse::ok(
-                "text/plain; charset=utf-8",
-                self.metrics
-                    .render(self.cache.len(), self.estimator.store_stats()),
-            ),
+            ("GET", "/metrics") => {
+                let entries = self.hot().len();
+                let text = self.metrics.render(entries, self.estimator.store_stats());
+                HttpResponse::ok("text/plain; charset=utf-8", text)
+            }
             ("POST", "/v1/estimate") => self.estimate(&req.body),
             ("GET", "/v1/estimate") | ("POST", "/healthz") | ("POST", "/metrics") => {
                 error_payload(405, "http", "method not allowed for this route")
@@ -184,23 +181,60 @@ impl EstimateService {
         Some(resp)
     }
 
+    /// The response cache, locked. A poisoned lock comes back emptied
+    /// and unpoisoned, so a fault costs the cached answers and nothing
+    /// else.
+    fn hot(&self) -> MutexGuard<'_, Lru<String, HotResponse>> {
+        self.hot.lock().unwrap_or_else(|mut poisoned| {
+            poisoned.get_mut().clear();
+            self.hot.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// The cached answer to `body`, its rows counted as cache hits.
+    fn cached(&self, body: &[u8]) -> Option<HotResponse> {
+        let src = std::str::from_utf8(body).ok()?;
+        let hit = self.hot().get(src).cloned()?;
+        let m = &self.metrics;
+        m.reports_ok.fetch_add(hit.rows, Ordering::Relaxed);
+        m.cache_hits.fetch_add(hit.rows, Ordering::Relaxed);
+        Some(hit)
+    }
+
     fn estimate(&self, body: &[u8]) -> HttpResponse {
         self.metrics.estimate_calls.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let src = match std::str::from_utf8(body) {
-            Ok(s) => s,
-            Err(_) => return error_payload(400, "http", "request body is not UTF-8"),
+        let json = match self.cached(body) {
+            Some(hit) => hit.body.to_vec(),
+            None => match self.evaluate(body) {
+                Ok(json) => json,
+                Err(resp) => return resp,
+            },
         };
+        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.metrics.observe_latency_us(us);
+        HttpResponse::json(200, json)
+    }
+
+    /// Estimates every row of `body` and renders the answer, keeping it
+    /// in the response cache when every row is `Ok`. A body that does
+    /// not parse is its `400` response.
+    fn evaluate(&self, body: &[u8]) -> Result<Vec<u8>, HttpResponse> {
+        let src = std::str::from_utf8(body)
+            .map_err(|_| error_payload(400, "http", "request body is not UTF-8"))?;
         // Document-level failures (syntax, schema gate, unknown fields)
         // are a typed 400; row-level failures below stay 200 with error
         // rows, exactly like the CLI's batch semantics.
-        let requests = match EstimateRequest::batch_from_json(src) {
-            Ok(r) => r,
-            Err(e) => return error_payload(400, e.kind(), &e.to_string()),
-        };
-        let results: Vec<Result<Arc<FootprintReport>, ApiError>> = requests
+        let requests = EstimateRequest::batch_from_json(src)
+            .map_err(|e| error_payload(400, e.kind(), &e.to_string()))?;
+        let results: Vec<_> = requests
             .iter()
-            .map(|r| self.estimate_one_cached(r))
+            .map(|r| {
+                let valid = r.validate()?;
+                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                self.estimator.estimate_valid(&valid)
+            })
             .collect();
         for r in &results {
             let c = match r {
@@ -209,40 +243,20 @@ impl EstimateService {
             };
             c.fetch_add(1, Ordering::Relaxed);
         }
-        let json = batch_to_json(&results);
+        let json = batch_to_json(&results).into_bytes();
         if results.iter().all(|r| r.is_ok()) {
-            // Memoize the whole rendered answer for the event loop's
-            // zero-copy path. Only all-Ok batches: error rows are cheap
-            // to recompute and keeping them out makes cache poisoning by
-            // malformed traffic impossible (same rule as the row cache).
-            self.hot.insert(
+            // Key and entry are built before the lock is taken, so the
+            // critical section is the insert alone.
+            let (key, entry) = (
                 src.to_string(),
                 HotResponse {
-                    body: Arc::new(json.clone().into_bytes()),
+                    body: Arc::new(json.clone()),
                     rows: results.len() as u64,
                 },
             );
+            self.hot().insert(key, entry);
         }
-        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics.observe_latency_us(us);
-        HttpResponse::json(200, json)
-    }
-
-    /// One batch row through the cache: canonical key, recall or compute.
-    /// Reports stay behind `Arc` end to end — a hit is a refcount bump,
-    /// never a deep copy — and the request is validated exactly once
-    /// (the same `ValidRequest` yields the key and feeds the estimator).
-    fn estimate_one_cached(&self, req: &EstimateRequest) -> Result<Arc<FootprintReport>, ApiError> {
-        let valid: ValidRequest = req.validate()?;
-        let key = valid.canonical_json();
-        if let Some(hit) = self.cache.get(&key) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let report = Arc::new(self.estimator.estimate_valid(&valid)?);
-        self.cache.insert(key, Arc::clone(&report));
-        Ok(report)
+        Ok(json)
     }
 }
 
@@ -254,7 +268,7 @@ impl Default for EstimateService {
 }
 
 /// The typed JSON error payload: `{"error": {"kind": ..., "message":
-/// ...}}`, the wire form of [`ApiError::kind`] plus its `Display`.
+/// ...}}`, the wire form of [`hpcarbon_api::ApiError::kind`] plus its `Display`.
 fn error_payload(status: u16, kind: &str, message: &str) -> HttpResponse {
     HttpResponse::json(
         status,
@@ -344,7 +358,7 @@ mod tests {
         let b = svc.handle(&post(&r.to_json()));
         assert_ne!(a.body, b.body);
         assert_eq!(svc.metrics().cache_misses.load(Ordering::Relaxed), 2);
-        assert_eq!(svc.cache.len(), 2);
+        assert_eq!(svc.hot().len(), 2);
     }
 
     #[test]
@@ -379,8 +393,6 @@ mod tests {
         assert!(text.contains("\"error\": \"storage what-if"), "{text}");
         assert_eq!(svc.metrics().report_errors.load(Ordering::Relaxed), 1);
         assert_eq!(svc.metrics().reports_ok.load(Ordering::Relaxed), 1);
-        // Only the feasible row was cached.
-        assert_eq!(svc.cache.len(), 1);
     }
 
     #[test]
@@ -390,7 +402,7 @@ mod tests {
         assert!(svc.try_hot(body.as_bytes()).is_none(), "cold cache");
         assert!(svc.try_hot(&[0xff, 0xfe]).is_none(), "non-UTF-8 body");
         let first = svc.handle(&post(&body));
-        assert_eq!(svc.hot.len(), 1);
+        assert_eq!(svc.hot().len(), 1);
         let hot = svc.try_hot(body.as_bytes()).expect("now hot");
         assert_eq!(*hot.body, first.body, "hot bytes identical");
         assert_eq!(hot.rows, 1);
@@ -412,16 +424,60 @@ mod tests {
         let svc = EstimateService::default();
         // Document-level 400: nothing cached.
         svc.handle(&post("{not json"));
-        assert_eq!(svc.hot.len(), 0);
-        // A batch with an error row stays uncached too (error rows are
-        // kept out of both caches).
+        assert_eq!(svc.hot().len(), 0);
+        // A batch with an error row stays uncached too.
         let body = format!(
             r#"[{}, {{"schema_version": 1, "system": "perlmutter", "region": "eso", "storage": "all-flash", "jobs": 30}}]"#,
             request_json()
         );
         assert_eq!(svc.handle(&post(&body)).status, 200);
-        assert_eq!(svc.hot.len(), 0);
+        assert_eq!(svc.hot().len(), 0);
         assert!(svc.try_hot(body.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_repeat_through_handle_is_a_cache_hit_but_not_a_hot_response() {
+        // The threaded server, and a repeat queued behind its own first
+        // send, reach the cache through `handle`, not `try_hot`.
+        let svc = EstimateService::default();
+        let body = format!("[{}, {}]", request_json(), request_json());
+        let first = svc.handle(&post(&body));
+        let again = svc.handle(&post(&body));
+        assert_eq!(first.body, again.body);
+        let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();
+        for line in [
+            "estimate_calls_total 2\n",
+            "cache_misses_total 2\n",
+            "cache_hits_total 2\n",
+            "hot_responses_total 0\n",
+            "reports_ok_total 4\n",
+            "cache_entries 1\n",
+        ] {
+            assert!(metrics.contains(line), "missing {line:?} in {metrics}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_cache_is_emptied_not_fatal() {
+        let svc = EstimateService::default();
+        let body = request_json();
+        let first = svc.handle(&post(&body));
+        assert!(svc.try_hot(body.as_bytes()).is_some());
+        let fault = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = svc.hot.lock();
+            panic!("injected fault under the cache lock")
+        }));
+        assert!(fault.is_err());
+        assert!(svc.hot.is_poisoned());
+        // The fault cost the cached answer, and only that.
+        assert!(svc.try_hot(body.as_bytes()).is_none());
+        assert!(!svc.hot.is_poisoned());
+        let again = svc.handle(&post(&body));
+        assert_eq!((again.status, &again.body), (200, &first.body));
+        let hot = svc
+            .try_hot(body.as_bytes())
+            .expect("the answer is cached again");
+        assert_eq!(*hot.body, first.body);
     }
 
     #[test]
@@ -445,7 +501,7 @@ mod tests {
         assert!(text.contains("\"kind\": \"internal\""), "{text}");
         assert_eq!(svc.metrics().worker_panics.load(Ordering::Relaxed), 1);
         assert_eq!(svc.metrics().responses_5xx.load(Ordering::Relaxed), 1);
-        assert_eq!((svc.cache.len(), svc.hot.len()), (0, 0));
+        assert_eq!(svc.hot().len(), 0);
         // The service keeps answering.
         assert_eq!(svc.handle(&get("/healthz")).status, 200);
         let metrics = String::from_utf8(svc.handle(&get("/metrics")).body).unwrap();
@@ -454,7 +510,7 @@ mod tests {
 
     #[test]
     fn uncached_misses_on_one_region_year_reach_the_trace_store() {
-        // Capacity 0: every call misses both caches and evaluates. Each
+        // Capacity 0: every call misses the cache and evaluates. Each
         // store builds the body's grid year, scheduling run and
         // seasonal-PUE year twice (first sight, fill), then answers them,
         // with the same bytes.

@@ -16,6 +16,8 @@
 //!   job scheduler simulation.
 //! - [`par`]: structured data-parallel helpers (`par_map`) over
 //!   `std::thread::scope`, with results in input order.
+//! - [`lru`]: the bounded least-recently-used map ([`lru::Lru`]) behind
+//!   the server's response cache and the estimator's stores.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 
 pub mod des;
 pub mod dist;
+pub mod lru;
 pub mod par;
 pub mod process;
 pub mod rng;

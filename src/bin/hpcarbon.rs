@@ -3,9 +3,9 @@
 //! `hpcarbon --help` prints `USAGE`, whose synopsis is also the argument
 //! grammar: each subcommand's arguments are checked against its usage
 //! entry before it runs (see `Entry`). An undeclared flag, a flag
-//! without its value, a repeated flag, two alternatives given together
-//! or a stray argument is one stderr line and exit 2, before anything is
-//! written.
+//! without its value, a repeated flag, two alternatives given together,
+//! a stray argument or a missing required one is one stderr line and
+//! exit 2, before anything is written.
 //!
 //! Argument parsing is hand-rolled (the offline dependency set has no CLI
 //! crate); every subcommand prints plain text suitable for terminals and
@@ -68,8 +68,8 @@ serve puts the same front door behind a std-only epoll event
 loop (--shards readiness loops, cache hits answered in place;
 uncached estimation on --workers threads): POST /v1/estimate
 takes the estimate subcommand's exact request documents and
-answers with byte-identical reports; a sharded LRU cache keyed
-on canonical request bytes skips simulation for repeated
+answers with byte-identical reports; a response cache keyed
+on the request body skips parsing and simulation for repeated
 queries without changing a byte. GET /healthz and GET /metrics
 expose liveness and counters (incl. per-shard gauges); SIGTERM
 drains in-flight requests and exits 0.
@@ -211,14 +211,18 @@ fn run(stdout: &mut impl Write, args: &[String]) -> Result<(), Stop> {
 ///   switch outside brackets, which selects a mode (`sweep --merge`).
 /// - A `--flag` followed by a placeholder (`N`, `<p100|v100|a100>`,
 ///   `quick|shifting|default`) takes one value; a flag closed by `]` or
-///   followed by `|` is a switch. `[--flag V]...` may repeat.
+///   followed by `|` is a switch. `[--flag V]...` may repeat. A value
+///   flag outside every bracket is required (`--request FILE`).
 /// - Flags in one `[a | b]` bracket are alternatives.
 /// - A placeholder after no flag is a positional (`FILE`, `ID`); a list
-///   (`DIR...`) takes any number of them.
+///   (`DIR...`) takes any number of them. One outside brackets that is
+///   not a list is required.
 struct Entry {
     key: Vec<&'static str>,
     flags: Vec<Flag>,
     positionals: usize,
+    /// The required positionals' placeholders, in order.
+    required: Vec<&'static str>,
 }
 
 /// A flag that an [`Entry`] declares.
@@ -248,7 +252,7 @@ impl Entry {
         while let Some(word) = tokens.next_if(|t| t.bytes().all(|b| b.is_ascii_lowercase())) {
             key.push(word);
         }
-        let (mut flags, mut positionals) = (Vec::<Flag>::new(), 0usize);
+        let (mut flags, mut positionals, mut required) = (Vec::<Flag>::new(), 0usize, Vec::new());
         let (mut brackets, mut bracket) = (0, None);
         // The flag whose value placeholder may come next.
         let mut last = None;
@@ -273,6 +277,9 @@ impl Entry {
                 flags[i].repeats = list;
             } else {
                 positionals = positionals.saturating_add(if list { usize::MAX } else { 1 });
+                if !list && bracket.is_none() {
+                    required.push(name);
+                }
             }
             if closes {
                 bracket = None;
@@ -286,6 +293,7 @@ impl Entry {
             key,
             flags,
             positionals,
+            required,
         }
     }
 }
@@ -374,6 +382,16 @@ impl<'a> Args<'a> {
             };
             parsed.given.push((flag, value));
         }
+        // A value flag outside brackets is required, then each required
+        // positional.
+        let given = |f: &Flag| parsed.given.iter().any(|(g, _)| g.name == f.name);
+        let required = |f: &&Flag| f.bracket.is_none() && f.takes_value && !given(f);
+        let missing = entry.flags.iter().find(required).map(|f| f.name);
+        let missing = missing.or_else(|| entry.required.get(parsed.positionals.len()).copied());
+        if let Some(what) = missing {
+            let msg = format!("`hpcarbon {invocation}` requires {what} (see hpcarbon --help)");
+            return Err(fail(2, msg));
+        }
         Ok(Some(parsed))
     }
 
@@ -398,6 +416,13 @@ impl<'a> Args<'a> {
 
     fn value(&self, name: &str) -> Option<&'a str> {
         self.occurrences(name).first().copied().flatten()
+    }
+
+    /// The value of a flag that the usage requires, which [`Args::parse`]
+    /// has checked is given.
+    fn required(&self, name: &str) -> &'a str {
+        self.value(name)
+            .expect("Args::parse rejects an invocation without a required flag")
     }
 
     /// Parses flag `name`'s value with `parse`, whose error names the
@@ -494,10 +519,7 @@ fn write_file(path: &str, bytes: &str) -> Result<(), Stop> {
 }
 
 fn cmd_estimate(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
-    let Some(path) = args.value("--request") else {
-        let msg = "estimate requires --request FILE (a JSON EstimateRequest or array of them)";
-        return Err(fail(2, msg));
-    };
+    let path = args.required("--request");
     let src = std::fs::read_to_string(path)
         .map_err(|e| fail(1, format_args!("cannot read {path}: {e}")))?;
     let requests =
@@ -743,11 +765,8 @@ fn cmd_advisor(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
     // The typed parsers are shared with the API's JSON request decoder:
     // a typo'd value gets an error naming the flag and listing the
     // accepted vocabulary instead of a silent fallback.
-    let from = args.parsed("--from", |v| api_parse::node_gen("--from", v))?;
-    let to = args.parsed("--to", |v| api_parse::node_gen("--to", v))?;
-    let (Some(from), Some(to)) = (from, to) else {
-        return Err(fail(2, "advisor requires --from and --to (p100|v100|a100)"));
-    };
+    let node_gen = |name| api_parse::node_gen(name, args.required(name)).map_err(|e| fail(2, e));
+    let (from, to) = (node_gen("--from")?, node_gen("--to")?);
     let suite = args.parsed("--suite", |v| api_parse::suite("--suite", v))?;
     let suite = suite.unwrap_or(Suite::Nlp);
     let in_unit = |&u: &f64| Fraction::new(u).is_some();
@@ -851,11 +870,11 @@ fn cmd_sweep(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
         ScenarioGrid::paper_default()
     };
     let seed = args.unsigned::<u64>("--seed")?;
-    if let Some(n) = args.unsigned::<u64>("--seeds")? {
+    if let Some(n) = args.positive("--seeds")? {
         // N consecutive seeds starting at --seed (default 0): the knob
         // that scales any grid to 10^5+ rows for sharded runs.
         let base = seed.unwrap_or(0);
-        let seeds: Option<Vec<u64>> = (0..n).map(|i| base.checked_add(i)).collect();
+        let seeds: Option<Vec<u64>> = (0..n as u64).map(|i| base.checked_add(i)).collect();
         let Some(seeds) = seeds else {
             let msg =
                 format!("invalid --seeds \"{n}\" (--seed {base} plus {n} seeds passes u64::MAX)");
@@ -1049,12 +1068,7 @@ fn cmd_sweep_merge(stdout: &mut impl Write, args: &Args) -> Result<(), Stop> {
 /// - `import FILE --out FILE` re-emits the canonical CSV form
 ///   (UTC stamps, gCO2/kWh, sorted hours) after validation.
 fn cmd_trace(stdout: &mut impl Write, sub: &str, args: &Args) -> Result<(), Stop> {
-    let Some(&path) = args.positionals.first() else {
-        return Err(fail(
-            2,
-            format_args!("trace {sub} requires a FILE argument"),
-        ));
-    };
+    let path = args.positionals[0];
     let parsed = load_trace(path, args.gaps()?)?;
     let zone = sustainable_hpc::grid::tracefile::zone_label(parsed.operator);
     match sub {
@@ -1080,9 +1094,7 @@ fn cmd_trace(stdout: &mut impl Write, sub: &str, args: &Args) -> Result<(), Stop
             writeln!(stdout, "cov %      : {:.4}", parsed.trace.cov_percent())?;
         }
         _ => {
-            let Some(out) = args.value("--out") else {
-                return Err(fail(2, "trace import requires --out FILE"));
-            };
+            let out = args.required("--out");
             let canonical = sustainable_hpc::grid::tracefile::write_trace_csv(&parsed.trace);
             write_file(out, &canonical)?;
             writeln!(
@@ -1214,12 +1226,7 @@ fn cmd_catalog(stdout: &mut impl Write, sub: &str, args: &Args) -> Result<(), St
             }
         }
         _ => {
-            let Some(&id) = args.positionals.first() else {
-                return Err(fail(
-                    2,
-                    "show requires an entity id (try `hpcarbon catalog list`)",
-                ));
-            };
+            let id = args.positionals[0];
             if let Some(p) = catalog.parts().iter().find(|p| part_slug(p.spec.id) == id) {
                 let spec = &p.spec;
                 writeln!(stdout, "part {id} ({})", p.source)?;

@@ -28,7 +28,7 @@
 //!   sweep engine (bounded memory, pluggable row sinks, `--shard i/N`
 //!   partitioning), batch-shaped consumer of the API (`hpcarbon sweep`)
 //! - [`server`] — a std-only threaded HTTP server over the API with a
-//!   canonical-request cache, plus the matching load generator
+//!   response cache, plus the matching load generator
 //!   (`hpcarbon serve` / `hpcarbon loadgen`)
 //!
 //! Architecture, calibration methodology (§1) and the process-node

@@ -1,10 +1,10 @@
 //! `hpcarbon` checks every argument against its subcommand's entry in
 //! the `--help` synopsis before the command runs. A flag the entry does
 //! not declare, a flag without its value, a repeated flag, two
-//! alternatives given together or a stray argument is one stderr line
-//! and exit 2, with nothing on stdout and nothing written. Without the
-//! check a misspelt `--shards` swept every row into unsharded documents,
-//! and `sweep --help` ran the whole sweep.
+//! alternatives given together, a stray argument or a missing required
+//! one is one stderr line and exit 2, with nothing on stdout and nothing
+//! written. Without the check a misspelt `--shards` swept every row into
+//! unsharded documents, and `sweep --help` ran the whole sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -168,4 +168,42 @@ fn a_flat_intensity_and_a_region_are_alternatives() {
 fn an_unknown_catalog_subcommand_is_a_usage_error_without_a_catalog() {
     // The empty directory has no `./catalog` to load.
     assert_rejected("catalog-frob", &["catalog", "frob"], &["\"frob\""]);
+}
+
+#[test]
+fn a_zero_seed_count_is_rejected_before_the_sweep_writes() {
+    let args = ["sweep", "--quick", "--seeds", "0", "--out", "zero"];
+    assert_rejected("seeds-zero", &args, &["--seeds"]);
+}
+
+#[test]
+fn a_required_flag_is_checked_before_any_file_loads() {
+    // The file has two diagnostics; the missing `--out` is reported
+    // instead, before the file is read.
+    let trace = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/traces/bad_unit.csv");
+    let args = ["trace", "import", trace.to_str().unwrap()];
+    let names = ["requires --out", "`hpcarbon trace import`"];
+    assert_rejected("import-no-out", &args, &names);
+}
+
+#[test]
+fn a_required_positional_is_checked_before_any_catalog_loads() {
+    // The empty directory has no `./catalog` to load.
+    let names = ["requires ID", "`hpcarbon catalog show`"];
+    assert_rejected("show-no-id", &["catalog", "show"], &names);
+}
+
+#[test]
+fn every_unbracketed_argument_is_required() {
+    let cases: [(&[&str], &str, &str); 5] = [
+        (&["estimate", "--threads", "2"], "estimate", "--request"),
+        (&["advisor", "--from", "v100"], "advisor", "--to"),
+        (&["advisor", "--to", "a100"], "advisor", "--from"),
+        (&["trace", "validate"], "trace validate", "FILE"),
+        (&["trace", "stats", "--gaps", "hold"], "trace stats", "FILE"),
+    ];
+    for (i, (args, invocation, what)) in cases.into_iter().enumerate() {
+        let msg = format!("`hpcarbon {invocation}` requires {what}");
+        assert_rejected(&format!("required-{i}"), args, &[&msg]);
+    }
 }

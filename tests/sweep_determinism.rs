@@ -283,7 +283,7 @@ fn cli_rejects_every_malformed_numeric_flag() {
     let loadgen: &[&str] = &["loadgen", "--addr", "127.0.0.1:9", "--wait", "1"];
     let cases: [(&[&str], &str, &str, &str); 13] = [
         (&["sweep"], "--seed", "abc", INT),
-        (&["sweep"], "--seeds", "x", INT),
+        (&["sweep"], "--seeds", "x", "a positive integer"),
         (&["sweep", "--quick"], "--top", "four", INT),
         (&["schedule", "--jobs", "5"], "--slack", "abc", INT),
         (&["schedule", "--jobs", "5"], "--seed", "zz", INT),
