@@ -57,7 +57,13 @@
 #     ≥ MIN_NORMAL_BLOCK_SPEEDUP (1.2, fixed in this script) — the
 #     block-sampler contract (a year of standard-normal draws filled 64
 #     at a time with a branch-free accept, the same bits as drawing each
-#     on its own), its two medians taken from interleaved samples.
+#     on its own), its two medians taken from interleaved samples;
+#   * grid/block_year must beat grid/per_day_year by
+#     ≥ MIN_BLOCK_YEAR_SPEEDUP (1.25, fixed in this script) — the
+#     block grid-year contract (a year walked 64 hours at a time with a
+#     lane-wise dispatch and its region-year's memoized clear-sky table,
+#     the same bits as the per-day walk), its two medians taken from
+#     interleaved samples.
 #
 # Usage:
 #   ci/bench_gate.sh            run the gate
@@ -87,6 +93,7 @@ MIN_STORE_SPEEDUP=10
 MIN_RUN_SPEEDUP=4
 MIN_RUN_STORE_SPEEDUP=3
 MIN_NORMAL_BLOCK_SPEEDUP=1.2
+MIN_BLOCK_YEAR_SPEEDUP=1.25
 OUT_DIR="${BENCH_GATE_OUT_DIR:-ci/out}"
 BASELINE="${BENCH_GATE_BASELINE:-ci/bench_baseline.json}"
 SUITES=(bench_window_index bench_sweep bench_serve bench_trace)
@@ -307,6 +314,22 @@ else
         fail=1
     else
         echo "OK: the block standard-normal fill beats per-draw sampling by ${normal_speedup}x (>= ${MIN_NORMAL_BLOCK_SPEEDUP}x)"
+    fi
+fi
+
+# --- gate 1k: the block grid-year speedup contract --------------------------
+per_day_year=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "grid/per_day_year" { print $2 }')
+block_year=$(extract "$OUT_DIR/BENCH_trace.json" | awk '$1 == "grid/block_year" { print $2 }')
+if [[ -z "$per_day_year" || -z "$block_year" ]]; then
+    echo "FAIL: grid block/per-day year benchmarks missing from BENCH_trace.json"
+    fail=1
+else
+    block_year_speedup=$(awk -v d="$per_day_year" -v b="$block_year" 'BEGIN { printf "%.2f", d / b }')
+    if awk -v s="$block_year_speedup" -v m="$MIN_BLOCK_YEAR_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
+        echo "FAIL: block grid-year speedup ${block_year_speedup}x < required ${MIN_BLOCK_YEAR_SPEEDUP}x"
+        fail=1
+    else
+        echo "OK: the block grid year beats the per-day walk by ${block_year_speedup}x (>= ${MIN_BLOCK_YEAR_SPEEDUP}x)"
     fi
 fi
 

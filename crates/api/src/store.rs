@@ -38,29 +38,24 @@
 //! function of the values, so the rebuilt trace equals the provider's bit
 //! for bit. Keeping the index, or whole traces, would double each entry.
 //!
-//! ## Admission on second sight
+//! ## Admission, eviction and fill
 //!
-//! A key enters a store only on its second miss. A FIFO of the last
-//! [`SEEN`] first sights remembers the rest. Traffic that never repeats a
-//! key, every request under a fresh seed, therefore admits nothing. A
-//! repeating key pays one extra build per store lifetime: its first
-//! sight builds without storing, its second fills the entry.
+//! Each store is a [`hpcarbon_sim::store::Store`]: a key enters it only
+//! on its second miss, so traffic that never repeats a key, every
+//! request under a fresh seed, admits nothing; it evicts the least
+//! recently used entry first; and each admitted key is built once, never
+//! under the store's lock.
 //!
 //! ## Memory bound
 //!
 //! The trace store holds at most [`TRACE_CAPACITY`] entries (~2.2 MiB).
 //! The run and seasonal stores hold at most [`RUN_CAPACITY`] and
 //! [`SEASONAL_CAPACITY`] entries of a few hundred bytes each, ~0.2 MiB
-//! together. Each store evicts the least recently used entry first, and
-//! each admission FIFO holds at most [`SEEN`] keys (~75 KB with its
-//! index for the run store's, the largest keys).
+//! together. Each admission FIFO holds at most
+//! [`SEEN`](hpcarbon_sim::store::SEEN) keys (~75 KB with its index for
+//! the run store's, the largest keys).
 //!
-//! ## Fill
-//!
-//! Each admitted key owns a `OnceLock` cell, so concurrent misses on one
-//! key build it once while the others wait for the fill. No build runs
-//! under a store's lock: a panicking build leaves the lock unpoisoned and
-//! its cell empty, and the next caller fills it.
+//! ## Fills nest one way
 //!
 //! Fills cannot deadlock, because they nest in one direction only. A run
 //! fill may look up its partner site's trace and so wait on a trace fill.
@@ -73,10 +68,10 @@
 use crate::context::TraceStats;
 use hpcarbon_grid::regions::OperatorId;
 use hpcarbon_grid::trace::IntensityTrace;
-use hpcarbon_sim::lru::Lru;
+pub use hpcarbon_sim::store::StoreCounters;
+pub(crate) use hpcarbon_sim::store::{Found, Store};
 use hpcarbon_timeseries::series::HourlySeries;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Most entries the trace store holds. At ~70 KB each, 32 entries are
 /// ~2.2 MiB.
@@ -87,9 +82,6 @@ pub const RUN_CAPACITY: usize = 256;
 
 /// Most entries the seasonal store holds, under a hundred bytes each.
 pub const SEASONAL_CAPACITY: usize = 256;
-
-/// First sights each store's admission FIFO remembers.
-pub const SEEN: usize = 256;
 
 /// One trace-store entry: what the provider's trace is rebuilt from, and
 /// its stats.
@@ -116,27 +108,6 @@ impl StoredTrace {
     }
 }
 
-type Cell<V> = Arc<OnceLock<V>>;
-
-struct Slots<K, V> {
-    /// Admitted keys and their cells.
-    cells: Lru<K, Cell<V>>,
-    /// Keys missed once and not yet admitted. Never promoted, so it
-    /// evicts the oldest first sight: a FIFO.
-    seen: Lru<K, ()>,
-}
-
-/// What one store has done since its estimator was built.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Lookups answered from a filled entry.
-    pub hits: u64,
-    /// Values built through the store: first sights and fills.
-    pub builds: u64,
-    /// Filled entries held now.
-    pub entries: usize,
-}
-
 /// The counters of an estimator's three stores: what the server's
 /// `trace_store_*`, `run_store_*` and `seasonal_store_*` metrics read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,113 +120,12 @@ pub struct StoreStats {
     pub seasonal: StoreCounters,
 }
 
-/// What a [`Store::get`] found.
-pub(crate) enum Found<B, V> {
-    /// A first sight: `build` ran and the store kept nothing.
-    Unkept(B),
-    /// The fill of an admitted key: `build` ran and the store keeps `V`.
-    Filled(B, V),
-    /// A hit: what an earlier fill kept.
-    Stored(V),
-}
-
-impl<V> Found<V, V> {
-    /// The value, however it was found.
-    pub(crate) fn value(self) -> V {
-        match self {
-            Found::Unkept(v) | Found::Filled(v, _) | Found::Stored(v) => v,
-        }
-    }
-}
-
-/// A bounded store an [`crate::Estimator`] owns: second-sight admission,
-/// least-recently-used eviction, one fill per admitted key.
-pub(crate) struct Store<K, V> {
-    slots: Mutex<Slots<K, V>>,
-    hits: AtomicU64,
-    builds: AtomicU64,
-}
-
-impl<K: Copy + Ord, V: Clone> Store<K, V> {
-    /// An empty store of at most `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> Store<K, V> {
-        Store {
-            slots: Mutex::new(Slots {
-                cells: Lru::new(capacity),
-                seen: Lru::new(SEEN),
-            }),
-            hits: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks `key` up. `build` runs on a first sight and on the fill of an
-    /// admitted key, never under the store's lock; on a fill, `keep`
-    /// derives the entry from what `build` returned.
-    pub(crate) fn get<B>(
-        &self,
-        key: K,
-        build: impl FnOnce() -> B,
-        keep: impl FnOnce(&B) -> V,
-    ) -> Found<B, V> {
-        let Some(cell) = self.admit(key) else {
-            let built = build();
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            return Found::Unkept(built);
-        };
-        let mut built = None;
-        let kept = cell
-            .get_or_init(|| {
-                let b = build();
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                let kept = keep(&b);
-                built = Some(b);
-                kept
-            })
-            .clone();
-        match built {
-            Some(b) => Found::Filled(b, kept),
-            None => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Found::Stored(kept)
-            }
-        }
-    }
-
-    /// The cell of an admitted `key`, now most recently used. A key
-    /// seen once before is admitted, evicting the least recently used
-    /// entry when full. A first sight is remembered and gets `None`.
-    fn admit(&self, key: K) -> Option<Cell<V>> {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = slots.cells.get(&key) {
-            return Some(Arc::clone(cell));
-        }
-        if slots.seen.remove(&key).is_some() {
-            let cell = Cell::default();
-            slots.cells.insert(key, Arc::clone(&cell));
-            return Some(cell);
-        }
-        slots.seen.insert(key, ());
-        None
-    }
-
-    /// The counters so far and the filled entries held now.
-    pub(crate) fn counters(&self) -> StoreCounters {
-        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        StoreCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            entries: slots.cells.values().filter(|c| c.get().is_some()).count(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::TraceKey;
     use crate::types::TraceSource;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     type Traces = Store<TraceKey, Arc<StoredTrace>>;
 
@@ -360,49 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn novel_keys_admit_nothing() {
+    fn each_store_is_bounded_by_its_capacity() {
         let (store, calls) = (traces(), AtomicUsize::new(0));
-        for seed in 0..2_000 {
-            lookup(&store, &calls, key(seed));
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), 2_000);
-        let c = store.counters();
-        assert_eq!((c.entries, c.hits), (0, 0));
-        let slots = store.slots.lock().unwrap();
-        assert!(slots.cells.is_empty());
-        assert_eq!(slots.seen.len(), SEEN, "the FIFO stays bounded");
-    }
-
-    #[test]
-    fn the_store_is_bounded_and_evicts_least_recently_used_first() {
-        let (store, calls) = (traces(), AtomicUsize::new(0));
-        for seed in 0..64 {
+        for seed in 0..2 * TRACE_CAPACITY as u64 {
             lookup(&store, &calls, key(seed));
             lookup(&store, &calls, key(seed));
         }
         assert_eq!(store.counters().entries, TRACE_CAPACITY);
-        // The last TRACE_CAPACITY keys are held; the first ones were
-        // evicted.
-        let before = calls.load(Ordering::Relaxed);
-        lookup(&store, &calls, key(63));
-        lookup(&store, &calls, key(32));
-        assert_eq!(calls.load(Ordering::Relaxed), before, "held keys hit");
-
-        // Key 33 is now the least recently used: one more admission
-        // evicts it and keeps the just-touched 32 and 63.
-        lookup(&store, &calls, key(1_000));
-        lookup(&store, &calls, key(1_000));
-        assert_eq!(store.counters().entries, TRACE_CAPACITY);
-        let before = calls.load(Ordering::Relaxed);
-        for seed in [32, 63, 34, 1_000] {
-            lookup(&store, &calls, key(seed));
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), before);
-        lookup(&store, &calls, key(33));
-        assert_eq!(calls.load(Ordering::Relaxed), before + 1, "33 was evicted");
-
-        // The run and seasonal capacities bound their stores the same
-        // way.
         for capacity in [RUN_CAPACITY, SEASONAL_CAPACITY] {
             let store = Store::<u64, u64>::new(capacity);
             for k in 0..2 * capacity as u64 {
@@ -411,127 +245,5 @@ mod tests {
             }
             assert_eq!(store.counters().entries, capacity);
         }
-    }
-
-    /// The naive reference: the admission the store ran before it was
-    /// built on [`Lru`], a FIFO of [`SEEN`] first sights and an LRU of
-    /// filled cells, each a queue searched by a linear scan.
-    struct ModelStore {
-        capacity: usize,
-        /// Keys missed once and not yet admitted, oldest first.
-        seen: Vec<u64>,
-        /// Admitted keys and their values, least recently used first.
-        cells: Vec<(u64, u64)>,
-        hits: u64,
-        builds: u64,
-    }
-
-    impl ModelStore {
-        fn new(capacity: usize) -> ModelStore {
-            ModelStore {
-                capacity,
-                seen: Vec::new(),
-                cells: Vec::new(),
-                hits: 0,
-                builds: 0,
-            }
-        }
-
-        /// What [`Store::get`] finds for `key` when `built` is what its
-        /// build would return, as (variant, value).
-        fn get(&mut self, key: u64, built: u64) -> (&'static str, u64) {
-            if let Some(i) = self.cells.iter().position(|&(k, _)| k == key) {
-                let cell = self.cells.remove(i);
-                self.cells.push(cell);
-                self.hits += 1;
-                return ("stored", cell.1);
-            }
-            self.builds += 1;
-            if let Some(i) = self.seen.iter().position(|&k| k == key) {
-                self.seen.remove(i);
-                if self.cells.len() == self.capacity {
-                    self.cells.remove(0);
-                }
-                self.cells.push((key, built));
-                return ("filled", built);
-            }
-            if self.seen.len() == SEEN {
-                self.seen.remove(0);
-            }
-            self.seen.push(key);
-            ("unkept", built)
-        }
-    }
-
-    mod model_props {
-        use super::*;
-        use proptest::collection;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            // A quarter of the lookups repeat a dozen hot keys, so
-            // admissions fill and evict up to 8 cells; the rest spread
-            // over a thousand keys, so first sights overflow the 256-key
-            // FIFO and some keys come back just after falling out of it.
-            // Every lookup builds a distinct value, so a hit names the
-            // fill it returns.
-            #[test]
-            fn admission_matches_the_naive_model(
-                capacity in 1usize..9,
-                picks in collection::vec((0u8..4, 0u64..1_000), 300..1_500),
-            ) {
-                let store = Store::<u64, u64>::new(capacity);
-                let mut model = ModelStore::new(capacity);
-                for (step, &(pick, k)) in picks.iter().enumerate() {
-                    let key = if pick == 0 { k % 12 } else { k };
-                    let built = step as u64;
-                    let found = match store.get(key, || built, u64::clone) {
-                        Found::Unkept(b) => ("unkept", b),
-                        Found::Filled(b, kept) => {
-                            prop_assert_eq!(b, kept);
-                            ("filled", b)
-                        }
-                        Found::Stored(v) => ("stored", v),
-                    };
-                    prop_assert_eq!((step, found), (step, model.get(key, built)));
-                }
-                let c = store.counters();
-                prop_assert_eq!(
-                    (c.hits, c.builds, c.entries),
-                    (model.hits, model.builds, model.cells.len())
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_panicked_fill_leaves_the_cell_for_the_next_caller() {
-        let (store, calls) = (traces(), AtomicUsize::new(0));
-        lookup(&store, &calls, key(9));
-        let fill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            trace_of(&store, key(9), || panic!("provider failure"))
-        }));
-        assert!(fill.is_err());
-        assert_eq!(
-            store.counters().entries,
-            0,
-            "the panicked fill left nothing"
-        );
-        assert_eq!(
-            store.counters().builds,
-            1,
-            "a panicked build is not counted"
-        );
-        assert!(
-            !store.slots.is_poisoned(),
-            "the provider ran outside the lock"
-        );
-        lookup(&store, &calls, key(9));
-        assert_eq!(store.counters().entries, 1, "the next caller filled it");
-        lookup(&store, &calls, key(9));
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(store.counters().hits, 1);
     }
 }

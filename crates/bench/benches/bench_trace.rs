@@ -1,8 +1,9 @@
 //! Benches for the trace layer: the strict CSV parser over a full
 //! 8760-hour year, the day-ahead harmonic forecast built and scored
 //! against its actual trace, the dispatch simulator's grid year next to
-//! its per-hour reference, and a year's worth of standard-normal draws
-//! filled a block at a time next to the per-draw sampler.
+//! its per-hour and per-day references, and a year's worth of
+//! standard-normal draws filled a block at a time next to the per-draw
+//! sampler.
 //!
 //! `ci/bench_gate.sh` tracks every median against the committed
 //! baseline — parsing a year of real data sits on the CLI's hot path
@@ -10,14 +11,15 @@
 //! once per cluster per scenario under `--forecast`, and a grid year is
 //! built for every region-year a request or sweep has not seen. Its gate
 //! 1d also requires `grid/simulate_year` to beat
-//! `grid/simulate_year_per_hour` by a same-run ratio, and gate 1j
-//! `sim/fill_standard_normal_8760` to beat `sim/standard_normal_8760`.
+//! `grid/simulate_year_per_hour` by a same-run ratio, gate 1j
+//! `sim/fill_standard_normal_8760` to beat `sim/standard_normal_8760`,
+//! and gate 1k `grid/block_year` to beat `grid/per_day_year`.
 //! Each gated pair is measured with its samples interleaved
 //! (`bench_pair`), so load on a shared host reaches both sides alike.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcarbon_grid::forecast::day_ahead_harmonic_forecast;
-use hpcarbon_grid::sim::{simulate_year, simulate_year_per_hour};
+use hpcarbon_grid::sim::{simulate_year, simulate_year_per_day, simulate_year_per_hour};
 use hpcarbon_grid::synth::synthesize_year;
 use hpcarbon_grid::tracefile::{parse_trace_csv, write_trace_csv, GapPolicy};
 use hpcarbon_grid::OperatorId;
@@ -58,7 +60,11 @@ fn forecast(c: &mut Criterion) {
 }
 
 /// One ESO 2021 year per iteration (seed 7), beside the per-hour
-/// reference it is checked against bit for bit.
+/// reference it is checked against bit for bit, and again beside the
+/// per-day walk: 64-hour blocks, lane-wise dispatch and the region-year's
+/// memoized clear-sky table (held after the first two iterations) against
+/// one hour at a time with the clear-sky term computed in every daylight
+/// hour.
 fn grid(c: &mut Criterion) {
     let mut g = c.benchmark_group("grid");
     g.bench_pair(
@@ -66,6 +72,12 @@ fn grid(c: &mut Criterion) {
         |b| b.iter(|| black_box(simulate_year(black_box(OperatorId::Eso), 2021, 7))),
         "simulate_year_per_hour",
         |b| b.iter(|| black_box(simulate_year_per_hour(black_box(OperatorId::Eso), 2021, 7))),
+    );
+    g.bench_pair(
+        "block_year",
+        |b| b.iter(|| black_box(simulate_year(black_box(OperatorId::Eso), 2021, 7))),
+        "per_day_year",
+        |b| b.iter(|| black_box(simulate_year_per_day(black_box(OperatorId::Eso), 2021, 7))),
     );
     g.finish();
 }

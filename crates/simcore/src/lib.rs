@@ -17,7 +17,10 @@
 //! - [`par`]: structured data-parallel helpers (`par_map`) over
 //!   `std::thread::scope`, with results in input order.
 //! - [`lru`]: the bounded least-recently-used map ([`lru::Lru`]) behind
-//!   the server's response cache and the estimator's stores.
+//!   the server's response cache and every [`store::Store`].
+//! - [`store`]: the bounded memo with second-sight admission
+//!   ([`store::Store`]) behind the estimator's stores and the grid
+//!   simulator's clear-sky tables.
 //!
 //! # Example
 //!
@@ -41,3 +44,4 @@ pub mod lru;
 pub mod par;
 pub mod process;
 pub mod rng;
+pub mod store;

@@ -1,7 +1,7 @@
 //! A bounded map that evicts its least recently used entry.
 //!
-//! The server's response cache and the estimator's stores share this
-//! one type. Recency is an intrusive doubly linked list threaded
+//! The server's response cache and every [`crate::store::Store`] share
+//! this one type. Recency is an intrusive doubly linked list threaded
 //! through a slab of entries (`prev`/`next` are slab indices, not
 //! pointers), and a `BTreeMap` maps keys to slab slots, so the order
 //! of nothing depends on a hasher:
@@ -42,7 +42,7 @@ pub struct Lru<K, V> {
 
 impl<K: Ord + Clone, V> Lru<K, V> {
     /// An empty map of at most `capacity` entries.
-    pub fn new(capacity: usize) -> Lru<K, V> {
+    pub const fn new(capacity: usize) -> Lru<K, V> {
         Lru {
             index: BTreeMap::new(),
             slots: Vec::new(),

@@ -13,8 +13,7 @@
 //!   exactly this machinery.
 //! - [`series`]: [`series::HourlySeries`] — one value per hour of a civil
 //!   year (8760 points for 2021), the shape of every grid-intensity trace,
-//!   and its local-day walker
-//!   [`from_local_days`](series::HourlySeries::from_local_days), which the
+//!   and the local-day walk [`local_days`](series::local_days), which the
 //!   grid's dispatch simulator builds its years on.
 //! - [`stats`]: summary statistics used by the paper's analyses: quantiles,
 //!   five-number (box-plot) summaries for Fig. 6(a), coefficient of

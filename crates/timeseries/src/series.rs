@@ -7,6 +7,7 @@
 //! hour, totals and means.
 
 use crate::datetime::{hours_in_year, CivilDate, HourStamp, TimeZone};
+use std::ops::Range;
 
 /// One value per hour of a civil year.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,16 +57,10 @@ impl HourlySeries {
         mut per_day: impl FnMut(CivilDate) -> D,
         mut per_hour: impl FnMut(&D, u8) -> f64,
     ) -> HourlySeries {
-        let n = hours_in_year(year) as usize;
-        let mut values = Vec::with_capacity(n);
-        let first = tz.from_utc(HourStamp::from_hour_of_year(year, 0));
-        let (mut date, mut hour) = (first.date(), first.hour());
-        while values.len() < n {
+        let mut values = Vec::with_capacity(hours_in_year(year) as usize);
+        for (date, hours) in local_days(year, tz) {
             let day = per_day(date);
-            let hours = usize::from(24 - hour).min(n - values.len());
-            values.extend((hour..24).take(hours).map(|h| per_hour(&day, h)));
-            date = date.plus_days(1);
-            hour = 0;
+            values.extend(hours.map(|h| per_hour(&day, h)));
         }
         HourlySeries { year, values }
     }
@@ -112,6 +107,28 @@ impl HourlySeries {
     pub fn mean(&self) -> f64 {
         self.total() / self.values.len() as f64
     }
+}
+
+/// The local days of zone `tz` that cover `year`'s UTC hours, in order:
+/// each local civil date with the range of its local hours that fall in
+/// the year. Days inside the year are whole; under an offset zone the
+/// first and last are partial. The hours of all ranges together are the
+/// year's hours in UTC order, the walk [`HourlySeries::from_local_days`]
+/// takes.
+pub fn local_days(year: i32, tz: TimeZone) -> impl Iterator<Item = (CivilDate, Range<u8>)> {
+    let first = tz.from_utc(HourStamp::from_hour_of_year(year, 0));
+    let (mut date, mut hour) = (first.date(), first.hour());
+    let mut left = hours_in_year(year);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let end = (u32::from(hour) + left).min(24) as u8;
+        let day = (date, hour..end);
+        left -= u32::from(end - hour);
+        (date, hour) = (date.plus_days(1), 0);
+        Some(day)
+    })
 }
 
 #[cfg(test)]

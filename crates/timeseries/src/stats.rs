@@ -18,7 +18,11 @@ pub fn variance(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    let m = mean(xs);
+    variance_about(xs, mean(xs))
+}
+
+/// Population variance of non-empty `xs` about their mean `m`.
+fn variance_about(xs: &[f64], m: f64) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
 }
 
@@ -40,13 +44,26 @@ pub fn cov_percent(xs: &[f64]) -> f64 {
     100.0 * std_dev(xs) / m
 }
 
+/// [`cov_percent`] of `xs` given their mean `m`: one pass over `xs`
+/// where [`cov_percent`] takes three (its mean, the variance's mean and
+/// the variance). Bit for bit `cov_percent(xs)` when `m` is
+/// [`mean`]`(xs)`.
+pub fn cov_percent_about(xs: &[f64], m: f64) -> f64 {
+    if m == 0.0 || m.is_nan() {
+        return f64::NAN;
+    }
+    100.0 * variance_about(xs, m).sqrt() / m
+}
+
 /// Quantile `q` in [0, 1] with linear interpolation between order
 /// statistics (R type 7 / NumPy default). Returns NaN for empty input.
 ///
 /// Selects the one or two order statistics the quantile needs instead of
 /// sorting: O(n) rather than O(n log n), with the same result as
-/// [`quantile_sorted`] on a sorted copy. (The two can differ only in the
-/// sign of a zero, when `-0.0` and `0.0` both occur.)
+/// [`quantile_sorted`] on a sorted copy. The selection runs over `u64`
+/// keys that order as `f64::total_cmp` does, so no comparison needs a
+/// `partial_cmp`. (The two can differ only in the sign of a zero, when
+/// `-0.0` and `0.0` both occur.)
 ///
 /// # Panics
 /// If `q` is outside `[0, 1]` or NaN, or if `xs` holds a NaN and more
@@ -56,18 +73,44 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    let (lo, hi, frac) = type7_rank(xs.len(), q);
-    let mut work: Vec<f64> = xs.to_vec();
-    // lint: allow(panic-in-library) -- deliberate panic-on-NaN contract: samples are finite by construction, and a total_cmp order would silently place a stray NaN instead of flagging the upstream bug. Selection compares every element, so any NaN reaches this
-    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
-    let (_, lo_value, above) = work.select_nth_unstable_by(lo, by_value);
-    if lo == hi {
-        return *lo_value;
+    if xs.len() > 1 && xs.iter().fold(false, |nan, x| nan | x.is_nan()) {
+        // lint: allow(panic-in-library) -- deliberate panic-on-NaN contract: samples are finite by construction, and the total order the selection runs on would silently place a stray NaN instead of flagging the upstream bug
+        panic!("NaN in quantile input");
     }
-    // Everything above position `lo` is ≥ its value, so the next order
+    let (lo, hi, frac) = type7_rank(xs.len(), q);
+    let mut keys: Vec<u64> = xs.iter().map(|&x| total_order_key(x)).collect();
+    let (_, &mut lo_key, above) = keys.select_nth_unstable(lo);
+    if lo == hi {
+        return from_total_order_key(lo_key);
+    }
+    // Everything above position `lo` is ≥ its key, so the next order
     // statistic is the least of those.
-    let (_, hi_value, _) = above.select_nth_unstable_by(0, by_value);
-    interpolate(*lo_value, *hi_value, frac)
+    let hi_key = above.iter().copied().min().unwrap_or(lo_key);
+    interpolate(
+        from_total_order_key(lo_key),
+        from_total_order_key(hi_key),
+        frac,
+    )
+}
+
+/// `x`'s bits mapped so that unsigned order is `f64::total_cmp`'s: a
+/// negative's bits inverted, a positive's sign bit set.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The `f64` whose [`total_order_key`] is `key`.
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// Quantile on already-sorted data (ascending). See [`quantile`].
@@ -203,6 +246,52 @@ mod tests {
         // std of [1..4] = sqrt(1.25), mean 2.5 -> CoV = 44.72%
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((cov_percent(&xs) - 44.721).abs() < 0.01);
+    }
+
+    #[test]
+    fn cov_percent_about_the_mean_is_cov_percent() {
+        let xs: Vec<f64> = (0..1_000)
+            .map(|i| (f64::from(i) * 0.37).sin() + 2.0)
+            .collect();
+        for xs in [&xs[..], &[0.1, 0.2, 0.7], &[5.0]] {
+            assert_eq!(
+                cov_percent_about(xs, mean(xs)).to_bits(),
+                cov_percent(xs).to_bits()
+            );
+        }
+        assert!(cov_percent_about(&[1.0, -1.0], 0.0).is_nan());
+        assert!(cov_percent_about(&[], f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn total_order_keys_sort_as_total_cmp_and_round_trip() {
+        let mut xs = vec![
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -1e-310,
+            -0.0,
+            0.0,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in &xs {
+            assert_eq!(
+                from_total_order_key(total_order_key(*x)).to_bits(),
+                x.to_bits()
+            );
+        }
+        let mut by_key = xs.clone();
+        by_key.sort_by_key(|x| total_order_key(*x));
+        xs.sort_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&xs));
     }
 
     #[test]
